@@ -99,7 +99,7 @@ def _cmd_train(args):
             shrinkage_max=cfg.lda_shrinkage_max,
             feature_spec=spec.name,
         )
-        transform.save(out / "transform.txt")
+        transform.save(out / "transform.npz")
         from .signerlda import project
 
         by_class = {k: [project(f, transform) for f in v] for k, v in by_class.items()}

@@ -12,7 +12,9 @@ from pathlib import Path
 
 
 @dataclass
-class Config:
+class ExtractConfig:
+    """The settings feature extraction reads; their values key the feature cache."""
+
     # --- skin model ---
     hist_bins: int = 32              # bins per axis of the (r,g) histograms
     skin_alpha: float = 0.2          # adaptive histogram update weight
@@ -42,9 +44,14 @@ class Config:
 
     # --- features ---
     eccentricity_as_printed: bool = True  # |1 - m/M|; False uses sqrt(1 - (m/M)^2)
+    focal_per_width: float = 525.0 / 640.0  # focal length as a fraction of image width
+
+
+@dataclass
+class Config(ExtractConfig):
+    # --- idle-hand zeroing, applied to extracted samples ---
     idle_path_threshold: float = 0.5      # shoulder-widths of total travel
     idle_speed_threshold: float = 0.02    # shoulder-widths per frame
-    focal_per_width: float = 525.0 / 640.0  # focal length as a fraction of image width
     zero_idle: bool = True
 
     # --- signer-independent transform ---
@@ -64,10 +71,7 @@ class Config:
     jobs: int = 1
 
     def save(self, path):
-        lines = []
-        for field in dataclasses.fields(self):
-            lines.append(f"{field.name}={getattr(self, field.name)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(self.snapshot() + "\n")
 
     @classmethod
     def load(cls, path):

@@ -8,11 +8,16 @@ One directory per recorded sample:
     meta.txt               key=value lines: signer, label, handedness, fps
 
 A dataset is a tab-separated manifest: path, signer, label, handedness.
+
+Saved artefacts (features, HMMs, transforms) are npz records: `save_record`.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +43,7 @@ _MIRROR_JOINT = {
 
 
 class LoadError(Exception):
-    """A sequence directory is missing or malformed; the message names the file."""
+    """A file is missing or malformed; the message names the file."""
 
 
 @dataclass
@@ -137,7 +142,44 @@ class DatasetManifest:
             if len(parts) != 4:
                 raise LoadError(f"{path}:{lineno}: expected 4 tab-separated fields")
             entries.append(ManifestEntry(*parts))
-        return cls(entries).validate()
+        try:
+            return cls(entries).validate()
+        except ValueError as exc:
+            raise LoadError(f"{path}: {exc}") from None
+
+
+# --- records -------------------------------------------------------------
+
+_META = "__meta__"
+
+
+def save_record(path, meta, **arrays):
+    """Write `arrays` and the JSON-serializable `meta` dict to `path` as npz.
+
+    A temporary file renamed onto `path` means a crash never leaves a partial
+    record. Equal contents give equal bytes (fixed member dates, sorted keys).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        # a file handle, not a path: np.savez appends ".npz" to paths
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays, **{_META: np.array(json.dumps(meta, sort_keys=True))})
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def load_record(path):
+    """Read a record written by `save_record`; returns (meta, arrays)."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(arrays.pop(_META).item())
+    except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
+        raise LoadError(f"{path}: unreadable record ({exc})") from None
+    return meta, arrays
 
 
 # --- PPM / PGM ------------------------------------------------------------
@@ -310,11 +352,15 @@ def load_sequence(path) -> FrameSequence:
             key, value = raw.split("=", 1)
             meta[key.strip()] = value.strip()
 
+    try:
+        fps = float(meta.get("fps", 30.0))
+    except ValueError:
+        raise LoadError(f"{meta_path}: non-numeric fps {meta['fps']!r}") from None
     seq = FrameSequence(
         color_frames=[read_ppm(p) for p in color_paths],
         depth_frames=[read_pgm16(p) for p in depth_paths],
         skeleton=_parse_skeleton(skel_path.read_text(), skel_path),
-        fps=float(meta.get("fps", 30.0)),
+        fps=fps,
         signer_id=meta.get("signer", ""),
         sign_label=meta.get("label") or None,
         handedness=meta.get("handedness", "right"),

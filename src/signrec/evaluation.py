@@ -22,6 +22,7 @@ import numpy as np
 from .config import Config
 from .features import FeatureSample, FeatureSetSpec, zero_idle_hand
 from .hmm import train_bank
+from .pipeline import map_ordered
 from .signerlda import fit_transform, project
 
 log = logging.getLogger(__name__)
@@ -118,16 +119,6 @@ def _train_kwargs(cfg: Config):
     )
 
 
-def _map_ordered(worker, tasks, jobs):
-    """Run tasks, possibly in parallel; results always in task order."""
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            return pool.map(worker, tasks)
-    return [worker(t) for t in tasks]
-
-
 def _sd_one_signer(args):
     """All leave-one-sample-out folds of a single signer.
 
@@ -172,7 +163,7 @@ def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> Eval
     ]
     confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
     per_signer = {}
-    for signer, accuracy, conf in _map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs):
+    for signer, accuracy, conf in map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs):
         if accuracy is None:
             log.warning("skipping signer %s: fewer than 2 samples for some class", signer)
             continue
@@ -256,7 +247,7 @@ def run_si_loso(prepared, cfg: Config, lda_dims=0, feature_spec_name="",
     ]
     confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
     per_signer = {}
-    for held_out, accuracy, conf in _map_ordered(_si_one_signer, tasks, jobs or cfg.jobs):
+    for held_out, accuracy, conf in map_ordered(_si_one_signer, tasks, jobs or cfg.jobs):
         if accuracy is None:
             log.warning("skipping held-out %s: some class has no training data", held_out)
             continue

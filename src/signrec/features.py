@@ -12,9 +12,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .dataio import LoadError, load_record, save_record
 
 log = logging.getLogger(__name__)
 
@@ -108,34 +109,19 @@ class FeatureSample:
         return self.frames[:, cols]
 
 
-def save_sample(sample: FeatureSample, path):
-    rows = [f"spec={sample.selected} dim={sample.frames.shape[1]}"]
-    for t, row in enumerate(sample.frames):
-        values = " ".join(repr(float(v)) for v in row)
-        rows.append(f"{sample.sign_label} {sample.signer_id} {t} {values}")
-    Path(path).write_text("\n".join(rows) + "\n")
+def save_sample(sample: FeatureSample, path, key=""):
+    """Write `sample` as a record; `key` tags what it was extracted from."""
+    meta = {"label": sample.sign_label, "signer": sample.signer_id,
+            "selected": sample.selected, "key": key}
+    save_record(path, meta, frames=sample.frames)
 
 
-def load_sample(path) -> FeatureSample:
-    lines = Path(path).read_text().splitlines()
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    dim = int(header["dim"])
-    frames, label, signer = [], "", ""
-    for raw in lines[1:]:
-        fields = raw.split()
-        if not fields:
-            continue
-        label, signer = fields[0], fields[1]
-        values = [float(v) for v in fields[3:]]
-        if len(values) != dim:
-            raise ValueError(f"{path}: row has {len(values)} values, header says {dim}")
-        frames.append(values)
-    return FeatureSample(
-        frames=np.array(frames, dtype=np.float64),
-        sign_label=label,
-        signer_id=signer,
-        selected=header["spec"],
-    )
+def load_sample(path, key=None) -> FeatureSample:
+    """Read a sample record; if `key` is given it must equal the stored one."""
+    meta, arrays = load_record(path)
+    if key is not None and meta["key"] != key:
+        raise LoadError(f"{path}: stored under a different key")
+    return FeatureSample(arrays["frames"], meta["label"], meta["signer"], meta["selected"])
 
 
 # --- geometry helpers -------------------------------------------------------

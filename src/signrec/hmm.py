@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
+from .dataio import load_record, save_record
+
 LOG_ZERO = -np.inf
 
 
@@ -231,20 +233,21 @@ class ClassifierBank:
         return self.vocabulary[best], scores
 
     def save(self, directory):
+        """Write the bank as one record, ``models.npz``, inside `directory`."""
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "vocabulary.txt").write_text("\n".join(self.vocabulary) + "\n")
-        for index, label in enumerate(self.vocabulary):
-            save_model(self.models[label], out / f"model_{index:04d}.txt")
+        models = [self.models[label] for label in self.vocabulary]
+        save_record(out / "models.npz",
+                    {"vocabulary": self.vocabulary, "feature_spec": self.feature_spec},
+                    **{name: np.stack([getattr(m, name) for m in models])
+                       for name in ("means", "variances", "transitions")})
 
     @classmethod
     def load(cls, directory):
-        root = Path(directory)
-        vocabulary = root.joinpath("vocabulary.txt").read_text().split()
-        models = {}
-        for index, label in enumerate(vocabulary):
-            models[label] = load_model(root / f"model_{index:04d}.txt")
-        return cls(models=models, vocabulary=vocabulary)
+        meta, arrays = load_record(Path(directory) / "models.npz")
+        models = {label: HmmModel(label, **{name: a[i] for name, a in arrays.items()})
+                  for i, label in enumerate(meta["vocabulary"])}
+        return cls(models, meta["vocabulary"], meta["feature_spec"])
 
 
 def train_bank(samples_by_class, n_states=7, self_prob=0.6, max_iter=40,
@@ -269,28 +272,10 @@ def train_bank(samples_by_class, n_states=7, self_prob=0.6, max_iter=40,
 
 
 def save_model(model: HmmModel, path):
-    lines = [f"label={model.label} states={model.n_states} dim={model.dim}"]
-    for row in model.transitions:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    for k in range(model.n_states):
-        lines.append(" ".join(repr(float(v)) for v in model.means[k]))
-        lines.append(" ".join(repr(float(v)) for v in model.variances[k]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_record(path, {"label": model.label}, means=model.means,
+                variances=model.variances, transitions=model.transitions)
 
 
 def load_model(path) -> HmmModel:
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    n = int(header["states"])
-    trans = np.array([[float(v) for v in lines[1 + i].split()] for i in range(n + 2)])
-    means, variances = [], []
-    base = 1 + n + 2
-    for k in range(n):
-        means.append([float(v) for v in lines[base + 2 * k].split()])
-        variances.append([float(v) for v in lines[base + 2 * k + 1].split()])
-    return HmmModel(
-        label=header["label"],
-        means=np.array(means),
-        variances=np.array(variances),
-        transitions=trans,
-    )
+    meta, arrays = load_record(path)
+    return HmmModel(meta["label"], **arrays)

@@ -2,35 +2,36 @@
 
 Left-handed recordings are mirrored before processing so every sample is
 analyzed in a right-handed canonical frame. Extracted features are cached
-on disk keyed by a content hash of the sequence bytes and the relevant
-configuration, so repeated evaluations skip the expensive stages.
+on disk, one record per sequence tagged with a hash of everything extraction
+reads, so repeated evaluations skip the expensive stages.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 import logging
 import multiprocessing
 from pathlib import Path
 
-from .config import Config
-from .dataio import DatasetManifest, load_sequence, mirror_sequence
+from .config import Config, ExtractConfig
+from .dataio import DatasetManifest, LoadError, load_sequence, mirror_sequence
 from .features import FeatureSample, assemble, load_sample, save_sample
 from .segmentation import SequenceSegmenter, SkinHistogram
-from .synth import load_skin_corpus
+from .synth import SKIN_FILES, load_skin_corpus
 
 log = logging.getLogger(__name__)
 
-_CFG_KEYS = (
-    "hist_bins", "skin_alpha", "skin_threshold", "motion_threshold",
-    "face_depth_threshold", "face_update_rate", "min_blob_area",
-    "body_depth_front", "body_depth_back", "weight_depth", "weight_size",
-    "weight_proximity", "min_assign_score", "depth_score_scale",
-    "proximity_scale", "process_noise", "measurement_noise",
-    "initial_covariance", "window_pad_frac", "window_pad_min", "max_coast",
-    "eccentricity_as_printed", "focal_per_width",
-)
+# Part of every cache key: bump it when cached samples change meaning.
+CACHE_FORMAT = 2
+
+
+def map_ordered(worker, tasks, jobs):
+    """Run tasks, possibly in parallel; results always in task order."""
+    if jobs > 1 and len(tasks) > 1:
+        with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
+            return pool.map(worker, tasks)
+    return [worker(t) for t in tasks]
 
 
 def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
@@ -47,15 +48,25 @@ def extract_sequence(seq_dir, general_model, cfg: Config, debug_dir=None) -> Fea
     return assemble(seq, result, cfg)
 
 
-def _sequence_digest(seq_dir, cfg: Config) -> str:
-    digest = hashlib.sha256()
+def _corpus_digest(root, cfg: ExtractConfig):
+    """Hash of what every sequence's extraction shares: the cache format,
+    the extraction settings and the skin pixel lists."""
+    digest = hashlib.sha256(f"format={CACHE_FORMAT};".encode())
+    for field in dataclasses.fields(ExtractConfig):
+        digest.update(f"{field.name}={getattr(cfg, field.name)!r};".encode())
+    for name in SKIN_FILES:
+        digest.update(name.encode())
+        digest.update((root / name).read_bytes())
+    return digest
+
+
+def _sequence_key(seq_dir, corpus_digest) -> str:
+    digest = corpus_digest.copy()
     for path in sorted(Path(seq_dir).iterdir()):
         if path.name.startswith("gt_"):
             continue
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
-    for key in _CFG_KEYS:
-        digest.update(f"{key}={getattr(cfg, key)!r};".encode())
     return digest.hexdigest()
 
 
@@ -65,11 +76,11 @@ def _extract_one(args):
 
 
 def _cache_name(entry_path):
-    return entry_path.replace("/", "__") + ".txt"
+    return entry_path.replace("/", "__") + ".npz"
 
 
 def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
-    """Extract every manifest entry, reusing cached feature files.
+    """Extract every manifest entry, reusing cached feature records.
 
     Returns a list of (entry, FeatureSample) in manifest order.
     """
@@ -77,43 +88,30 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     manifest = DatasetManifest.load(manifest_path)
     root = manifest_path.parent
     general_model = general_skin_model(root, cfg)
-    jobs = jobs or cfg.jobs
 
-    cache_index = {}
+    keys = {}
+    results: dict[str, FeatureSample] = {}
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        index_path = cache_dir / "index.json"
-        if index_path.exists():
-            cache_index = json.loads(index_path.read_text())
+        corpus_digest = _corpus_digest(root, cfg)
+        for entry in manifest.entries:
+            key = keys[entry.path] = _sequence_key(root / entry.path, corpus_digest)
+            path = cache_dir / _cache_name(entry.path)
+            try:
+                # a hit: the record loads and was stored under the current key
+                if path.exists():
+                    results[entry.path] = load_sample(path, key)
+            except LoadError as exc:
+                log.info("re-extracting: %s", exc)
 
-    digests = {e.path: _sequence_digest(root / e.path, cfg) for e in manifest.entries}
-    pending = []
-    results: dict[str, FeatureSample] = {}
-    for entry in manifest.entries:
-        key = digests[entry.path]
-        cached = cache_index.get(entry.path)
-        if cache_dir is not None and cached == key and (cache_dir / _cache_name(entry.path)).exists():
-            results[entry.path] = load_sample(cache_dir / _cache_name(entry.path))
-        else:
-            pending.append(entry)
-
+    pending = [e for e in manifest.entries if e.path not in results]
     if pending:
         tasks = [(str(root / e.path), general_model, cfg) for e in pending]
-        if jobs > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                extracted = pool.map(_extract_one, tasks)
-        else:
-            extracted = [_extract_one(t) for t in tasks]
-        for entry, sample in zip(pending, extracted):
+        for entry, sample in zip(pending, map_ordered(_extract_one, tasks, jobs or cfg.jobs)):
             results[entry.path] = sample
             if cache_dir is not None:
-                save_sample(sample, cache_dir / _cache_name(entry.path))
-                cache_index[entry.path] = digests[entry.path]
-        if cache_dir is not None:
-            (cache_dir / "index.json").write_text(
-                json.dumps(cache_index, sort_keys=True, indent=0)
-            )
+                save_sample(sample, cache_dir / _cache_name(entry.path), keys[entry.path])
         log.info("extracted %d sequences (%d cached)", len(pending),
                  len(manifest.entries) - len(pending))
     return [(entry, results[entry.path]) for entry in manifest.entries]

@@ -11,10 +11,11 @@ between signs but not between performers score the highest eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+
+from .dataio import load_record, save_record
 
 
 def dtw_align(ref, query):
@@ -205,30 +206,14 @@ class LdaTransform:
         return self.weights.shape[1]
 
     def save(self, path):
-        lines = [
-            f"dim={self.dim} out_dim={self.out_dim} keep_frames={self.keep_frames} "
-            f"shrinkage={self.shrinkage!r} spec={self.feature_spec or '-'}",
-            " ".join(repr(float(v)) for v in self.eigenvalues),
-        ]
-        for row in self.weights:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        meta = {"keep_frames": self.keep_frames, "shrinkage": self.shrinkage,
+                "feature_spec": self.feature_spec}
+        save_record(path, meta, weights=self.weights, eigenvalues=self.eigenvalues)
 
     @classmethod
     def load(cls, path):
-        lines = Path(path).read_text().splitlines()
-        header = dict(part.split("=", 1) for part in lines[0].split())
-        eigenvalues = np.array([float(v) for v in lines[1].split()])
-        weights = np.array([[float(v) for v in line.split()] for line in lines[2:]
-                            if line.strip()])
-        spec = header.get("spec", "-")
-        return cls(
-            weights=weights,
-            eigenvalues=eigenvalues,
-            keep_frames=int(header["keep_frames"]),
-            shrinkage=float(header["shrinkage"]),
-            feature_spec="" if spec == "-" else spec,
-        )
+        meta, arrays = load_record(path)
+        return cls(**arrays, **meta)
 
 
 def solve_transform(acc: ScatterAccumulator, out_dim, shrinkage=1e-3,

@@ -40,6 +40,9 @@ TORSO_Z = 2000.0
 FACE_Z = 1950.0
 BACKGROUND_Z = 3200.0
 
+# labeled skin and non-skin RGB rows that bootstrap the color model
+SKIN_FILES = ("skin_pixels.txt", "nonskin_pixels.txt")
+
 
 @dataclass
 class SynthSpec:
@@ -456,8 +459,8 @@ def _emit_skin_corpus(out_dir: Path, rng):
         )
         path.write_text(text + "\n")
 
-    write(out_dir / "skin_pixels.txt", skin)
-    write(out_dir / "nonskin_pixels.txt", nonskin)
+    write(out_dir / SKIN_FILES[0], skin)
+    write(out_dir / SKIN_FILES[1], nonskin)
 
 
 def load_skin_corpus(corpus_dir):
@@ -470,7 +473,7 @@ def load_skin_corpus(corpus_dir):
         return np.array(rows)
 
     root = Path(corpus_dir)
-    return read(root / "skin_pixels.txt"), read(root / "nonskin_pixels.txt")
+    return tuple(read(root / name) for name in SKIN_FILES)
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest:

@@ -38,7 +38,7 @@ class TestCli:
             "--out", str(out),
         ])
         assert code == 0
-        assert list((out / "features").glob("*.txt"))
+        assert list((out / "features").glob("*.npz"))
         code = main([
             "eval-sd", "--data", str(cli_corpus / "manifest.tsv"),
             "--set", "posXY", "--out", str(out),
@@ -69,8 +69,8 @@ class TestCli:
             "--set", "posXY", "--lda-dims", "2", "--out", str(out),
         ])
         assert code == 0
-        assert (out / "bank" / "vocabulary.txt").exists()
-        assert (out / "transform.txt").exists()
+        assert (out / "bank" / "models.npz").exists()
+        assert (out / "transform.npz").exists()
 
     def test_error_is_one_line_and_nonzero(self, tmp_path, capsys):
         code = main(["extract", "--data", str(tmp_path / "nope.tsv"),

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signrec.dataio import (
     DatasetManifest,
@@ -7,11 +12,15 @@ from signrec.dataio import (
     LoadError,
     ManifestEntry,
     SkeletonPose,
+    load_record,
     load_sequence,
     mirror_sequence,
     save_sequence,
     shoulder_distance,
 )
+from signrec.features import FeatureSample, load_sample, save_sample
+from signrec.hmm import ClassifierBank, HmmModel, load_model, save_model
+from signrec.signerlda import LdaTransform
 
 
 def make_pose(hand_right=(300.0, 250.0, 1500.0), hand_left=(340.0, 250.0, 1500.0),
@@ -79,6 +88,13 @@ class TestRoundTrip:
         bad = tmp_path / "s" / "color_000001.ppm"
         bad.write_bytes(b"P3\n2 2\n255\n" + bytes(12))
         with pytest.raises(LoadError, match="color_000001"):
+            load_sequence(tmp_path / "s")
+
+    def test_non_numeric_fps_named(self, tmp_path):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        meta = tmp_path / "s" / "meta.txt"
+        meta.write_text(meta.read_text().replace("fps=30.0", "fps=fast"))
+        with pytest.raises(LoadError, match="meta.txt"):
             load_sequence(tmp_path / "s")
 
 
@@ -160,3 +176,64 @@ class TestManifest:
         )
         with pytest.raises(ValueError, match="duplicate"):
             manifest.validate()
+
+    def test_duplicate_paths_named_on_load(self, tmp_path):
+        (tmp_path / "m.tsv").write_text("a\tsignerA\tsign00\tright\n"
+                                        "a\tsignerB\tsign01\tright\n")
+        with pytest.raises(LoadError, match="m.tsv.*duplicate"):
+            DatasetManifest.load(tmp_path / "m.tsv")
+
+
+# a manifest field: no tab, and nothing str.splitlines breaks a line at
+BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+FIELDS = st.text(st.characters(exclude_characters=BREAKS), max_size=12)
+
+
+class TestRecords:
+    def test_garbage_bytes_named(self, tmp_path):
+        bad = tmp_path / "junk.npz"
+        bad.write_bytes(b"these bytes are not a record")
+        with pytest.raises(LoadError, match="junk.npz"):
+            load_record(bad)
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=st.lists(FIELDS, min_size=1, max_size=3, unique=True), spec=FIELDS)
+    def test_artefacts_round_trip_any_manifest_label(self, labels, spec):
+        rng = np.random.default_rng(0)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            entries = [ManifestEntry(f"p{i}", label, label) for i, label in enumerate(labels)]
+            DatasetManifest(entries).save(tmp / "m.tsv")
+            assert DatasetManifest.load(tmp / "m.tsv").entries == entries
+
+            models = {label: HmmModel(label, rng.normal(size=(3, 2)),
+                                      rng.uniform(0.5, 2.0, size=(3, 2)), np.eye(5))
+                      for label in labels}
+            save_model(models[labels[0]], tmp / "m.txt")
+            model = load_model(tmp / "m.txt")
+            assert model.label == labels[0]
+            assert np.array_equal(model.means, models[labels[0]].means)
+
+            ClassifierBank(models, labels, feature_spec=spec).save(tmp / "bank")
+            bank = ClassifierBank.load(tmp / "bank")
+            assert bank.vocabulary == labels
+            assert bank.feature_spec == spec
+            for label in labels:
+                assert bank.models[label].label == label
+                for name in ("means", "variances", "transitions"):
+                    assert np.array_equal(getattr(bank.models[label], name),
+                                          getattr(models[label], name))
+
+            transform = LdaTransform(rng.normal(size=(4, 2)), np.array([2.0, 0.5]),
+                                     keep_frames=15, shrinkage=1e-3, feature_spec=spec)
+            transform.save(tmp / "w.txt")
+            loaded = LdaTransform.load(tmp / "w.txt")
+            assert loaded.feature_spec == spec
+            assert np.array_equal(loaded.weights, transform.weights)
+
+            sample = FeatureSample(rng.normal(size=(5, 3)), labels[0], labels[-1], spec)
+            save_sample(sample, tmp / "f.txt")
+            again = load_sample(tmp / "f.txt")
+            assert (again.sign_label, again.signer_id, again.selected) == (
+                labels[0], labels[-1], spec)
+            assert np.array_equal(again.frames, sample.frames)

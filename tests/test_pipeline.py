@@ -1,10 +1,33 @@
 import numpy as np
 import pytest
 
+from signrec import pipeline
 from signrec.config import Config
 from signrec.features import save_sample
 from signrec.pipeline import extract_corpus, extract_sequence, general_skin_model
 from signrec.synth import SynthSpec, generate_synthetic_corpus
+
+
+@pytest.fixture
+def extractions(monkeypatch):
+    """Sequence directories that extract_corpus extracts instead of loading."""
+    calls = []
+    original = pipeline.extract_sequence
+
+    def counting(seq_dir, *args, **kwargs):
+        calls.append(seq_dir)
+        return original(seq_dir, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_sequence", counting)
+    return calls
+
+
+def same_features(a, b):
+    return len(a) == len(b) and all(
+        ea.path == eb.path and sa.sign_label == sb.sign_label
+        and np.array_equal(sa.frames, sb.frames)
+        for (ea, sa), (eb, sb) in zip(a, b)
+    )
 
 
 class TestExtraction:
@@ -27,14 +50,66 @@ class TestExtraction:
         for (_, a), (_, b) in zip(first, again):
             assert np.array_equal(a.frames, b.frames)
 
-    def test_cache_invalidated_by_config(self, tiny_corpus, tmp_path):
+    def test_cache_invalidated_by_config(self, tiny_corpus, tmp_path, extractions):
         root, manifest = tiny_corpus
         cfg = Config()
         extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
-        index = (tmp_path / "c" / "index.json").read_text()
         changed = Config(motion_threshold=9.0)
-        extract_corpus(root / "manifest.tsv", changed, cache_dir=tmp_path / "c")
-        assert (tmp_path / "c" / "index.json").read_text() != index
+        extractions.clear()
+        cached = extract_corpus(root / "manifest.tsv", changed, cache_dir=tmp_path / "c")
+        assert len(extractions) == len(manifest.entries)
+        assert same_features(cached, extract_corpus(root / "manifest.tsv", changed))
+        # a setting extraction does not read keeps every entry
+        extractions.clear()
+        extract_corpus(root / "manifest.tsv", Config(motion_threshold=9.0, hmm_states=3),
+                       cache_dir=tmp_path / "c")
+        assert extractions == []
+
+    def test_cache_invalidated_by_skin_lists(self, tmp_path, extractions):
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=2, frames=12,
+                         width=96, height=72)
+        manifest = generate_synthetic_corpus(spec, 8, tmp_path / "corpus")
+        path = tmp_path / "corpus" / "manifest.tsv"
+        cfg = Config()
+        extract_corpus(path, cfg, cache_dir=tmp_path / "c")
+        skin = tmp_path / "corpus" / "skin_pixels.txt"
+        skin.write_text(skin.read_text() + "250 180 150\n")
+        extractions.clear()
+        cached = extract_corpus(path, cfg, cache_dir=tmp_path / "c")
+        assert len(extractions) == len(manifest.entries)
+        assert same_features(cached, extract_corpus(path, cfg))
+
+    def test_interrupted_run_leaves_no_stale_entry(self, tiny_corpus, tmp_path, monkeypatch):
+        # run A fills the cache; run B dies right after its first write
+        root, _ = tiny_corpus
+        path = root / "manifest.tsv"
+        cfg_a, cfg_b = Config(), Config(focal_per_width=0.5)
+        fresh_a = extract_corpus(path, cfg_a)
+        extract_corpus(path, cfg_a, cache_dir=tmp_path / "c")
+        written = []
+
+        def dies_after_first_write(sample, *args):
+            if written:
+                raise RuntimeError("killed")
+            written.append(sample)
+            save_sample(sample, *args)
+
+        monkeypatch.setattr(pipeline, "save_sample", dies_after_first_write)
+        with pytest.raises(RuntimeError, match="killed"):
+            extract_corpus(path, cfg_b, cache_dir=tmp_path / "c")
+        monkeypatch.undo()
+        assert not np.array_equal(written[0].frames, fresh_a[0][1].frames)
+        assert same_features(extract_corpus(path, cfg_a, cache_dir=tmp_path / "c"), fresh_a)
+
+    def test_truncated_entry_is_a_miss(self, tiny_corpus, tmp_path, extractions):
+        root, _ = tiny_corpus
+        fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        entry = sorted((tmp_path / "c").glob("*.npz"))[0]
+        entry.write_bytes(entry.read_bytes()[:-100])
+        extractions.clear()
+        again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        assert len(extractions) == 1
+        assert same_features(again, fresh)
 
     def test_parallel_equals_serial(self, tiny_corpus, tmp_path):
         root, _ = tiny_corpus
