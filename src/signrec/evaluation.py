@@ -36,10 +36,11 @@ class EvalReport:
     vocabulary: list[str]
     per_signer: dict[str, float]
     mean_accuracy: float          # unweighted mean over signers
-    overall_accuracy: float       # trace / total of the confusion matrix
+    overall_accuracy: float       # trace / (confusion total + unscorable)
     confusion: np.ndarray         # (C, C) counts, rows = true class
     runtime_seconds: float
     config_snapshot: str
+    unscorable: int = 0           # samples no model could score; in no cell
 
     def to_json(self):
         payload = {
@@ -53,6 +54,7 @@ class EvalReport:
             "confusion": self.confusion.astype(int).tolist(),
             "runtime_seconds": self.runtime_seconds,
             "config_snapshot": self.config_snapshot,
+            "unscorable": self.unscorable,
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -70,6 +72,7 @@ class EvalReport:
             confusion=np.array(data["confusion"], dtype=np.int64),
             runtime_seconds=data["runtime_seconds"],
             config_snapshot=data["config_snapshot"],
+            unscorable=data["unscorable"],
         )
 
 
@@ -109,6 +112,30 @@ def _by_class(samples):
     return grouped
 
 
+class _Tally:
+    """Decisions of one protocol run: a confusion matrix (rows = true class)
+    plus the samples no model could score, which count as misses."""
+
+    def __init__(self, vocabulary):
+        self.index = {label: i for i, label in enumerate(vocabulary)}
+        self.confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
+        self.unscorable = 0
+
+    def add(self, label, predicted):
+        if predicted is None:
+            self.unscorable += 1
+        else:
+            self.confusion[self.index[label], self.index[predicted]] += 1
+
+    def merge(self, other):
+        self.confusion += other.confusion
+        self.unscorable += other.unscorable
+
+    def accuracy(self):
+        return float(np.trace(self.confusion)
+                     / max(self.confusion.sum() + self.unscorable, 1))
+
+
 def _train_kwargs(cfg: Config):
     return dict(
         n_states=cfg.hmm_states,
@@ -129,14 +156,12 @@ def _sd_one_signer(args):
     signer, own, vocabulary, cfg = args
     grouped = _by_class(own)
     if any(len(grouped.get(label, [])) < 2 for label in vocabulary):
-        return signer, None, None
-    index = {label: i for i, label in enumerate(vocabulary)}
-    confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
+        return signer, None
+    tally = _Tally(vocabulary)
     full_bank = train_bank(
         {label: [s.frames for s in grouped[label]] for label in vocabulary},
         **_train_kwargs(cfg),
     )
-    correct = total = 0
     for label in vocabulary:
         group = grouped[label]
         for hold in range(len(group)):
@@ -145,11 +170,8 @@ def _sd_one_signer(args):
             models = dict(full_bank.models)
             models[label] = loo_bank.models[label]
             bank = type(full_bank)(models=models, vocabulary=vocabulary)
-            predicted, _ = bank.classify(group[hold].frames)
-            confusion[index[label], index[predicted]] += 1
-            correct += predicted == label
-            total += 1
-    return signer, correct / total, confusion
+            tally.add(label, bank.classify(group[hold].frames)[0])
+    return signer, tally
 
 
 def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> EvalReport:
@@ -161,14 +183,14 @@ def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> Eval
         (signer, [s for s in prepared if s.signer == signer], vocabulary, cfg)
         for signer in signers
     ]
-    confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
+    total = _Tally(vocabulary)
     per_signer = {}
-    for signer, accuracy, conf in map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs):
-        if accuracy is None:
+    for signer, tally in map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs):
+        if tally is None:
             log.warning("skipping signer %s: fewer than 2 samples for some class", signer)
             continue
-        per_signer[signer] = accuracy
-        confusion += conf
+        per_signer[signer] = tally.accuracy()
+        total.merge(tally)
 
     if not per_signer:
         raise ValueError("no signer had enough samples for leave-one-out")
@@ -179,10 +201,11 @@ def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> Eval
         vocabulary=vocabulary,
         per_signer=per_signer,
         mean_accuracy=float(np.mean(list(per_signer.values()))),
-        overall_accuracy=float(np.trace(confusion) / max(confusion.sum(), 1)),
-        confusion=confusion,
+        overall_accuracy=total.accuracy(),
+        confusion=total.confusion,
         runtime_seconds=time.monotonic() - start,
         config_snapshot=cfg.snapshot(),
+        unscorable=total.unscorable,
     )
 
 
@@ -193,9 +216,7 @@ def _si_one_signer(args):
     grouped = _by_class(train)
     missing = [label for label in vocabulary if not grouped.get(label)]
     if missing:
-        return held_out, None, None
-    index = {label: i for i, label in enumerate(vocabulary)}
-    confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
+        return held_out, None
 
     transform = None
     if lda_dims > 0:
@@ -216,12 +237,10 @@ def _si_one_signer(args):
         {label: [view(s.frames) for s in grouped[label]] for label in vocabulary},
         **_train_kwargs(cfg),
     )
-    correct = 0
+    tally = _Tally(vocabulary)
     for s in test:
-        predicted, _ = bank.classify(view(s.frames))
-        confusion[index[s.label], index[predicted]] += 1
-        correct += predicted == s.label
-    return held_out, correct / len(test), confusion
+        tally.add(s.label, bank.classify(view(s.frames))[0])
+    return held_out, tally
 
 
 def run_si_loso(prepared, cfg: Config, lda_dims=0, feature_spec_name="",
@@ -245,14 +264,14 @@ def run_si_loso(prepared, cfg: Config, lda_dims=0, feature_spec_name="",
         )
         for held_out in signers
     ]
-    confusion = np.zeros((len(vocabulary), len(vocabulary)), dtype=np.int64)
+    total = _Tally(vocabulary)
     per_signer = {}
-    for held_out, accuracy, conf in map_ordered(_si_one_signer, tasks, jobs or cfg.jobs):
-        if accuracy is None:
+    for held_out, tally in map_ordered(_si_one_signer, tasks, jobs or cfg.jobs):
+        if tally is None:
             log.warning("skipping held-out %s: some class has no training data", held_out)
             continue
-        per_signer[held_out] = accuracy
-        confusion += conf
+        per_signer[held_out] = tally.accuracy()
+        total.merge(tally)
 
     if not per_signer:
         raise ValueError("no held-out signer could be evaluated")
@@ -263,10 +282,11 @@ def run_si_loso(prepared, cfg: Config, lda_dims=0, feature_spec_name="",
         vocabulary=vocabulary,
         per_signer=per_signer,
         mean_accuracy=float(np.mean(list(per_signer.values()))),
-        overall_accuracy=float(np.trace(confusion) / max(confusion.sum(), 1)),
-        confusion=confusion,
+        overall_accuracy=total.accuracy(),
+        confusion=total.confusion,
         runtime_seconds=time.monotonic() - start,
         config_snapshot=cfg.snapshot(),
+        unscorable=total.unscorable,
     )
 
 

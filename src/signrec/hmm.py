@@ -4,19 +4,23 @@ The chain has N emitting states plus non-emitting entry and exit states.
 Only self and next-state transitions are allowed; the entry state feeds
 state 1 and only the last emitting state reaches the exit. Training is
 standard multi-sequence Baum-Welch restricted to that topology; scoring is
-the log-domain forward algorithm.
+the log-domain forward algorithm (Rabiner 1989). Because the transition
+matrix is banded, every recursion step is an O(N) two-predecessor
+``logaddexp``, and the E-step runs all sequences of a class as one padded
+batch.
 """
 
 from __future__ import annotations
 
-import math
+import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataio import load_record, save_record
+
+log = logging.getLogger(__name__)
 
 LOG_ZERO = -np.inf
 
@@ -35,14 +39,6 @@ class HmmModel:
     @property
     def dim(self):
         return self.means.shape[1]
-
-    def emitting_log_trans(self):
-        with np.errstate(divide="ignore"):
-            return np.log(self.transitions[1:-1, 1:-1])
-
-    def exit_log_probs(self):
-        with np.errstate(divide="ignore"):
-            return np.log(self.transitions[1:-1, -1])
 
 
 def _topology(n_states, self_prob):
@@ -93,21 +89,72 @@ def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> 
     )
 
 
+def _bands(model: HmmModel):
+    """Log transition probabilities of the band: stay (N,), advance (N-1,)
+    to the next state, enter (into state 1) and leave (from state N).
+
+    A loaded model is outside input, so any other non-zero transition (a
+    skip, an early exit, an entry past state 1) raises ValueError.
+    """
+    n = model.n_states
+    trans = model.transitions
+    if trans.shape != (n + 2, n + 2) or np.any(trans[_topology(n, 0.5) == 0]):
+        raise ValueError(
+            f"model {model.label!r}: transitions outside the left-to-right band"
+        )
+    with np.errstate(divide="ignore"):
+        stay = np.log(np.diagonal(trans)[1:-1])
+        moves = np.log(np.diagonal(trans, 1))   # entry, advances, exit
+    return stay, moves[1:-1], moves[0], moves[-1]
+
+
 def _emission_logs(model: HmmModel, frames):
-    """Log densities, shape (T, N)."""
-    x = frames[:, None, :]                      # (T, 1, D)
-    mu = model.means[None, :, :]                # (1, N, D)
-    var = model.variances[None, :, :]
-    quad = np.sum((x - mu) ** 2 / var, axis=2)
+    """Log densities, shape (..., N) for frames of shape (..., D)."""
+    quad = frames[..., None, :] - model.means   # (..., N, D), reused in place
+    quad *= quad
+    quad /= model.variances
     norm = np.sum(np.log(2.0 * np.pi * model.variances), axis=1)  # (N,)
-    return -0.5 * (quad + norm[None, :])
+    return -0.5 * (quad.sum(axis=-1) + norm)
+
+
+def _forward(bands, emit):
+    """Forward log probabilities alpha (T, B, N) of emissions (T, B, N).
+
+    Each step has two predecessors per state: itself and the state before.
+    """
+    stay, advance, enter, _ = bands
+    alpha = np.empty_like(emit)
+    alpha[0] = LOG_ZERO
+    alpha[0, :, 0] = enter + emit[0, :, 0]
+    for t in range(1, len(emit)):
+        prev = alpha[t - 1]
+        alpha[t] = prev + stay
+        np.logaddexp(alpha[t, :, 1:], prev[:, :-1] + advance, out=alpha[t, :, 1:])
+        alpha[t] += emit[t]
+    return alpha
+
+
+def _backward(bands, emit, lengths):
+    """Backward log probabilities beta (T, B, N); sequence b ends at
+    lengths[b] - 1, and beta past that end is left unspecified."""
+    stay, advance, _, leave = bands
+    beta = np.empty_like(emit)
+    last = np.full(emit.shape[2], LOG_ZERO)
+    last[-1] = leave
+    beta[-1] = last
+    for t in range(len(emit) - 2, -1, -1):
+        ahead = emit[t + 1] + beta[t + 1]
+        beta[t] = ahead + stay
+        np.logaddexp(beta[t, :, :-1], ahead[:, 1:] + advance, out=beta[t, :, :-1])
+        beta[t, lengths - 1 == t] = last
+    return beta
 
 
 def forward_loglik(model: HmmModel, frames) -> float:
     """Log-likelihood via the forward recursion in the log domain.
 
     The entry state pins the first frame to state 1; the sequence must end
-    wherever the exit state is reachable (the last emitting state).
+    in the last emitting state, the only one that reaches the exit.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or len(frames) < 1:
@@ -116,99 +163,89 @@ def forward_loglik(model: HmmModel, frames) -> float:
         raise ValueError(
             f"frame dimension {frames.shape[1]} does not match model {model.dim}"
         )
-    log_a = model.emitting_log_trans()
-    emit = _emission_logs(model, frames)
-    with np.errstate(divide="ignore"):
-        alpha = np.log(model.transitions[0, 1:-1]) + emit[0]
-    for t in range(1, len(frames)):
-        alpha = logsumexp(alpha[:, None] + log_a, axis=0) + emit[t]
-    return float(logsumexp(alpha + model.exit_log_probs()))
+    bands = _bands(model)
+    alpha = _forward(bands, _emission_logs(model, frames[:, None, :]))
+    return float(alpha[-1, 0, -1] + bands[3])
 
 
-def _forward_backward(model: HmmModel, frames):
-    log_a = model.emitting_log_trans()
-    log_exit = model.exit_log_probs()
-    emit = _emission_logs(model, frames)
-    t_len, n = emit.shape
-    alpha = np.full((t_len, n), LOG_ZERO)
-    with np.errstate(divide="ignore"):
-        alpha[0] = np.log(model.transitions[0, 1:-1]) + emit[0]
-    for t in range(1, t_len):
-        alpha[t] = logsumexp(alpha[t - 1][:, None] + log_a, axis=0) + emit[t]
-    beta = np.full((t_len, n), LOG_ZERO)
-    beta[-1] = log_exit
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = logsumexp(log_a + (emit[t + 1] + beta[t + 1])[None, :], axis=1)
-    loglik = float(logsumexp(alpha[-1] + log_exit))
-    return alpha, beta, emit, loglik
+def _pad(samples):
+    """Sequences stacked time-major into (T_max, B, D), zero past each end,
+    with their lengths."""
+    lengths = np.array([len(s) for s in samples])
+    padded = np.zeros((lengths.max(), len(samples), samples[0].shape[1]))
+    for b, frames in enumerate(samples):
+        padded[: len(frames), b] = frames
+    return padded, lengths
+
+
+def _expected_counts(model: HmmModel, padded, lengths):
+    """E-step over a padded batch: per-sequence log-likelihoods and the
+    summed posterior counts (occupancy, first and second moments, self,
+    advance and exit transitions)."""
+    bands = stay, advance, _, leave = _bands(model)
+    emit = _emission_logs(model, padded)
+    alpha = _forward(bands, emit)
+    beta = _backward(bands, emit, lengths)
+    batch = np.arange(len(lengths))
+    loglik = alpha[lengths - 1, batch, -1] + leave
+    if not np.all(np.isfinite(loglik)):
+        raise FloatingPointError(
+            f"sequence has zero probability under model {model.label!r}"
+        )
+    valid = (np.arange(len(padded))[:, None] < lengths)[..., None]   # (T, B, 1)
+    gamma = np.exp(np.where(valid, alpha + beta - loglik[:, None], LOG_ZERO))
+    # xi over t = 0..T-2 touches only the band: stay in j or advance j -> j+1
+    ahead = emit[1:] + beta[1:] - loglik[:, None]
+    stays = np.exp(np.where(valid[1:], alpha[:-1] + stay + ahead, LOG_ZERO))
+    moves = np.exp(np.where(valid[1:], alpha[:-1, :, :-1] + advance + ahead[..., 1:],
+                            LOG_ZERO))
+    flat = gamma.reshape(-1, model.n_states).T
+    frames = padded.reshape(-1, model.dim)
+    return (loglik, gamma.sum(axis=(0, 1)), flat @ frames, flat @ frames**2,
+            stays.sum(axis=(0, 1)), moves.sum(axis=(0, 1)),
+            gamma[lengths - 1, batch, -1].sum())
+
+
+def _reestimate(model: HmmModel, counts, var_floor):
+    """M-step: a state with (numerically) no occupancy keeps its parameters."""
+    occupancy, mean_num, sq_num, stay_num, advance_num, exit_num = counts
+    new_trans = model.transitions.copy()
+    new_means = model.means.copy()
+    new_vars = model.variances.copy()
+    leave_num = np.append(advance_num, exit_num)
+    for i in range(model.n_states):
+        denom = occupancy[i]
+        if denom <= 1e-12:
+            continue
+        row_sum = stay_num[i] + leave_num[i]
+        if row_sum > 0:
+            new_trans[i + 1, i + 1] = stay_num[i] / row_sum
+            new_trans[i + 1, i + 2] = leave_num[i] / row_sum
+        new_means[i] = mean_num[i] / denom
+        new_vars[i] = np.maximum(sq_num[i] / denom - new_means[i] ** 2, var_floor)
+    return HmmModel(label=model.label, means=new_means, variances=new_vars,
+                    transitions=new_trans)
 
 
 def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
     """Multi-sequence EM within the no-skip topology.
 
-    Transitions that start at zero stay zero; variances are floored every
-    iteration; a state with (numerically) no occupancy keeps its previous
-    parameters. Returns (model, per-iteration total log-likelihoods).
+    All sequences share one padded E-step per iteration.  Transitions that
+    start at zero stay zero; variances are floored every iteration; a state
+    with (numerically) no occupancy keeps its previous parameters. Returns
+    (model, per-iteration total log-likelihoods).
     """
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
     if not samples:
         raise ValueError("need at least one training sample")
-    n = model.n_states
-    dim = model.dim
+    padded, lengths = _pad(samples)
     history = []
     previous = None
     for _ in range(max_iter):
-        log_a = model.emitting_log_trans()
-        trans_num = np.zeros((n, n))
-        exit_num = np.zeros(n)
-        occupancy = np.zeros(n)
-        mean_num = np.zeros((n, dim))
-        sq_num = np.zeros((n, dim))
-        total = 0.0
-        for frames in samples:
-            alpha, beta, emit, loglik = _forward_backward(model, frames)
-            if not math.isfinite(loglik):
-                raise FloatingPointError(
-                    f"sequence has zero probability under model {model.label!r}"
-                )
-            total += loglik
-            gamma = np.exp(alpha + beta - loglik)            # (T, N)
-            occupancy += gamma.sum(axis=0)
-            mean_num += gamma.T @ frames
-            sq_num += gamma.T @ frames**2
-            if len(frames) > 1:
-                # xi over t = 0..T-2, only within the allowed sparsity
-                contrib = (
-                    alpha[:-1, :, None]
-                    + log_a[None, :, :]
-                    + (emit[1:] + beta[1:])[:, None, :]
-                    - loglik
-                )
-                trans_num += np.exp(logsumexp(contrib, axis=0))
-            exit_num += np.exp(alpha[-1] + model.exit_log_probs() - loglik)
+        loglik, *counts = _expected_counts(model, padded, lengths)
+        total = float(sum(loglik))
         history.append(total)
-
-        new_trans = model.transitions.copy()
-        new_means = model.means.copy()
-        new_vars = model.variances.copy()
-        for i in range(n):
-            denom = occupancy[i]
-            if denom <= 1e-12:
-                continue
-            row = np.zeros(n + 2)
-            row[1:-1] = trans_num[i]
-            row[-1] = exit_num[i]
-            row_sum = row.sum()
-            if row_sum > 0:
-                new_trans[i + 1] = row / row_sum
-            new_means[i] = mean_num[i] / denom
-            new_vars[i] = np.maximum(sq_num[i] / denom - new_means[i] ** 2, var_floor)
-        model = HmmModel(
-            label=model.label,
-            means=new_means,
-            variances=new_vars,
-            transitions=new_trans,
-        )
+        model = _reestimate(model, counts, var_floor)
         if previous is not None and abs(total - previous) < tol:
             break
         previous = total
@@ -224,13 +261,16 @@ class ClassifierBank:
     def classify(self, frames):
         """Maximum-likelihood label and the per-class score vector.
 
-        Ties resolve to the earlier vocabulary entry.
+        Ties resolve to the earlier vocabulary entry.  The label is None
+        when no model can score the frames (every score -inf, as for a
+        sequence shorter than the chains).
         """
         scores = np.array(
             [forward_loglik(self.models[label], frames) for label in self.vocabulary]
         )
-        best = int(np.argmax(scores))
-        return self.vocabulary[best], scores
+        if not np.isfinite(scores).any():
+            return None, scores
+        return self.vocabulary[int(np.argmax(scores))], scores
 
     def save(self, directory):
         """Write the bank as one record, ``models.npz``, inside `directory`."""
@@ -252,19 +292,24 @@ class ClassifierBank:
 
 def train_bank(samples_by_class, n_states=7, self_prob=0.6, max_iter=40,
                tol=1e-4, var_floor=1e-4, feature_spec="") -> ClassifierBank:
+    """One model per class.  A sequence shorter than the chain has no path
+    through it, so it is left out of training (and logged)."""
     vocabulary = sorted(samples_by_class)
     models = {}
     for label in vocabulary:
+        samples = [s for s in samples_by_class[label] if len(s) >= n_states]
+        if len(samples) < len(samples_by_class[label]):
+            log.warning("class %s: %d sequences shorter than %d states left out",
+                        label, len(samples_by_class[label]) - len(samples), n_states)
         model = init_model(
-            samples_by_class[label],
+            samples,
             label=label,
             n_states=n_states,
             self_prob=self_prob,
             var_floor=var_floor,
         )
         model, _ = baum_welch(
-            model, samples_by_class[label], max_iter=max_iter, tol=tol,
-            var_floor=var_floor,
+            model, samples, max_iter=max_iter, tol=tol, var_floor=var_floor,
         )
         models[label] = model
     return ClassifierBank(models=models, vocabulary=vocabulary,

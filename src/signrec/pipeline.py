@@ -27,11 +27,13 @@ CACHE_FORMAT = 2
 
 
 def map_ordered(worker, tasks, jobs):
-    """Run tasks, possibly in parallel; results always in task order."""
+    """Run tasks, possibly in parallel, yielding results in task order as
+    each becomes available."""
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            return pool.map(worker, tasks)
-    return [worker(t) for t in tasks]
+            yield from pool.imap(worker, tasks)
+    else:
+        yield from map(worker, tasks)
 
 
 def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
@@ -108,7 +110,8 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     pending = [e for e in manifest.entries if e.path not in results]
     if pending:
         tasks = [(str(root / e.path), general_model, cfg) for e in pending]
-        for entry, sample in zip(pending, map_ordered(_extract_one, tasks, jobs or cfg.jobs)):
+        # each entry is cached as it arrives, so a failure keeps the ones before it
+        for sample, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):
             results[entry.path] = sample
             if cache_dir is not None:
                 save_sample(sample, cache_dir / _cache_name(entry.path), keys[entry.path])

@@ -64,6 +64,24 @@ class TestSdLoocv:
         assert "signerA" in report.per_signer
 
 
+@pytest.mark.parametrize("protocol", [run_sd_loocv, run_si_loso])
+def test_unscorable_sample_counted_as_miss(prepared, protocol, tmp_path):
+    # 5 frames cannot cross the 7-state chains: unscorable, and left out of
+    # training where other folds would use it
+    data, cfg = prepared
+    assert cfg.hmm_states == 7
+    short = type(data[0])(signer=data[0].signer, label=data[0].label,
+                          frames=data[0].frames[:5], posxy=data[0].posxy[:5])
+    report = protocol([short] + data[1:], cfg)
+    assert report.unscorable == 1
+    assert int(report.confusion.sum()) == len(data) - 1
+    assert report.overall_accuracy == pytest.approx(
+        np.trace(report.confusion) / len(data))
+    emit_report(report, tmp_path)
+    loaded = EvalReport.from_json((tmp_path / "report.json").read_text())
+    assert loaded.unscorable == 1
+
+
 class TestSiLoso:
     def test_baseline_runs_and_counts(self, prepared):
         data, cfg = prepared

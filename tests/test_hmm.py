@@ -7,6 +7,9 @@ import pytest
 from signrec.hmm import (
     ClassifierBank,
     HmmModel,
+    _expected_counts,
+    _pad,
+    _reestimate,
     baum_welch,
     forward_loglik,
     init_model,
@@ -30,11 +33,10 @@ def gaussian_logpdf(x, mean, var):
     )
 
 
-def enumerate_loglik(model, frames):
-    """Oracle: log of the explicit sum over every admissible state path."""
+def enumerate_paths(model, frames):
+    """Every admissible state path with its joint log probability."""
     n = model.n_states
     t_len = len(frames)
-    total = -np.inf
     for path in itertools.product(range(n), repeat=t_len):
         if path[0] != 0:
             continue
@@ -57,8 +59,41 @@ def enumerate_loglik(model, frames):
         for t, state in enumerate(path):
             logp += gaussian_logpdf(frames[t], model.means[state],
                                     model.variances[state])
+        yield path, logp
+
+
+def enumerate_loglik(model, frames):
+    """Oracle: log of the explicit sum over every admissible state path."""
+    total = -np.inf
+    for _, logp in enumerate_paths(model, frames):
         total = np.logaddexp(total, logp)
     return total
+
+
+def enumerate_em_step(model, samples, var_floor):
+    """Oracle: one EM step from path-enumerated posterior counts."""
+    n, dim = model.n_states, model.dim
+    occupancy, stays, leaves = np.zeros(n), np.zeros(n), np.zeros(n)
+    first, second = np.zeros((n, dim)), np.zeros((n, dim))
+    for frames in samples:
+        paths = list(enumerate_paths(model, frames))
+        total = enumerate_loglik(model, frames)
+        for path, logp in paths:
+            weight = math.exp(logp - total)
+            for t, state in enumerate(path):
+                occupancy[state] += weight
+                first[state] += weight * frames[t]
+                second[state] += weight * frames[t] ** 2
+            for a, b in zip(path, path[1:]):
+                (stays if a == b else leaves)[a] += weight
+            leaves[n - 1] += weight          # the exit
+    trans = model.transitions.copy()
+    for i in range(n):
+        trans[i + 1, i + 1] = stays[i] / (stays[i] + leaves[i])
+        trans[i + 1, i + 2] = leaves[i] / (stays[i] + leaves[i])
+    means = first / occupancy[:, None]
+    variances = np.maximum(second / occupancy[:, None] - means**2, var_floor)
+    return means, variances, trans
 
 
 class TestInitModel:
@@ -140,7 +175,68 @@ class TestForward:
             forward_loglik(model, rng.normal(size=(5, 3)))
 
 
+class TestBand:
+    @pytest.mark.parametrize("cell", [(1, 3), (2, 4), (0, 2)],
+                             ids=["skip", "early_exit", "late_entry"])
+    def test_loaded_model_outside_band_rejected(self, tmp_path, cell):
+        rng = np.random.default_rng(15)
+        model = random_model(rng, 3, 2, label="sign 03")
+        model.transitions[cell[0]] *= 0.9
+        model.transitions[cell] += 0.1
+        save_model(model, tmp_path / "m.npz")
+        loaded = load_model(tmp_path / "m.npz")
+        frames = rng.normal(size=(6, 2))
+        with pytest.raises(ValueError, match="'sign 03'.*band"):
+            forward_loglik(loaded, frames)
+        with pytest.raises(ValueError, match="'sign 03'.*band"):
+            baum_welch(loaded, [frames], max_iter=1)
+        ClassifierBank({"sign 03": model}, ["sign 03"]).save(tmp_path / "bank")
+        bank = ClassifierBank.load(tmp_path / "bank")
+        with pytest.raises(ValueError, match="'sign 03'.*band"):
+            bank.classify(frames)
+
+
 class TestBaumWelch:
+    def test_one_step_matches_path_enumeration(self):
+        rng = np.random.default_rng(16)
+        for _ in range(12):
+            n = int(rng.integers(1, 5))
+            dim = int(rng.integers(1, 3))
+            samples = [rng.normal(size=(int(rng.integers(n, 7)), dim))
+                       for _ in range(int(rng.integers(1, 4)))]
+            model = random_model(rng, n, dim)
+            trained, _ = baum_welch(model, samples, max_iter=1, var_floor=1e-4)
+            means, variances, trans = enumerate_em_step(model, samples, 1e-4)
+            np.testing.assert_allclose(trained.means, means, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(trained.variances, variances, rtol=1e-9,
+                                       atol=1e-12)
+            np.testing.assert_allclose(trained.transitions, trans, rtol=1e-9,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("n, lengths", [(4, [4, 9, 5, 13]), (1, [1, 3, 1, 6]),
+                                            (3, [7])])
+    def test_padded_batch_matches_single_sequences(self, n, lengths):
+        rng = np.random.default_rng(17)
+        samples = [rng.normal(size=(t_len, 2)) for t_len in lengths]
+        model = init_model(samples, n_states=n)
+        trained, history = baum_welch(model, samples, max_iter=4, tol=0.0)
+        reference = model
+        for step in range(4):
+            singles = [_expected_counts(reference, *_pad([s])) for s in samples]
+            batch = _expected_counts(reference, *_pad(samples))
+            np.testing.assert_allclose(batch[0], [c[0][0] for c in singles],
+                                       rtol=1e-12)
+            for got, *want in list(zip(batch, *singles))[1:]:
+                np.testing.assert_allclose(got, np.sum(want, axis=0), rtol=1e-12,
+                                           atol=1e-12)
+            assert history[step] == pytest.approx(np.sum(batch[0]), rel=1e-12)
+            counts = [np.sum(parts, axis=0) for parts in zip(*singles)][1:]
+            reference = _reestimate(reference, counts, 1e-4)
+        for name in ("means", "variances", "transitions"):
+            np.testing.assert_allclose(getattr(trained, name),
+                                       getattr(reference, name), rtol=1e-12,
+                                       atol=1e-12)
+
     def test_loglik_never_decreases(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -230,6 +326,17 @@ class TestClassify:
         for label, samples in by_class.items():
             for s in samples:
                 assert bank.classify(s)[0] == label
+
+
+    def test_sequence_shorter_than_chain_is_unscorable(self):
+        rng = np.random.default_rng(18)
+        bank = ClassifierBank(
+            models={"a": random_model(rng, 7, 2, "a"), "b": random_model(rng, 7, 2, "b")},
+            vocabulary=["a", "b"],
+        )
+        label, scores = bank.classify(rng.normal(size=(5, 2)))
+        assert label is None
+        assert np.all(scores == -np.inf)
 
 
 class TestModelIO:

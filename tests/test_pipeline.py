@@ -3,6 +3,7 @@ import pytest
 
 from signrec import pipeline
 from signrec.config import Config
+from signrec.dataio import LoadError
 from signrec.features import save_sample
 from signrec.pipeline import extract_corpus, extract_sequence, general_skin_model
 from signrec.synth import SynthSpec, generate_synthetic_corpus
@@ -110,6 +111,20 @@ class TestExtraction:
         again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         assert len(extractions) == 1
         assert same_features(again, fresh)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_entries_before_a_bad_recording_stay_cached(self, tmp_path, jobs):
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=2, frames=12,
+                         width=96, height=72)
+        manifest = generate_synthetic_corpus(spec, 9, tmp_path / "corpus")
+        paths = [e.path for e in manifest.entries]
+        bad = tmp_path / "corpus" / paths[1] / "color_000003.ppm"
+        bad.write_bytes(bad.read_bytes()[:-50])
+        with pytest.raises(LoadError, match="color_000003.ppm"):
+            extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config(),
+                           cache_dir=tmp_path / "c", jobs=jobs)
+        assert [p.name for p in (tmp_path / "c").iterdir()] == [
+            pipeline._cache_name(paths[0])]
 
     def test_parallel_equals_serial(self, tiny_corpus, tmp_path):
         root, _ = tiny_corpus
