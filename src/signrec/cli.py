@@ -141,7 +141,7 @@ def _cmd_eval_si(args):
 
 
 def _cmd_report(args):
-    report = EvalReport.from_json(Path(args.report).read_text())
+    report = EvalReport.from_json(Path(args.report).read_text(), args.report)
     emit_report(report, args.out)
     print(f"re-rendered report into {args.out}")
     return 0

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config
+from .dataio import LoadError
 from .features import FeatureSample, FeatureSetSpec, zero_idle_hand
 from .hmm import train_bank
 from .pipeline import map_ordered
@@ -59,21 +60,25 @@ class EvalReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, text):
+    def from_json(cls, text, path):
+        """Parse `to_json` output read from `path` (named in errors)."""
         data = json.loads(text)
-        return cls(
-            protocol=data["protocol"],
-            feature_spec=data["feature_spec"],
-            lda_dims=data["lda_dims"],
-            vocabulary=data["vocabulary"],
-            per_signer=data["per_signer"],
-            mean_accuracy=data["mean_accuracy"],
-            overall_accuracy=data["overall_accuracy"],
-            confusion=np.array(data["confusion"], dtype=np.int64),
-            runtime_seconds=data["runtime_seconds"],
-            config_snapshot=data["config_snapshot"],
-            unscorable=data["unscorable"],
-        )
+        try:
+            return cls(
+                protocol=data["protocol"],
+                feature_spec=data["feature_spec"],
+                lda_dims=data["lda_dims"],
+                vocabulary=data["vocabulary"],
+                per_signer=data["per_signer"],
+                mean_accuracy=data["mean_accuracy"],
+                overall_accuracy=data["overall_accuracy"],
+                confusion=np.array(data["confusion"], dtype=np.int64),
+                runtime_seconds=data["runtime_seconds"],
+                config_snapshot=data["config_snapshot"],
+                unscorable=data["unscorable"],
+            )
+        except KeyError as exc:
+            raise LoadError(f"{path}: missing key {exc.args[0]!r}") from None
 
 
 @dataclass

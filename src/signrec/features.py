@@ -9,15 +9,14 @@ block matrix; named feature sets select columns from it.
 
 from __future__ import annotations
 
-import logging
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import LoadError, load_record, save_record
-
-log = logging.getLogger(__name__)
+from .segmentation import to_gray
 
 SC_POINTS = 40
 SC_RADIAL_BINS = 5
@@ -148,20 +147,44 @@ def convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
+def row_extremes(points):
+    """The leftmost and rightmost point of every row (equal y) of a point set.
+
+    Every point lies between its row's two extremes, so these at most 2H
+    points have the same convex hull as the whole set.
+    """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    lo = pts.min(axis=0)
+    width, height = pts.max(axis=0) - lo + 1
+    grid = np.zeros((height, width), dtype=bool)
+    grid[pts[:, 1] - lo[1], pts[:, 0] - lo[0]] = True
+    rows = np.flatnonzero(grid.any(axis=1))
+    left = grid[rows].argmax(axis=1)
+    right = width - 1 - grid[rows, ::-1].argmax(axis=1)
+    ys = rows + lo[1]
+    return np.column_stack([np.concatenate([left, right]) + lo[0], np.concatenate([ys, ys])])
+
+
 def hull_pixel_count(points):
-    """Number of integer pixel centers inside or on the convex hull."""
-    pts = np.asarray(points, dtype=np.int64)
-    hull = convex_hull(pts)
+    """Number of integer pixel centers inside or on the convex hull.
+
+    The hull is built from the row extremes; the count follows from Pick's
+    theorem on its integer vertices, count = (2A + B + 2) / 2, with 2A the
+    shoelace sum and B the lattice points on the boundary, all exact integer
+    arithmetic. A hull of at most two vertices (collinear points) counts the
+    distinct points themselves.
+    """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    if len(pts) == 0:
+        return 0
+    hull = convex_hull(row_extremes(pts))
     if len(hull) <= 2:
         return len({(int(p[0]), int(p[1])) for p in pts})
-    xs = np.arange(pts[:, 0].min(), pts[:, 0].max() + 1, dtype=np.int64)
-    ys = np.arange(pts[:, 1].min(), pts[:, 1].max() + 1, dtype=np.int64)
-    gx, gy = np.meshgrid(xs, ys)
-    inside = np.ones(gx.shape, dtype=bool)
+    twice_area = boundary = 0
     for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
-        # CCW hull: interior is on the left of each directed edge
-        inside &= (x2 - x1) * (gy - y1) - (y2 - y1) * (gx - x1) >= 0
-    return int(inside.sum())
+        twice_area += x1 * y2 - x2 * y1
+        boundary += math.gcd(x2 - x1, y2 - y1)
+    return (twice_area + boundary + 2) // 2
 
 
 def _mask_points(mask):
@@ -298,6 +321,14 @@ def trace_boundary(mask):
     return boundary
 
 
+# The descriptor tables below are built once, on first use rather than at
+# import, so that importing this module does no numpy work.
+@functools.cache
+def _sc_tables():
+    """Radial bin edges and the mask of the off-diagonal point pairs."""
+    return np.geomspace(0.125, 2.0, SC_RADIAL_BINS + 1), ~np.eye(SC_POINTS, dtype=bool)
+
+
 def shape_context(mask):
     """Mean log-polar histogram over 40 boundary points, L1-normalized.
 
@@ -312,24 +343,22 @@ def shape_context(mask):
     picks = [(k * n) // SC_POINTS for k in range(SC_POINTS)]
     pts = np.array([(boundary[i][1], boundary[i][0]) for i in picks], dtype=np.float64)
 
-    diff = pts[None, :, :] - pts[:, None, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    off_diag = ~np.eye(SC_POINTS, dtype=bool)
-    median = np.median(dist[off_diag])
+    edges, off_diag = _sc_tables()
+    diff = (pts[None, :, :] - pts[:, None, :])[off_diag]
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    median = np.median(dist)
     if median <= 0:
         return np.zeros(SC_DIM), True
-    dn = dist / median
 
-    edges = np.geomspace(0.125, 2.0, SC_RADIAL_BINS + 1)
-    rbin = np.clip(np.searchsorted(edges, dn, side="right") - 1, 0, SC_RADIAL_BINS - 1)
-    theta = np.arctan2(diff[..., 1], diff[..., 0])
+    rbin = np.clip(np.searchsorted(edges, dist / median, side="right") - 1,
+                   0, SC_RADIAL_BINS - 1)
+    theta = np.arctan2(diff[:, 1], diff[:, 0])
     tbin = np.clip(
         ((theta + np.pi) / (2 * np.pi / SC_ANGLE_BINS)).astype(np.intp),
         0,
         SC_ANGLE_BINS - 1,
     )
-    flat = (rbin * SC_ANGLE_BINS + tbin)[off_diag]
-    hist = np.bincount(flat.ravel(), minlength=SC_DIM).astype(np.float64)
+    hist = np.bincount(rbin * SC_ANGLE_BINS + tbin, minlength=SC_DIM).astype(np.float64)
     return hist / hist.sum(), False
 
 
@@ -351,6 +380,13 @@ def resize_bilinear(image, out_h, out_w):
     return top * (1 - wy) + bottom * wy
 
 
+@functools.cache
+def _hog_cell_offset():
+    """Per pixel of the resized patch: its 2x2 cell (row-major) times HOG_BINS."""
+    half = np.arange(HOG_SIZE) >= HOG_SIZE // 2
+    return (2 * half[:, None] + half[None, :]) * HOG_BINS
+
+
 def hog(crop):
     """36-dim HOG of a hand crop: 2x2 cells of a 32x32 resized patch, 9
     unsigned orientation bins, magnitude weighted, L2-normalized as one block."""
@@ -362,15 +398,10 @@ def hog(crop):
     mag = np.hypot(gx, gy)
     ang = np.mod(np.arctan2(gy, gx), np.pi)
     bins = np.clip((ang / (np.pi / HOG_BINS)).astype(np.intp), 0, HOG_BINS - 1)
-    half = HOG_SIZE // 2
-    out = np.zeros((4, HOG_BINS))
-    for ci, (ys, xs) in enumerate(
-        ((slice(0, half), slice(0, half)), (slice(0, half), slice(half, None)),
-         (slice(half, None), slice(0, half)), (slice(half, None), slice(half, None)))
-    ):
-        out[ci] = np.bincount(bins[ys, xs].ravel(), weights=mag[ys, xs].ravel(),
-                              minlength=HOG_BINS)
-    vec = out.ravel()
+    # one pass in row-major order adds each cell's magnitudes in the same
+    # order as binning the cells one by one
+    vec = np.bincount((_hog_cell_offset() + bins).ravel(), weights=mag.ravel(),
+                      minlength=HOG_DIM)
     norm = np.linalg.norm(vec)
     if norm == 0:
         return np.zeros(HOG_DIM), True
@@ -401,7 +432,7 @@ def positional_features(track, pose, span, width, focal_per_width):
     return np.array([x, y, z, vx / span, vy / span])
 
 
-def _shape_blocks(obs, gray, span, cfg):
+def _shape_blocks(obs, rgb, span, cfg):
     geo, geo_bad = geometric_features(obs.mask, cfg.eccentricity_as_printed)
     if not geo_bad:
         geo = geo.copy()
@@ -412,7 +443,7 @@ def _shape_blocks(obs, gray, span, cfg):
     hu, _ = hu_moments(obs.mask)
     sc, _ = shape_context(obs.mask)
     x, y, w, h = obs.bbox
-    crop = gray[y : y + h, x : x + w] * obs.mask
+    crop = to_gray(rgb[y : y + h, x : x + w]) * obs.mask
     hg, _ = hog(crop)
     return np.concatenate([geo, hu, sc, hg])
 
@@ -425,19 +456,14 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
     right hand first). Shape blocks freeze during hand-over-hand occlusion
     and across missed detections."""
     from .dataio import shoulder_distance
-    from .segmentation import to_gray
 
     span = shoulder_distance(seq)
     width = seq.frame_shape[1]
     rows = []
     frozen = {"left": np.zeros(_SHAPE_WIDTH), "right": np.zeros(_SHAPE_WIDTH)}
-    skipped = 0
     for t, frame in enumerate(seg_result.frames):
         pose = seq.skeleton[t]
-        if "neck" not in pose.joints or "torso" not in pose.joints:
-            skipped += 1
-            continue
-        gray = to_gray(seq.color_frames[t])
+        rgb = seq.color_frames[t]
         hands = []
         for hand, obs, track in (
             ("right", frame.right, frame.right_track),
@@ -448,14 +474,12 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
             nx, ny, _ = pose.require("neck")
             kinect = np.array([(jx - nx) / span, (jy - ny) / span])
             if obs is not None and not obs.shape_frozen:
-                shape = _shape_blocks(obs, gray, span, cfg)
+                shape = _shape_blocks(obs, rgb, span, cfg)
                 frozen[hand] = shape
             else:
                 shape = frozen[hand]
             hands.append(np.concatenate([pos, [0.0], kinect, shape]))
         rows.append(np.concatenate(hands))
-    if skipped:
-        log.warning("dropped %d frames lacking neck/torso joints", skipped)
     if not rows:
         raise ValueError("no usable frames in sequence")
     frames = np.vstack(rows)

@@ -18,7 +18,7 @@ from .config import Config, ExtractConfig
 from .dataio import DatasetManifest, LoadError, load_sequence, mirror_sequence
 from .features import FeatureSample, assemble, load_sample, save_sample
 from .segmentation import SequenceSegmenter, SkinHistogram
-from .synth import SKIN_FILES, load_skin_corpus
+from .synth import SKIN_FILES, parse_pixel_list
 
 log = logging.getLogger(__name__)
 
@@ -36,9 +36,18 @@ def map_ordered(worker, tasks, jobs):
         yield from map(worker, tasks)
 
 
-def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
-    skin, nonskin = load_skin_corpus(corpus_dir)
+def _read_skin_lists(root):
+    """The bytes of the corpus's skin pixel lists, by file name."""
+    return {name: (Path(root) / name).read_bytes() for name in SKIN_FILES}
+
+
+def _skin_model(skin_lists, cfg: Config) -> SkinHistogram:
+    skin, nonskin = (parse_pixel_list(skin_lists[name].decode()) for name in SKIN_FILES)
     return SkinHistogram.from_pixels(skin, nonskin, bins=cfg.hist_bins)
+
+
+def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
+    return _skin_model(_read_skin_lists(corpus_dir), cfg)
 
 
 def extract_sequence(seq_dir, general_model, cfg: Config, debug_dir=None) -> FeatureSample:
@@ -50,7 +59,7 @@ def extract_sequence(seq_dir, general_model, cfg: Config, debug_dir=None) -> Fea
     return assemble(seq, result, cfg)
 
 
-def _corpus_digest(root, cfg: ExtractConfig):
+def _corpus_digest(skin_lists, cfg: ExtractConfig):
     """Hash of what every sequence's extraction shares: the cache format,
     the extraction settings and the skin pixel lists."""
     digest = hashlib.sha256(f"format={CACHE_FORMAT};".encode())
@@ -58,7 +67,7 @@ def _corpus_digest(root, cfg: ExtractConfig):
         digest.update(f"{field.name}={getattr(cfg, field.name)!r};".encode())
     for name in SKIN_FILES:
         digest.update(name.encode())
-        digest.update((root / name).read_bytes())
+        digest.update(skin_lists[name])
     return digest
 
 
@@ -89,14 +98,15 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     manifest_path = Path(manifest_path)
     manifest = DatasetManifest.load(manifest_path)
     root = manifest_path.parent
-    general_model = general_skin_model(root, cfg)
+    # read once: hashed into the cache keys, parsed only if something misses
+    skin_lists = _read_skin_lists(root)
 
     keys = {}
     results: dict[str, FeatureSample] = {}
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
-        corpus_digest = _corpus_digest(root, cfg)
+        corpus_digest = _corpus_digest(skin_lists, cfg)
         for entry in manifest.entries:
             key = keys[entry.path] = _sequence_key(root / entry.path, corpus_digest)
             path = cache_dir / _cache_name(entry.path)
@@ -109,6 +119,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
 
     pending = [e for e in manifest.entries if e.path not in results]
     if pending:
+        general_model = _skin_model(skin_lists, cfg)
         tasks = [(str(root / e.path), general_model, cfg) for e in pending]
         # each entry is cached as it arrives, so a failure keeps the ones before it
         for sample, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):

@@ -41,19 +41,23 @@ def to_gray(rgb):
     return 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
 
 
-def _rg_bins(rgb, bins):
+def rg_bins(rgb, bins):
+    """Flat (r, g) histogram bin, ir * bins + ig, of every pixel."""
     r, g = rg_normalize(rgb)
     ir = np.minimum((r * bins).astype(np.intp), bins - 1)
     ig = np.minimum((g * bins).astype(np.intp), bins - 1)
-    return ir, ig
+    return ir * bins + ig
+
+
+def _bin_counts(flat_bins, bins):
+    flat = np.bincount(flat_bins, minlength=bins * bins)
+    return flat.reshape(bins, bins).astype(np.float64)
 
 
 def _pixel_counts(rgb_pixels, bins):
     if len(rgb_pixels) == 0:
         return np.zeros((bins, bins), dtype=np.float64)
-    ir, ig = _rg_bins(rgb_pixels, bins)
-    flat = np.bincount(ir * bins + ig, minlength=bins * bins)
-    return flat.reshape(bins, bins).astype(np.float64)
+    return _bin_counts(rg_bins(rgb_pixels, bins), bins)
 
 
 @dataclass
@@ -72,6 +76,11 @@ class SkinHistogram:
             bins=bins,
         )
 
+    @classmethod
+    def from_bins(cls, skin_bins, nonskin_bins, bins):
+        """Histograms of pixels given by their `rg_bins`."""
+        return cls(_bin_counts(skin_bins, bins), _bin_counts(nonskin_bins, bins), bins)
+
     def ratio_table(self):
         """Laplace-smoothed P(bin|skin) / P(bin|nonskin) for every bin."""
         n = self.bins * self.bins
@@ -82,25 +91,31 @@ class SkinHistogram:
         p_non = (self.nonskin_counts + 1.0) / (self.nonskin_counts.sum() + n)
         return p_skin / p_non
 
+    def lookup(self, flat_bins, threshold):
+        """Skin mask of pixels given by their `rg_bins`."""
+        return (self.ratio_table() > threshold).ravel()[flat_bins]
+
 
 def skin_mask(rgb, model: SkinHistogram, threshold, region=None):
     """Binary mask of pixels whose skin likelihood ratio exceeds threshold.
 
     When given, evaluation is restricted to the body region mask.
     """
-    ir, ig = _rg_bins(rgb, model.bins)
-    mask = model.ratio_table()[ir, ig] > threshold
+    mask = model.lookup(rg_bins(rgb, model.bins), threshold)
     if region is not None:
         mask &= region
     return mask
 
 
-def update_adaptive_model(model: SkinHistogram, skin_rgb, nonskin_rgb, alpha) -> SkinHistogram:
-    """Blend per-bin counts: (1 - alpha) * previous + alpha * current pixels."""
+def update_adaptive_model(model: SkinHistogram, skin_bins, nonskin_bins, alpha) -> SkinHistogram:
+    """Blend per-bin counts: (1 - alpha) * previous + alpha * current pixels.
+
+    The current pixels are given by their `rg_bins` under `model.bins`.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    new_skin = _pixel_counts(np.asarray(skin_rgb), model.bins)
-    new_non = _pixel_counts(np.asarray(nonskin_rgb), model.bins)
+    new_skin = _bin_counts(skin_bins, model.bins)
+    new_non = _bin_counts(nonskin_bins, model.bins)
     return SkinHistogram(
         skin_counts=(1.0 - alpha) * model.skin_counts + alpha * new_skin,
         nonskin_counts=(1.0 - alpha) * model.nonskin_counts + alpha * new_non,
@@ -146,6 +161,21 @@ class Blob:
         return float(np.median(values))
 
 
+def _square3(mask, op):
+    """`op` (AND or OR) over each pixel's 3x3 neighborhood, outside = False."""
+    h, w = mask.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    rows = op(op(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    return op(op(rows[:-2], rows[1:-1]), rows[2:])
+
+
+def _open3(mask):
+    """Opening by a 3x3 square: erosion, then dilation, as separable
+    row and column passes over a zero border."""
+    return _square3(_square3(mask, np.bitwise_and), np.bitwise_or)
+
+
 def clean_mask(skin, motion=None, min_area=30):
     """AND the masks, open with a 3x3 square, and return the surviving blobs.
 
@@ -155,10 +185,7 @@ def clean_mask(skin, motion=None, min_area=30):
     cand = np.asarray(skin, dtype=bool)
     if motion is not None:
         cand = cand & np.asarray(motion, dtype=bool)
-    opened = ndimage.binary_dilation(
-        ndimage.binary_erosion(cand, structure=_STRUCT3), structure=_STRUCT3
-    )
-    labels, count = ndimage.label(opened, structure=_STRUCT3)
+    labels, count = ndimage.label(_open3(cand), structure=_STRUCT3)
     blobs = []
     for index, slc in enumerate(ndimage.find_objects(labels), start=1):
         if slc is None:
@@ -216,12 +243,12 @@ def _blob_score(blob: Blob, pred: HandPrediction, blob_depth, cfg):
     )
 
 
-def _observation_from_blob(blob: Blob, depth_frame, occlusion="none"):
+def _observation_from_blob(blob: Blob, depth, occlusion="none"):
     return HandObservation(
         mask=blob.mask.copy(),
         bbox=blob.bbox,
         centroid=blob.centroid,
-        depth=blob.median_depth(depth_frame),
+        depth=depth,
         occlusion=occlusion,
     )
 
@@ -263,7 +290,8 @@ def rank_and_assign(blobs, pred_left: HandPrediction, pred_right: HandPrediction
     def build(hand):
         if hand not in assigned:
             return None
-        return _observation_from_blob(blobs[assigned[hand]], depth_frame)
+        i = assigned[hand]
+        return _observation_from_blob(blobs[i], depths[i])
 
     return build("left"), build("right")
 
@@ -318,8 +346,8 @@ def resolve_face_occlusion(depth_frame, face_model: FaceDepthModel, threshold,
 def match_template(joint_mask, template):
     """Best placement of a template mask inside a joint blob mask.
 
-    Returns (dy, dx, ratio): the template origin relative to the joint mask
-    origin and the achieved overlap ratio (intersection / template area).
+    Returns (dy, dx): the template origin relative to the joint mask origin
+    that maximizes the overlap (intersection count).
     """
     template = np.asarray(template, dtype=bool)
     joint = np.asarray(joint_mask, dtype=bool)
@@ -330,8 +358,7 @@ def match_template(joint_mask, template):
     windows = sliding_window_view(padded, (th, tw))
     overlap = np.einsum("ijkl,kl->ij", windows, template.astype(np.float64))
     best = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-    ratio = overlap[best] / float(template.sum())
-    return best[0] - (th - 1), best[1] - (tw - 1), float(ratio)
+    return best[0] - (th - 1), best[1] - (tw - 1)
 
 
 def resolve_hand_over_hand(joint: Blob, template_left, template_right,
@@ -339,10 +366,9 @@ def resolve_hand_over_hand(joint: Blob, template_left, template_right,
     """Locate both hands inside a merged blob via their pre-occlusion shapes.
 
     Each stored mask slides over the joint blob; the placement maximizing the
-    overlap ratio wins. A hand whose template no longer fits (joint blob
+    overlap wins. A hand whose template no longer fits (joint blob
     smaller than the template) falls back to its predicted position. Returns
-    ((left_xy), (right_xy), same_spot) where same_spot flags both hands
-    resolving to (nearly) the same location.
+    the (x, y) centroids of the left and right hands.
     """
     jx, jy = joint.bbox[0], joint.bbox[1]
     results = []
@@ -351,14 +377,12 @@ def resolve_hand_over_hand(joint: Blob, template_left, template_right,
         if template is None or joint.area < int(np.sum(template)):
             results.append((float(fallback[0]), float(fallback[1])))
             continue
-        dy, dx, _ratio = match_template(joint.mask, template)
+        dy, dx = match_template(joint.mask, template)
         ys, xs = np.nonzero(template)
         cx = jx + dx + float(xs.mean())
         cy = jy + dy + float(ys.mean())
         results.append((cx, cy))
-    left, right = results
-    same_spot = bool(np.hypot(left[0] - right[0], left[1] - right[1]) < 2.0)
-    return left, right, same_spot
+    return results[0], results[1]
 
 
 # --- per-sequence driver --------------------------------------------------------
@@ -404,7 +428,7 @@ def _placed_observation(template, centroid, shape, depth_frame, occlusion):
         area=int(template.sum()),
         centroid=(float(centroid[0]), float(centroid[1])),
     )
-    obs = _observation_from_blob(blob, depth_frame, occlusion=occlusion)
+    obs = _observation_from_blob(blob, blob.median_depth(depth_frame), occlusion)
     obs.shape_frozen = occlusion == "hand_over_hand"
     return obs
 
@@ -415,6 +439,9 @@ class SequenceSegmenter:
     in frame order."""
 
     def __init__(self, general_model: SkinHistogram, cfg):
+        if general_model.bins != cfg.hist_bins:
+            raise ValueError(f"skin model has {general_model.bins} bins per axis, "
+                             f"config hist_bins is {cfg.hist_bins}")
         self.general_model = general_model
         self.cfg = cfg
 
@@ -439,11 +466,15 @@ class SequenceSegmenter:
             torso_z = pose.joints["torso"][2]
             body = body_region(depth, torso_z, cfg.body_depth_front, cfg.body_depth_back)
 
+            # one chromaticity pass per frame: the boot model, the skin
+            # candidates, the hand-over-face skin test and the adaptive
+            # update all read these bins
+            frame_bins = rg_bins(rgb, cfg.hist_bins)
             if t == 0:
-                boot = skin_mask(rgb, self.general_model, cfg.skin_threshold, region=body)
+                boot = self.general_model.lookup(frame_bins, cfg.skin_threshold) & body
                 if boot.any():
-                    signer_model = SkinHistogram.from_pixels(
-                        rgb[boot], rgb[body & ~boot], bins=cfg.hist_bins
+                    signer_model = SkinHistogram.from_bins(
+                        frame_bins[boot], frame_bins[body & ~boot], cfg.hist_bins
                     )
                 face_model = FaceDepthModel.from_frame(depth, _face_box(pose, span, shape))
                 for hand in ("left", "right"):
@@ -454,11 +485,12 @@ class SequenceSegmenter:
                         depth=jz,
                         initial_cov=cfg.initial_covariance,
                     )
+            model = signer_model if signer_model is not None else self.general_model
+            skin_now = model.lookup(frame_bins, cfg.skin_threshold)
+            if t == 0:
                 cand = boot
             else:
-                model = signer_model if signer_model is not None else self.general_model
-                skin = skin_mask(rgb, model, cfg.skin_threshold, region=body)
-                cand = skin & motion_mask(gray, prev_gray, cfg.motion_threshold)
+                cand = skin_now & body & motion_mask(gray, prev_gray, cfg.motion_threshold)
 
             predicted = {h: tracking.predict(tracks[h], cfg.process_noise) for h in tracks}
             windows = {
@@ -475,11 +507,6 @@ class SequenceSegmenter:
                 h for h in windows if tracking.windows_intersect(windows[h], face_rect)
             ]
             if near_face:
-                skin_now = skin_mask(
-                    rgb,
-                    signer_model if signer_model is not None else self.general_model,
-                    cfg.skin_threshold,
-                )
                 fg = resolve_face_occlusion(
                     depth, face_model, cfg.face_depth_threshold, cfg.face_update_rate
                 )
@@ -503,7 +530,7 @@ class SequenceSegmenter:
             obs = {"left": None, "right": None}
             if overlap and templates["left"] is not None and templates["right"] is not None:
                 joint = max(blobs, key=lambda b: b.area)
-                lc, rc, _same = resolve_hand_over_hand(
+                lc, rc = resolve_hand_over_hand(
                     joint,
                     templates["left"],
                     templates["right"],
@@ -561,7 +588,8 @@ class SequenceSegmenter:
                 if hands_mask.any():
                     nonskin = body & ~hands_mask & ~cand
                     signer_model = update_adaptive_model(
-                        signer_model, rgb[hands_mask], rgb[nonskin], cfg.skin_alpha
+                        signer_model, frame_bins[hands_mask], frame_bins[nonskin],
+                        cfg.skin_alpha
                     )
 
             if debug_dir is not None:

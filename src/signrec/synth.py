@@ -463,17 +463,15 @@ def _emit_skin_corpus(out_dir: Path, rng):
     write(out_dir / SKIN_FILES[1], nonskin)
 
 
-def load_skin_corpus(corpus_dir):
-    def read(path):
-        rows = [
-            [float(v) for v in line.split()]
-            for line in Path(path).read_text().splitlines()
-            if line.strip()
-        ]
-        return np.array(rows)
+def parse_pixel_list(text):
+    """Rows of whitespace-separated numbers (a skin pixel list) as an array."""
+    rows = [[float(v) for v in line.split()] for line in text.splitlines() if line.strip()]
+    return np.array(rows)
 
+
+def load_skin_corpus(corpus_dir):
     root = Path(corpus_dir)
-    return tuple(read(root / name) for name in SKIN_FILES)
+    return tuple(parse_pixel_list((root / name).read_text()) for name in SKIN_FILES)
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest:

@@ -1,12 +1,18 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from signrec.config import Config
 from signrec.pipeline import extract_corpus
 from signrec.synth import SynthSpec, generate_synthetic_corpus
 
 JOBS = max(1, min(8, os.cpu_count() or 1))
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a loaded host neither changes nor fails them.
+settings.register_profile("signrec", derandomize=True, deadline=None)
+settings.load_profile("signrec")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from signrec.config import Config
+from signrec.dataio import LoadError
 from signrec.evaluation import (
     EvalReport,
     emit_report,
@@ -78,7 +81,8 @@ def test_unscorable_sample_counted_as_miss(prepared, protocol, tmp_path):
     assert report.overall_accuracy == pytest.approx(
         np.trace(report.confusion) / len(data))
     emit_report(report, tmp_path)
-    loaded = EvalReport.from_json((tmp_path / "report.json").read_text())
+    loaded = EvalReport.from_json((tmp_path / "report.json").read_text(),
+                                  tmp_path / "report.json")
     assert loaded.unscorable == 1
 
 
@@ -194,9 +198,17 @@ class TestEmitReport:
     def test_json_round_trip(self, tmp_path):
         report = self.make_report()
         text = report.to_json()
-        loaded = EvalReport.from_json(text)
+        loaded = EvalReport.from_json(text, "report.json")
         assert loaded.to_json() == text
         assert np.array_equal(loaded.confusion, report.confusion)
+
+    def test_report_missing_a_key_names_file_and_key(self, tmp_path):
+        data = json.loads(self.make_report().to_json())
+        del data["unscorable"]             # as written before that count existed
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(LoadError, match=r"report\.json: missing key 'unscorable'"):
+            EvalReport.from_json(path.read_text(), path)
 
     def test_perfect_classifier_diagonal_heatmap(self, tmp_path):
         report = self.make_report()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signrec.features import (
     HAND_DIM,
@@ -15,6 +17,7 @@ from signrec.features import (
     hull_pixel_count,
     load_sample,
     resize_bilinear,
+    row_extremes,
     save_sample,
     shape_context,
     trace_boundary,
@@ -130,7 +133,49 @@ def _gift_wrap_hull_count(points):
     return count
 
 
+def grid_hull_count(points):
+    """Oracle: every pixel center of the bounding box tested against each
+    edge of the hull of all points; a hull of at most two vertices counts the
+    distinct points."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    hull = convex_hull(pts)
+    if len(hull) <= 2:
+        return len({(int(x), int(y)) for x, y in pts})
+    xs = np.arange(pts[:, 0].min(), pts[:, 0].max() + 1)
+    ys = np.arange(pts[:, 1].min(), pts[:, 1].max() + 1)
+    gx, gy = np.meshgrid(xs, ys)
+    inside = np.ones(gx.shape, dtype=bool)
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
+        # counterclockwise hull: the interior is left of each directed edge
+        inside &= (x2 - x1) * (gy - y1) - (y2 - y1) * (gx - x1) >= 0
+    return int(inside.sum())
+
+
+COORD = st.integers(-40, 40)
+RANDOM_POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=80)
+FEW_POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=2)
+# points on one line, possibly with gaps and repeats
+COLLINEAR_POINTS = st.builds(
+    lambda origin, step, ks: [(origin[0] + k * step[0], origin[1] + k * step[1]) for k in ks],
+    st.tuples(COORD, COORD),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.lists(st.integers(-10, 10), min_size=1, max_size=12),
+)
+
+
 class TestHull:
+    @settings(max_examples=300)
+    @given(points=st.one_of(RANDOM_POINTS, COLLINEAR_POINTS, FEW_POINTS))
+    def test_pixel_count_equals_grid_count(self, points):
+        assert hull_pixel_count(points) == grid_hull_count(points)
+
+    @settings(max_examples=200)
+    @given(points=st.one_of(RANDOM_POINTS, COLLINEAR_POINTS))
+    def test_row_extremes_keep_the_hull(self, points):
+        extremes = row_extremes(points)
+        assert len(extremes) <= 2 * len({y for _, y in points})
+        assert convex_hull(extremes) == convex_hull(points)
+
     def test_hull_of_square_is_four_corners(self):
         pts = [(x, y) for x in range(5) for y in range(5)]
         hull = convex_hull(pts)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from signrec.config import Config
 from signrec.dataio import LoadError
 from signrec.features import save_sample
 from signrec.pipeline import extract_corpus, extract_sequence, general_skin_model
-from signrec.synth import SynthSpec, generate_synthetic_corpus
+from signrec.synth import SKIN_FILES, SynthSpec, generate_synthetic_corpus
 
 
 @pytest.fixture
@@ -50,6 +52,31 @@ class TestExtraction:
         again = extract_corpus(root / "manifest.tsv", cfg, cache_dir=root / "cache2")
         for (_, a), (_, b) in zip(first, again):
             assert np.array_equal(a.frames, b.frames)
+
+    def test_skin_lists_read_once_and_parsed_only_on_a_miss(self, tiny_corpus, tmp_path,
+                                                           monkeypatch):
+        root, _ = tiny_corpus
+        reads, parses = [], []
+        for method in ("read_bytes", "read_text"):
+            original = getattr(pathlib.Path, method)
+
+            def counting(path, *args, _original=original, **kwargs):
+                if path.name in SKIN_FILES:
+                    reads.append(path.name)
+                return _original(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, method, counting)
+        parse = pipeline.parse_pixel_list
+        monkeypatch.setattr(pipeline, "parse_pixel_list",
+                            lambda text: parses.append(text) or parse(text))
+        cfg = Config()
+        cold = extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
+        assert sorted(reads) == sorted(SKIN_FILES) and len(parses) == 2
+        reads.clear()
+        parses.clear()
+        warm = extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
+        assert sorted(reads) == sorted(SKIN_FILES) and parses == []
+        assert same_features(cold, warm)
 
     def test_cache_invalidated_by_config(self, tiny_corpus, tmp_path, extractions):
         root, manifest = tiny_corpus

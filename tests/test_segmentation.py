@@ -2,19 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from signrec.config import Config
 from signrec.segmentation import (
     Blob,
     FaceDepthModel,
     HandPrediction,
+    SequenceSegmenter,
     SkinHistogram,
+    _open3,
     clean_mask,
     match_template,
     motion_mask,
     rank_and_assign,
     resolve_face_occlusion,
     resolve_hand_over_hand,
+    rg_bins,
     rg_normalize,
     skin_mask,
     update_adaptive_model,
@@ -77,17 +81,59 @@ class TestSkinMask:
             model.ratio_table()
 
 
+def brute_force_skin(rgb, model, threshold):
+    """Oracle: per-pixel chromaticity, bin and ratio test in Python floats."""
+    table = model.ratio_table()
+    bins = model.bins
+    h, w, _ = rgb.shape
+    out = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            red, green, blue = (float(v) for v in rgb[y, x])
+            total = red + green + blue
+            r, g = (red / total, green / total) if total > 0 else (1 / 3, 1 / 3)
+            ir = min(int(r * bins), bins - 1)
+            ig = min(int(g * bins), bins - 1)
+            out[y, x] = table[ir, ig] > threshold
+    return out
+
+
+class TestFrameSkinMask:
+    def test_one_lookup_gives_whole_frame_and_body_masks(self):
+        rng = np.random.default_rng(17)
+        for bins in (8, 32):
+            model = SkinHistogram.from_pixels(
+                rng.integers(0, 256, (300, 3)) * [1.0, 0.6, 0.4],
+                rng.integers(0, 256, (300, 3)), bins=bins)
+            for _ in range(4):
+                frame = rng.integers(0, 256, (9, 13, 3)).astype(np.uint8)
+                frame[rng.random((9, 13)) < 0.1] = 0          # black pixels
+                body = rng.random((9, 13)) < 0.5
+                skin_now = model.lookup(rg_bins(frame, bins), 1.0)
+                oracle = brute_force_skin(frame, model, 1.0)
+                assert np.array_equal(skin_now, oracle)
+                assert np.array_equal(skin_now, skin_mask(frame, model, 1.0))
+                assert np.array_equal(skin_now & body,
+                                      skin_mask(frame, model, 1.0, region=body))
+
+    def test_segmenter_rejects_model_with_other_bins(self):
+        model = model_from_color([180, 100, 70], bins=16)
+        with pytest.raises(ValueError, match="16 bins"):
+            SequenceSegmenter(model, Config(hist_bins=32))
+
+
 class TestAdaptiveUpdate:
     def test_alpha_zero_keeps_model(self):
         model = model_from_color([180, 100, 70])
-        updated = update_adaptive_model(model, [[10, 200, 30]] * 5, [[1, 2, 3]] * 5, 0.0)
+        updated = update_adaptive_model(model, rg_bins(np.array([[10, 200, 30]] * 5), 32),
+                                        rg_bins(np.array([[1, 2, 3]] * 5), 32), 0.0)
         assert np.array_equal(updated.skin_counts, model.skin_counts)
         assert np.array_equal(updated.nonskin_counts, model.nonskin_counts)
 
     def test_alpha_one_replaces_model(self):
         model = model_from_color([180, 100, 70])
         pixels = np.tile([10.0, 200.0, 30.0], (7, 1))
-        updated = update_adaptive_model(model, pixels, pixels, 1.0)
+        updated = update_adaptive_model(model, rg_bins(pixels, 32), rg_bins(pixels, 32), 1.0)
         from signrec.segmentation import _pixel_counts
 
         assert np.array_equal(updated.skin_counts, _pixel_counts(pixels, 32))
@@ -101,7 +147,7 @@ class TestAdaptiveUpdate:
         target = _pixel_counts(pixels, 32)
         gaps = []
         for _ in range(6):
-            model = update_adaptive_model(model, pixels, pixels, 0.5)
+            model = update_adaptive_model(model, rg_bins(pixels, 32), rg_bins(pixels, 32), 0.5)
             gaps.append(np.abs(model.skin_counts - target).max())
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         # direct recurrence: after k steps the residual halves each time
@@ -194,6 +240,21 @@ def brute_force_opening(mask):
                 if 0 <= ny < h and 0 <= nx < w:
                     dilated[ny, nx] = True
     return dilated
+
+
+class TestOpening:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 2), (3, 3), (4, 9), (23, 17)])
+    def test_equals_brute_force_and_scipy(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        square = np.ones((3, 3), dtype=bool)
+        for density in (0.3, 0.6, 0.85, 1.0):
+            for _ in range(5):
+                mask = rng.random(shape) < density
+                opened = _open3(mask)
+                assert np.array_equal(opened, brute_force_opening(mask))
+                scipy_opened = ndimage.binary_dilation(
+                    ndimage.binary_erosion(mask, structure=square), structure=square)
+                assert np.array_equal(opened, scipy_opened)
 
 
 class TestCleanMask:
@@ -381,28 +442,28 @@ class TestHandOverHand:
         joint[2 : 2 + 8, 1 : 1 + 8] = tmpl_l
         joint[3 : 3 + 7, 14 : 14 + 9] = tmpl_r
         jb = blob_from_mask(joint, x0=30, y0=20)
-        left, right, same = resolve_hand_over_hand(
+        left, right = resolve_hand_over_hand(
             jb, tmpl_l, tmpl_r, (0.0, 0.0), (0.0, 0.0)
         )
         lys, lxs = np.nonzero(tmpl_l)
         assert left == pytest.approx((30 + 1 + lxs.mean(), 20 + 2 + lys.mean()))
         rys, rxs = np.nonzero(tmpl_r)
         assert right == pytest.approx((30 + 14 + rxs.mean(), 20 + 3 + rys.mean()))
-        assert not same
 
     def test_single_template_blob_flags_same_spot(self):
         tmpl = np.zeros((8, 8), dtype=bool)
         tmpl[1:7, 1:7] = True
         jb = blob_from_mask(tmpl.copy(), x0=10, y0=10)
-        left, right, same = resolve_hand_over_hand(jb, tmpl, tmpl, (0.0, 0.0), (0.0, 0.0))
-        assert same
-        assert left == pytest.approx(right)
+        left, right = resolve_hand_over_hand(jb, tmpl, tmpl, (0.0, 0.0), (0.0, 0.0))
+        ys, xs = np.nonzero(tmpl)
+        assert left == pytest.approx((10 + xs.mean(), 10 + ys.mean()))
+        assert right == pytest.approx(left)
 
     def test_undersized_joint_falls_back_to_predictions(self):
         tmpl = np.ones((10, 10), dtype=bool)
         small = np.ones((3, 3), dtype=bool)
         jb = blob_from_mask(small, x0=5, y0=5)
-        left, right, _ = resolve_hand_over_hand(jb, tmpl, tmpl, (1.0, 2.0), (3.0, 4.0))
+        left, right = resolve_hand_over_hand(jb, tmpl, tmpl, (1.0, 2.0), (3.0, 4.0))
         assert left == (1.0, 2.0)
         assert right == (3.0, 4.0)
 
@@ -412,6 +473,4 @@ class TestHandOverHand:
         tmpl[4, 5] = True
         joint = np.zeros((25, 30), dtype=bool)
         joint[7 : 7 + 9, 12 : 12 + 11] = tmpl
-        dy, dx, ratio = match_template(joint, tmpl)
-        assert (dy, dx) == (7, 12)
-        assert ratio == pytest.approx(1.0)
+        assert match_template(joint, tmpl) == (7, 12)
