@@ -250,8 +250,16 @@ def hu_moments(mask):
     cx, cy = x.mean(), y.mean()
     dx, dy = x - cx, y - cy
 
+    # dx**p and dy**q for p, q in 1..3, each built once; mu skips a zero power
+    xpow = [None, dx, dx**2, dx**3]
+    ypow = [None, dy, dy**2, dy**3]
+
     def mu(p, q):
-        return float(np.sum(dx**p * dy**q))
+        if q == 0:
+            return float(np.sum(xpow[p]))
+        if p == 0:
+            return float(np.sum(ypow[q]))
+        return float(np.sum(xpow[p] * ypow[q]))
 
     def eta(p, q):
         return mu(p, q) / n ** (1 + (p + q) / 2.0)
@@ -275,38 +283,43 @@ def hu_moments(mask):
     return np.array([h1, h2, h3, h4, h5, h6, h7]), False
 
 
+# Clockwise Moore neighborhood, starting west, as (row, column) steps.
+_MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+
+
 def trace_boundary(mask):
-    """Ordered outer boundary of a blob (Moore neighborhood, clockwise)."""
+    """Ordered outer boundary of a blob (Moore neighborhood, clockwise).
+
+    The walk runs over the zero-padded mask flattened to a Python list, so a
+    neighbor is one precomputed offset away and needs no bounds check.
+    """
     m = np.asarray(mask, dtype=bool)
-    ys, xs = np.nonzero(m)
-    if xs.size == 0:
+    count = int(np.count_nonzero(m))
+    if count == 0:
         return []
-    start = (int(ys[0]), int(xs[0]))  # topmost, then leftmost
-    if xs.size == 1:
-        return [start]
-    # clockwise Moore neighborhood, starting west
-    neighbors = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+    width = m.shape[1] + 2
+    padded = np.zeros((m.shape[0] + 2, width), dtype=bool)
+    padded[1:-1, 1:-1] = m
+    cells = padded.ravel().tolist()
+    origin = cells.index(True)  # topmost, then leftmost
+    if count == 1:
+        return [(origin // width - 1, origin % width - 1)]
+    # scan[b]: the 8 (direction, offset) pairs clockwise after direction b
+    doubled = list(enumerate(dr * width + dc for dr, dc in _MOORE)) * 2
+    scan = [doubled[b + 1 : b + 9] for b in range(8)]
 
-    def inside(r, c):
-        return 0 <= r < m.shape[0] and 0 <= c < m.shape[1] and m[r, c]
-
-    boundary = [start]
-    current = start
+    boundary = [origin]
+    current = origin
     backtrack_idx = 0  # we conceptually arrived from the west
     first_move = None
-    for _ in range(8 * xs.size):
-        found = None
-        for k in range(1, 9):
-            idx = (backtrack_idx + k) % 8
-            r = current[0] + neighbors[idx][0]
-            c = current[1] + neighbors[idx][1]
-            if inside(r, c):
-                found = (idx, (r, c))
+    for _ in range(8 * count):
+        for idx, offset in scan[backtrack_idx]:
+            nxt = current + offset
+            if cells[nxt]:
                 break
-        if found is None:
+        else:
             break  # isolated pixel cluster
-        idx, nxt = found
-        if nxt == start and first_move is not None and idx == first_move:
+        if nxt == origin and first_move is not None and idx == first_move:
             break
         if first_move is None:
             first_move = idx
@@ -314,11 +327,11 @@ def trace_boundary(mask):
         current = nxt
         # continue scanning from the neighbor before the one we came in on
         backtrack_idx = (idx + 4) % 8
-        if current == start:
+        if current == origin:
             break
-    if len(boundary) > 1 and boundary[-1] == start:
+    if len(boundary) > 1 and boundary[-1] == origin:
         boundary.pop()
-    return boundary
+    return [(p // width - 1, p % width - 1) for p in boundary]
 
 
 # The descriptor tables below are built once, on first use rather than at

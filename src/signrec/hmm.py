@@ -98,7 +98,10 @@ def _bands(model: HmmModel):
     """
     n = model.n_states
     trans = model.transitions
-    if trans.shape != (n + 2, n + 2) or np.any(trans[_topology(n, 0.5) == 0]):
+    # every non-zero must be a stay (the diagonal past the entry state) or
+    # a move (the diagonal above it: entry, advances, exit)
+    if trans.shape != (n + 2, n + 2) or np.count_nonzero(trans) != (
+            np.count_nonzero(np.diagonal(trans)[1:]) + np.count_nonzero(np.diagonal(trans, 1))):
         raise ValueError(
             f"model {model.label!r}: transitions outside the left-to-right band"
         )
@@ -121,33 +124,56 @@ def _forward(bands, emit):
     """Forward log probabilities alpha (T, B, N) of emissions (T, B, N).
 
     Each step has two predecessors per state: itself and the state before.
+    The recursion runs state-major, (T, N + 1, B), so that every slice it
+    touches is contiguous, with a -inf sentinel row before state 1: since
+    logaddexp(x, -inf) == x exactly, each step is one logaddexp into the
+    output row plus the emission.
     """
     stay, advance, enter, _ = bands
-    alpha = np.empty_like(emit)
-    alpha[0] = LOG_ZERO
-    alpha[0, :, 0] = enter + emit[0, :, 0]
-    for t in range(1, len(emit)):
+    steps, batch, n = emit.shape
+    emit = np.ascontiguousarray(emit.transpose(0, 2, 1))
+    alpha = np.empty((steps, n + 1, batch))
+    alpha[:, 0] = LOG_ZERO                          # the sentinel row
+    alpha[0, 1:] = LOG_ZERO
+    alpha[0, 1] = enter + emit[0, 0]
+    stay = stay[:, None]
+    into = np.append(0.0, advance)[:, None]         # from the row before
+    for t in range(1, steps):
         prev = alpha[t - 1]
-        alpha[t] = prev + stay
-        np.logaddexp(alpha[t, :, 1:], prev[:, :-1] + advance, out=alpha[t, :, 1:])
-        alpha[t] += emit[t]
-    return alpha
+        row = alpha[t, 1:]
+        np.logaddexp(prev[1:] + stay, prev[:-1] + into, out=row)
+        row += emit[t]
+    return np.ascontiguousarray(alpha[:, 1:].transpose(0, 2, 1))
 
 
 def _backward(bands, emit, lengths):
     """Backward log probabilities beta (T, B, N); sequence b ends at
-    lengths[b] - 1, and beta past that end is left unspecified."""
+    lengths[b] - 1, and beta past that end is left unspecified.
+
+    Like `_forward` it runs state-major; ahead[t] = emit[t] + beta[t] has a
+    -inf sentinel row after the last state, which has no successor.
+    """
     stay, advance, _, leave = bands
-    beta = np.empty_like(emit)
-    last = np.full(emit.shape[2], LOG_ZERO)
+    steps, batch, n = emit.shape
+    emit = np.ascontiguousarray(emit.transpose(0, 2, 1))
+    beta = np.empty((steps, n, batch))
+    ahead = np.empty((steps, n + 1, batch))
+    ahead[:, -1] = LOG_ZERO                         # the sentinel row
+    last = np.full((n, 1), LOG_ZERO)
     last[-1] = leave
     beta[-1] = last
-    for t in range(len(emit) - 2, -1, -1):
-        ahead = emit[t + 1] + beta[t + 1]
-        beta[t] = ahead + stay
-        np.logaddexp(beta[t, :, :-1], ahead[:, 1:] + advance, out=beta[t, :, :-1])
-        beta[t, lengths - 1 == t] = last
-    return beta
+    stay = stay[:, None]
+    onto = np.append(advance, 0.0)[:, None]         # to the row after
+    ends = {}
+    for b, length in enumerate(lengths.tolist()):
+        ends.setdefault(length - 1, []).append(b)
+    for t in range(steps - 2, -1, -1):
+        nxt = ahead[t + 1]
+        np.add(emit[t + 1], beta[t + 1], out=nxt[:-1])
+        np.logaddexp(nxt[:-1] + stay, nxt[1:] + onto, out=beta[t])
+        if t in ends:
+            beta[t][:, ends[t]] = last
+    return np.ascontiguousarray(beta.transpose(0, 2, 1))
 
 
 def forward_loglik(model: HmmModel, frames) -> float:
@@ -170,15 +196,15 @@ def forward_loglik(model: HmmModel, frames) -> float:
 
 def _pad(samples):
     """Sequences stacked time-major into (T_max, B, D), zero past each end,
-    with their lengths."""
+    with their lengths and the squared frames (fixed for a whole fit)."""
     lengths = np.array([len(s) for s in samples])
     padded = np.zeros((lengths.max(), len(samples), samples[0].shape[1]))
     for b, frames in enumerate(samples):
         padded[: len(frames), b] = frames
-    return padded, lengths
+    return padded, lengths, padded**2
 
 
-def _expected_counts(model: HmmModel, padded, lengths):
+def _expected_counts(model: HmmModel, padded, lengths, squares):
     """E-step over a padded batch: per-sequence log-likelihoods and the
     summed posterior counts (occupancy, first and second moments, self,
     advance and exit transitions)."""
@@ -200,8 +226,8 @@ def _expected_counts(model: HmmModel, padded, lengths):
     moves = np.exp(np.where(valid[1:], alpha[:-1, :, :-1] + advance + ahead[..., 1:],
                             LOG_ZERO))
     flat = gamma.reshape(-1, model.n_states).T
-    frames = padded.reshape(-1, model.dim)
-    return (loglik, gamma.sum(axis=(0, 1)), flat @ frames, flat @ frames**2,
+    return (loglik, gamma.sum(axis=(0, 1)), flat @ padded.reshape(-1, model.dim),
+            flat @ squares.reshape(-1, model.dim),
             stays.sum(axis=(0, 1)), moves.sum(axis=(0, 1)),
             gamma[lengths - 1, batch, -1].sum())
 
@@ -238,11 +264,11 @@ def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
     if not samples:
         raise ValueError("need at least one training sample")
-    padded, lengths = _pad(samples)
+    batch = _pad(samples)
     history = []
     previous = None
     for _ in range(max_iter):
-        loglik, *counts = _expected_counts(model, padded, lengths)
+        loglik, *counts = _expected_counts(model, *batch)
         total = float(sum(loglik))
         history.append(total)
         model = _reestimate(model, counts, var_floor)

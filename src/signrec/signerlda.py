@@ -11,6 +11,7 @@ between signs but not between performers score the highest eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -36,30 +37,28 @@ def dtw_align(ref, query):
         raise ValueError("cannot align empty sequences")
 
     diff = ref[:, None, :] - query[None, :, :]
-    local = np.einsum("ijk,ijk->ij", diff, diff)
+    local = np.einsum("ijk,ijk->ij", diff, diff).tolist()
 
-    acc = np.full((n, m), np.inf)
-    step = np.zeros((n, m), dtype=np.uint8)  # 0 diag, 1 up (ref), 2 left (query)
-    acc[0, 0] = local[0, 0]
-    for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + local[i, 0]
-        step[i, 0] = 1
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + local[0, j]
-        step[0, j] = 2
-    for i in range(1, n):
-        row = acc[i - 1]
-        for j in range(1, m):
-            best = row[j - 1]  # diagonal wins ties
-            move = 0
-            if row[j] < best:
-                best = row[j]
-                move = 1
-            if acc[i, j - 1] < best:
-                best = acc[i, j - 1]
-                move = 2
-            acc[i, j] = best + local[i, j]
-            step[i, j] = move
+    # The recursion runs on Python floats (the same IEEE doubles, without
+    # numpy's per-element boxing). moves[i][j]: 0 diag, 1 up (ref), 2 left
+    # (query); the diagonal wins ties, up and left only on strict <.
+    prev = list(accumulate(local[0]))
+    moves = [[2] * m]
+    for cost in local[1:]:
+        left = prev[0] + cost[0]
+        row = [left]
+        move_row = [1]
+        for diag, up, here in zip(prev, prev[1:], cost[1:]):
+            best, move = diag, 0
+            if up < best:
+                best, move = up, 1
+            if left < best:
+                best, move = left, 2
+            left = best + here
+            row.append(left)
+            move_row.append(move)
+        prev = row
+        moves.append(move_row)
 
     path = []
     i, j = n - 1, m - 1
@@ -67,7 +66,7 @@ def dtw_align(ref, query):
         path.append((i, j))
         if i == 0 and j == 0:
             break
-        move = step[i, j]
+        move = moves[i][j]
         if move == 0:
             i, j = i - 1, j - 1
         elif move == 1:
@@ -75,23 +74,22 @@ def dtw_align(ref, query):
         else:
             j -= 1
     path.reverse()
-    return path, float(acc[n - 1, m - 1])
+    return path, prev[-1]
 
 
 def warp_to_reference(ref_xy, query_xy, query_full):
     """Warp a sample onto the reference timeline.
 
     Alignment runs on the position features only; the full frame vectors
-    follow the warp. Query frames sharing one reference slot are averaged.
+    follow the warp. Query frames sharing one reference slot are averaged,
+    each slot summed in path order.
     """
     path, _ = dtw_align(ref_xy, query_xy)
     n = len(ref_xy)
+    rows, cols = np.array(path).T
     out = np.zeros((n, query_full.shape[1]))
-    counts = np.zeros(n)
-    for i, j in path:
-        out[i] += query_full[j]
-        counts[i] += 1
-    return out / counts[:, None]
+    np.add.at(out, rows, query_full[cols])
+    return out / np.bincount(rows, minlength=n)[:, None]
 
 
 def resample_linear(frames, length):

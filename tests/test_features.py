@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from signrec.features import (
     HAND_DIM,
@@ -191,7 +192,41 @@ class TestHull:
         assert boundary_pixel_count(mask) == 4 * 8 - 4
 
 
+def product_hu_moments(mask):
+    """Oracle: the Hu invariants with every central moment summed from a
+    fresh dx**p * dy**q product."""
+    ys, xs = np.nonzero(mask)
+    x = (xs - xs.min()).astype(np.float64)
+    y = (ys - ys.min()).astype(np.float64)
+    dx, dy = x - x.mean(), y - y.mean()
+
+    def eta(p, q):
+        return float(np.sum(dx**p * dy**q)) / x.size ** (1 + (p + q) / 2.0)
+
+    e20, e02, e11 = eta(2, 0), eta(0, 2), eta(1, 1)
+    e30, e03, e21, e12 = eta(3, 0), eta(0, 3), eta(2, 1), eta(1, 2)
+    a, b = e30 + e12, e21 + e03
+    return np.array([
+        e20 + e02,
+        (e20 - e02) ** 2 + 4 * e11**2,
+        (e30 - 3 * e12) ** 2 + (3 * e21 - e03) ** 2,
+        a**2 + b**2,
+        (e30 - 3 * e12) * a * (a**2 - 3 * b**2) + (3 * e21 - e03) * b * (3 * a**2 - b**2),
+        (e20 - e02) * (a**2 - b**2) + 4 * e11 * a * b,
+        (3 * e21 - e03) * a * (a**2 - 3 * b**2) - (e30 - 3 * e12) * b * (3 * a**2 - b**2),
+    ])
+
+
 class TestHuMoments:
+    def test_matches_product_moments(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            mask = random_blob(rng, size=int(rng.integers(6, 30)),
+                               target=int(rng.integers(3, 30)))
+            vec, degenerate = hu_moments(mask)
+            assert not degenerate
+            assert np.array_equal(vec, product_hu_moments(mask))
+
     def test_translation_exact(self):
         rng = np.random.default_rng(3)
         blob = random_blob(rng, size=30)
@@ -225,6 +260,87 @@ class TestHuMoments:
         assert degenerate and not vec.any()
 
 
+def checked_trace_boundary(mask):
+    """Oracle: the Moore walk over the 2-D mask with a bounds check on
+    every neighbor."""
+    m = np.asarray(mask, dtype=bool)
+    ys, xs = np.nonzero(m)
+    if xs.size == 0:
+        return []
+    start = (int(ys[0]), int(xs[0]))
+    if xs.size == 1:
+        return [start]
+    neighbors = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+
+    def inside(r, c):
+        return 0 <= r < m.shape[0] and 0 <= c < m.shape[1] and m[r, c]
+
+    boundary = [start]
+    current = start
+    backtrack_idx = 0
+    first_move = None
+    for _ in range(8 * xs.size):
+        found = None
+        for k in range(1, 9):
+            idx = (backtrack_idx + k) % 8
+            r = current[0] + neighbors[idx][0]
+            c = current[1] + neighbors[idx][1]
+            if inside(r, c):
+                found = (idx, (r, c))
+                break
+        if found is None:
+            break
+        idx, nxt = found
+        if nxt == start and first_move is not None and idx == first_move:
+            break
+        if first_move is None:
+            first_move = idx
+        boundary.append(nxt)
+        current = nxt
+        backtrack_idx = (idx + 4) % 8
+        if current == start:
+            break
+    if len(boundary) > 1 and boundary[-1] == start:
+        boundary.pop()
+    return boundary
+
+
+def _mask(shape, cells):
+    mask = np.zeros(shape, dtype=bool)
+    for r, c in cells:
+        if 0 <= r < shape[0] and 0 <= c < shape[1]:
+            mask[r, c] = True
+    return mask
+
+
+SHAPES = st.tuples(st.integers(1, 14), st.integers(1, 14))
+# dense and sparse random masks; many touch the crop edge
+RANDOM_MASKS = SHAPES.flatmap(lambda shape: hnp.arrays(bool, shape))
+SINGLE_PIXELS = st.builds(lambda shape, r, c: _mask(shape, [(r % shape[0], c % shape[1])]),
+                          SHAPES, st.integers(0, 13), st.integers(0, 13))
+# one-pixel lines: horizontal, vertical and both diagonals
+LINES = st.builds(
+    lambda r, c, step, length: _mask((12, 12), [(r + k * step[0], c + k * step[1])
+                                                for k in range(length)]),
+    st.integers(0, 11), st.integers(0, 11),
+    st.sampled_from([(0, 1), (1, 0), (1, 1), (1, -1)]), st.integers(2, 12))
+
+
+def _holed(shape, holes):
+    """A filled rectangle with a one-pixel margin and holes punched in it."""
+    mask = np.pad(np.ones(shape, dtype=bool), 1)
+    mask[tuple(np.transpose(holes))] = False
+    return mask
+
+
+HOLED = st.builds(_holed, st.tuples(st.integers(3, 10), st.integers(3, 10)),
+                  st.lists(st.tuples(st.integers(2, 4), st.integers(2, 4)),
+                           min_size=1, max_size=6))
+# pixels that touch only through corners: checkerboard patches
+DIAGONAL = st.builds(lambda shape, phase: np.indices(shape).sum(axis=0) % 2 == phase,
+                     SHAPES, st.integers(0, 1))
+
+
 class TestShapeContext:
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
@@ -245,6 +361,11 @@ class TestShapeContext:
         v1, _ = shape_context(disk_mask(20))
         v2, _ = shape_context(disk_mask(30))
         assert np.max(np.abs(v1 - v2)) <= 1e-2
+
+    @settings(max_examples=400)
+    @given(mask=st.one_of(RANDOM_MASKS, SINGLE_PIXELS, LINES, HOLED, DIAGONAL))
+    def test_boundary_trace_matches_checked_walk(self, mask):
+        assert trace_boundary(mask) == checked_trace_boundary(mask)
 
     def test_boundary_trace_closed_and_on_boundary(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,11 @@ import pytest
 from signrec.hmm import (
     ClassifierBank,
     HmmModel,
+    _backward,
+    _bands,
+    _emission_logs,
     _expected_counts,
+    _forward,
     _pad,
     _reestimate,
     baum_welch,
@@ -94,6 +98,37 @@ def enumerate_em_step(model, samples, var_floor):
     means = first / occupancy[:, None]
     variances = np.maximum(second / occupancy[:, None] - means**2, var_floor)
     return means, variances, trans
+
+
+def rowwise_forward(bands, emit):
+    """Oracle: alpha (T, B, N) built batch-major, one whole row copy per
+    step, with no sentinel."""
+    stay, advance, enter, _ = bands
+    alpha = np.empty_like(emit)
+    alpha[0] = -np.inf
+    alpha[0, :, 0] = enter + emit[0, :, 0]
+    for t in range(1, len(emit)):
+        prev = alpha[t - 1]
+        alpha[t] = prev + stay
+        np.logaddexp(alpha[t, :, 1:], prev[:, :-1] + advance, out=alpha[t, :, 1:])
+        alpha[t] += emit[t]
+    return alpha
+
+
+def rowwise_backward(bands, emit, lengths):
+    """Oracle: beta (T, B, N) built like `rowwise_forward`, with a fresh end
+    mask per step."""
+    stay, advance, _, leave = bands
+    beta = np.empty_like(emit)
+    last = np.full(emit.shape[2], -np.inf)
+    last[-1] = leave
+    beta[-1] = last
+    for t in range(len(emit) - 2, -1, -1):
+        ahead = emit[t + 1] + beta[t + 1]
+        beta[t] = ahead + stay
+        np.logaddexp(beta[t, :, :-1], ahead[:, 1:] + advance, out=beta[t, :, :-1])
+        beta[t, lengths - 1 == t] = last
+    return beta
 
 
 class TestInitModel:
@@ -194,6 +229,24 @@ class TestBand:
         bank = ClassifierBank.load(tmp_path / "bank")
         with pytest.raises(ValueError, match="'sign 03'.*band"):
             bank.classify(frames)
+
+
+class TestRecursions:
+    def test_sentinel_recursions_equal_rowwise(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            model = random_model(rng, n, 2)
+            if rng.random() < 0.25:       # a state that never advances
+                k = int(rng.integers(1, n + 1))
+                model.transitions[k, k:k + 2] = (1.0, 0.0)
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 6)))
+            padded, lengths, _ = _pad([rng.normal(size=(t, 2)) for t in lengths])
+            bands = _bands(model)
+            emit = _emission_logs(model, padded)
+            assert np.array_equal(_forward(bands, emit), rowwise_forward(bands, emit))
+            assert np.array_equal(_backward(bands, emit, lengths),
+                                  rowwise_backward(bands, emit, lengths))
 
 
 class TestBaumWelch:

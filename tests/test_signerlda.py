@@ -45,6 +45,66 @@ def brute_force_dtw(ref, query):
     return go(n - 1, m - 1)
 
 
+def numpy_element_dtw(ref, query):
+    """Oracle: the DP over numpy arrays, one element at a time, with its
+    step matrix; the diagonal wins ties, up and then left only on strict <.
+    Also returns the number of cells where two steps tie for the best."""
+    ref = np.asarray(ref, dtype=np.float64).reshape(len(ref), -1)
+    query = np.asarray(query, dtype=np.float64).reshape(len(query), -1)
+    n, m = len(ref), len(query)
+    diff = ref[:, None, :] - query[None, :, :]
+    local = np.einsum("ijk,ijk->ij", diff, diff)
+    acc = np.full((n, m), np.inf)
+    step = np.zeros((n, m), dtype=np.uint8)  # 0 diag, 1 up (ref), 2 left (query)
+    acc[0, 0] = local[0, 0]
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + local[i, 0]
+        step[i, 0] = 1
+    for j in range(1, m):
+        acc[0, j] = acc[0, j - 1] + local[0, j]
+        step[0, j] = 2
+    ties = 0
+    for i in range(1, n):
+        for j in range(1, m):
+            steps = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+            ties += steps.count(min(steps)) > 1
+            best, move = acc[i - 1, j - 1], 0
+            if acc[i - 1, j] < best:
+                best, move = acc[i - 1, j], 1
+            if acc[i, j - 1] < best:
+                best, move = acc[i, j - 1], 2
+            acc[i, j] = best + local[i, j]
+            step[i, j] = move
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while (i, j) != (0, 0):
+        move = step[i, j]
+        i, j = (i - 1, j - 1) if move == 0 else (i - 1, j) if move == 1 else (i, j - 1)
+        path.append((i, j))
+    return path[::-1], float(acc[n - 1, m - 1]), ties
+
+
+def loop_warp(ref_xy, query_xy, query_full):
+    """Oracle: the warp summed one path step at a time."""
+    path, _ = dtw_align(ref_xy, query_xy)
+    out = np.zeros((len(ref_xy), query_full.shape[1]))
+    counts = np.zeros(len(ref_xy))
+    for i, j in path:
+        out[i] += query_full[j]
+        counts[i] += 1
+    return out / counts[:, None]
+
+
+def dtw_inputs(rng, integer):
+    """A random (ref, query) pair; integer-valued frames make many steps tie."""
+    n, m = (int(k) for k in rng.integers(1, 14, size=2))
+    dim = int(rng.integers(1, 4))
+    if integer:
+        return (rng.integers(0, 3, size=(n, dim)).astype(float),
+                rng.integers(0, 3, size=(m, dim)).astype(float))
+    return rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+
+
 class TestDtw:
     def test_self_alignment_zero_diagonal(self):
         rng = np.random.default_rng(0)
@@ -91,6 +151,29 @@ class TestDtw:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dtw_align(np.zeros((0, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "tied"])
+    def test_matches_numpy_element_dp(self, integer):
+        rng = np.random.default_rng(40 + integer)
+        tied = 0
+        for _ in range(150):
+            ref, query = dtw_inputs(rng, integer)
+            path, cost = dtw_align(ref, query)
+            want_path, want_cost, ties = numpy_element_dtw(ref, query)
+            assert path == want_path
+            assert cost == want_cost and type(cost) is float
+            tied += ties > 0
+        # integer frames tie steps in most alignments, random floats in none
+        assert tied > 75 if integer else tied == 0
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["float", "tied"])
+    def test_warp_matches_step_loop(self, integer):
+        rng = np.random.default_rng(50 + integer)
+        for _ in range(60):
+            ref, query = dtw_inputs(rng, integer)
+            full = rng.normal(size=(len(query), 5))
+            assert np.array_equal(warp_to_reference(ref, query, full),
+                                  loop_warp(ref, query, full))
 
 
 class TestAlignAndResample:
