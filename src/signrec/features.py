@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import LoadError, load_record, save_record
-from .segmentation import to_gray
+from .segmentation import mean, median, read_only, to_gray
 
 SC_POINTS = 40
 SC_RADIAL_BINS = 5
@@ -127,24 +127,34 @@ def load_sample(path, key=None) -> FeatureSample:
 
 def convex_hull(points):
     """Monotone-chain convex hull of integer points, counterclockwise."""
-    pts = sorted({(int(p[0]), int(p[1])) for p in points})
+    pts = sorted({(int(x), int(y)) for x, y in points})
     if len(pts) <= 2:
         return pts
+    chains = []
+    for sweep in (pts, pts[::-1]):
+        chain = []
+        for p in sweep:
+            px, py = p
+            # pop while the last two points and p do not turn left
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _grid_row_extremes(grid):
+    """(x, y) of the leftmost and rightmost set cell of every row of a
+    boolean grid."""
+    rows = np.flatnonzero(grid.any(axis=1))
+    filled = grid[rows]
+    left = filled.argmax(axis=1).tolist()
+    right = (grid.shape[1] - 1 - filled[:, ::-1].argmax(axis=1)).tolist()
+    ys = rows.tolist()
+    return list(zip(left, ys)) + list(zip(right, ys))
 
 
 def row_extremes(points):
@@ -154,37 +164,40 @@ def row_extremes(points):
     points have the same convex hull as the whole set.
     """
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    lo = pts.min(axis=0)
-    width, height = pts.max(axis=0) - lo + 1
+    x0, y0 = pts.min(axis=0).tolist()
+    width, height = (pts.max(axis=0) - (x0, y0) + 1).tolist()
     grid = np.zeros((height, width), dtype=bool)
-    grid[pts[:, 1] - lo[1], pts[:, 0] - lo[0]] = True
-    rows = np.flatnonzero(grid.any(axis=1))
-    left = grid[rows].argmax(axis=1)
-    right = width - 1 - grid[rows, ::-1].argmax(axis=1)
-    ys = rows + lo[1]
-    return np.column_stack([np.concatenate([left, right]) + lo[0], np.concatenate([ys, ys])])
+    grid[pts[:, 1] - y0, pts[:, 0] - x0] = True
+    return [(x + x0, y + y0) for x, y in _grid_row_extremes(grid)]
 
 
-def hull_pixel_count(points):
-    """Number of integer pixel centers inside or on the convex hull.
-
-    The hull is built from the row extremes; the count follows from Pick's
-    theorem on its integer vertices, count = (2A + B + 2) / 2, with 2A the
-    shoelace sum and B the lattice points on the boundary, all exact integer
-    arithmetic. A hull of at most two vertices (collinear points) counts the
-    distinct points themselves.
-    """
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    if len(pts) == 0:
-        return 0
-    hull = convex_hull(row_extremes(pts))
+def _hull_lattice_count(hull, distinct):
+    """Integer pixel centers inside or on a hull of integer vertices, by
+    Pick's theorem, count = (2A + B + 2) / 2: 2A is the shoelace sum and B
+    the lattice points on the boundary, all exact integer arithmetic. A hull
+    of at most two vertices (collinear points) counts the `distinct` points
+    themselves."""
     if len(hull) <= 2:
-        return len({(int(p[0]), int(p[1])) for p in pts})
+        return distinct
     twice_area = boundary = 0
     for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
         twice_area += x1 * y2 - x2 * y1
         boundary += math.gcd(x2 - x1, y2 - y1)
     return (twice_area + boundary + 2) // 2
+
+
+def hull_pixel_count(points):
+    """Number of integer pixel centers inside or on the convex hull, which is
+    built from the row extremes."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    if len(pts) == 0:
+        return 0
+    distinct = len({(int(p[0]), int(p[1])) for p in pts})
+    return _hull_lattice_count(convex_hull(row_extremes(pts)), distinct)
+
+
+# np.sum of an array without its Python-level wrapper
+_sum = np.add.reduce
 
 
 def _mask_points(mask):
@@ -195,35 +208,40 @@ def _mask_points(mask):
 def boundary_pixel_count(mask):
     """Pixels of the blob that touch background through a 4-neighbor."""
     m = np.asarray(mask, dtype=bool)
-    padded = np.pad(m, 1)
-    inner = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return int((m & ~inner).sum())
+    padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = m
+    inner = padded[:-2, 1:-1] & padded[2:, 1:-1]
+    inner &= padded[1:-1, :-2]
+    inner &= padded[1:-1, 2:]
+    inner &= m
+    return int(np.count_nonzero(m)) - int(np.count_nonzero(inner))
 
 
-def geometric_features(mask, eccentricity_as_printed=True):
+def geometric_features(mask, eccentricity_as_printed=True, points=None):
     """Area, perimeter, solidity, eccentricity, ellipse axes and orientation.
 
     The ellipse has the same normalized second central moments as the blob
     (pixel squares integrate to the +1/12 variance correction). Returns the
     7-vector (a, p, s, c, M, m, cos(beta)) and a degeneracy flag; blobs of
-    fewer than 3 pixels come back zeroed.
+    fewer than 3 pixels come back zeroed. `points` is the mask's
+    `_mask_points`, when the caller has them already.
     """
-    xs, ys = _mask_points(mask)
+    mask = np.asarray(mask, dtype=bool)
+    xs, ys = _mask_points(mask) if points is None else points
     a = xs.size
     if a < 3:
         return np.zeros(7), True
     p = boundary_pixel_count(mask)
-    hull_count = hull_pixel_count(np.column_stack([xs, ys]))
-    s = a / hull_count
+    # the mask is the grid `row_extremes` would build from its points
+    s = a / _hull_lattice_count(convex_hull(_grid_row_extremes(mask)), a)
 
     x = xs.astype(np.float64)
     y = ys.astype(np.float64)
-    cx, cy = x.mean(), y.mean()
-    mu20 = ((x - cx) ** 2).mean() + 1.0 / 12.0
-    mu02 = ((y - cy) ** 2).mean() + 1.0 / 12.0
-    mu11 = ((x - cx) * (y - cy)).mean()
+    dx = x - mean(x)
+    dy = y - mean(y)
+    mu20 = mean(dx**2) + 1.0 / 12.0
+    mu02 = mean(dy**2) + 1.0 / 12.0
+    mu11 = mean(dx * dy)
     common = math.sqrt(((mu20 - mu02) / 2.0) ** 2 + mu11**2)
     lam1 = (mu20 + mu02) / 2.0 + common
     lam2 = (mu20 + mu02) / 2.0 - common
@@ -238,17 +256,17 @@ def geometric_features(mask, eccentricity_as_printed=True):
     return np.array([a, p, s, c, major, minor, math.cos(theta)]), False
 
 
-def hu_moments(mask):
-    """The seven Hu invariants from normalized central moments."""
-    xs, ys = _mask_points(mask)
+def hu_moments(mask, points=None):
+    """The seven Hu invariants from normalized central moments. `points` is
+    the mask's `_mask_points`, when the caller has them already."""
+    xs, ys = _mask_points(mask) if points is None else points
     if xs.size < 3:
         return np.zeros(7), True
     # canonical translation makes the invariants bit-exact under shifts
     x = (xs - xs.min()).astype(np.float64)
     y = (ys - ys.min()).astype(np.float64)
     n = x.size
-    cx, cy = x.mean(), y.mean()
-    dx, dy = x - cx, y - cy
+    dx, dy = x - mean(x), y - mean(y)
 
     # dx**p and dy**q for p, q in 1..3, each built once; mu skips a zero power
     xpow = [None, dx, dx**2, dx**3]
@@ -256,10 +274,10 @@ def hu_moments(mask):
 
     def mu(p, q):
         if q == 0:
-            return float(np.sum(xpow[p]))
+            return float(_sum(xpow[p]))
         if p == 0:
-            return float(np.sum(ypow[q]))
-        return float(np.sum(xpow[p] * ypow[q]))
+            return float(_sum(ypow[q]))
+        return float(_sum(xpow[p] * ypow[q]))
 
     def eta(p, q):
         return mu(p, q) / n ** (1 + (p + q) / 2.0)
@@ -335,11 +353,18 @@ def trace_boundary(mask):
 
 
 # The descriptor tables below are built once, on first use rather than at
-# import, so that importing this module does no numpy work.
+# import, so that importing this module does no numpy work. Every caller
+# shares them, so they are read-only.
 @functools.cache
 def _sc_tables():
-    """Radial bin edges and the mask of the off-diagonal point pairs."""
-    return np.geomspace(0.125, 2.0, SC_RADIAL_BINS + 1), ~np.eye(SC_POINTS, dtype=bool)
+    """The inner radial bin edges, and the flat indices of the off-diagonal
+    cells of a 40 x 40 pair matrix in row-major order."""
+    edges = np.geomspace(0.125, 2.0, SC_RADIAL_BINS + 1)[1:-1]
+    pairs = np.flatnonzero(~np.eye(SC_POINTS, dtype=bool))
+    return read_only(edges), read_only(pairs)
+
+
+_SC_PAIRS = SC_POINTS * (SC_POINTS - 1)
 
 
 def shape_context(mask):
@@ -347,57 +372,85 @@ def shape_context(mask):
 
     Distances are normalized by the median pairwise distance, binned into 5
     radial and 9 orientation bins; the 40 per-point histograms are averaged
-    into one 45-dim descriptor so the frame dimension stays fixed.
+    into one 45-dim descriptor so the frame dimension stays fixed. Each
+    ordered pair (i, j), i != j, contributes the offset pts[j] - pts[i].
     """
     boundary = trace_boundary(mask)
     if len(boundary) < 3:
         return np.zeros(SC_DIM), True
     n = len(boundary)
-    picks = [(k * n) // SC_POINTS for k in range(SC_POINTS)]
-    pts = np.array([(boundary[i][1], boundary[i][0]) for i in picks], dtype=np.float64)
+    ys, xs = np.array([boundary[(k * n) // SC_POINTS] for k in range(SC_POINTS)],
+                      dtype=np.float64).T
 
-    edges, off_diag = _sc_tables()
-    diff = (pts[None, :, :] - pts[:, None, :])[off_diag]
-    dist = np.hypot(diff[:, 0], diff[:, 1])
-    median = np.median(dist)
-    if median <= 0:
+    inner_edges, pairs = _sc_tables()
+    dx = (xs - xs[:, None]).ravel().take(pairs)
+    dy = (ys - ys[:, None]).ravel().take(pairs)
+    dist = np.hypot(dx, dy)
+    scale = median(dist)
+    if scale <= 0:
         return np.zeros(SC_DIM), True
 
-    rbin = np.clip(np.searchsorted(edges, dist / median, side="right") - 1,
-                   0, SC_RADIAL_BINS - 1)
-    theta = np.arctan2(diff[:, 1], diff[:, 0])
-    tbin = np.clip(
-        ((theta + np.pi) / (2 * np.pi / SC_ANGLE_BINS)).astype(np.intp),
-        0,
-        SC_ANGLE_BINS - 1,
-    )
-    hist = np.bincount(rbin * SC_ANGLE_BINS + tbin, minlength=SC_DIM).astype(np.float64)
-    return hist / hist.sum(), False
+    # edges below the first inner edge fall in bin 0, past the last in bin 4
+    rbin = np.searchsorted(inner_edges, dist / scale, side="right")
+    # theta + pi lies in [0, 2 pi], so only theta == pi needs the cap
+    tbin = ((np.arctan2(dy, dx) + np.pi) / (2 * np.pi / SC_ANGLE_BINS)).astype(np.intp)
+    np.minimum(tbin, SC_ANGLE_BINS - 1, out=tbin)
+    rbin *= SC_ANGLE_BINS
+    rbin += tbin
+    # every pair lands in one bin, so the counts sum to _SC_PAIRS
+    return np.bincount(rbin, minlength=SC_DIM) / _SC_PAIRS, False
+
+
+@functools.cache
+def _resize_axis(in_len, out_len):
+    """Bilinear sampling of one axis: the two source indices of every output
+    position, stacked (i0, then i1), and the weights 1 - w of i0 and w of i1."""
+    r = (np.arange(out_len) + 0.5) * in_len / out_len - 0.5
+    r = np.clip(r, 0, in_len - 1)
+    i0 = np.floor(r).astype(np.intp)
+    i1 = np.minimum(i0 + 1, in_len - 1)
+    w = r - i0
+    return read_only(np.concatenate([i0, i1])), read_only(1 - w), read_only(w)
 
 
 def resize_bilinear(image, out_h, out_w):
+    """Bilinear resize, sampling at pixel centers, from per-axis tables.
+
+    One gather picks the two source rows of every output row and a second
+    the two source columns; each output pixel is then
+    (a*(1-wx) + b*wx)*(1-wy) + (c*(1-wx) + d*wx)*wy for its four neighbors.
+    """
     img = np.asarray(image, dtype=np.float64)
     in_h, in_w = img.shape
-    ry = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
-    rx = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
-    ry = np.clip(ry, 0, in_h - 1)
-    rx = np.clip(rx, 0, in_w - 1)
-    y0 = np.floor(ry).astype(np.intp)
-    x0 = np.floor(rx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ry - y0)[:, None]
-    wx = (rx - x0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
-    bottom = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bottom * wy
+    rows, wy0, wy1 = _resize_axis(in_h, out_h)
+    cols, wx0, wx1 = _resize_axis(in_w, out_w)
+    corners = img[rows][:, cols]
+    # top rows, then bottom rows, each interpolated along x
+    horizontal = corners[:, :out_w] * wx0 + corners[:, out_w:] * wx1
+    return horizontal[:out_h] * wy0[:, None] + horizontal[out_h:] * wy1[:, None]
 
 
 @functools.cache
 def _hog_cell_offset():
     """Per pixel of the resized patch: its 2x2 cell (row-major) times HOG_BINS."""
     half = np.arange(HOG_SIZE) >= HOG_SIZE // 2
-    return (2 * half[:, None] + half[None, :]) * HOG_BINS
+    return read_only((2 * half[:, None] + half[None, :]) * HOG_BINS)
+
+
+def _gradient(patch):
+    """np.gradient of a 2-D array with unit spacing: central differences
+    inside, one-sided differences on the border rows and columns."""
+    gy = np.empty_like(patch)
+    gy[1:-1] = patch[2:] - patch[:-2]
+    gy[1:-1] /= 2.0
+    gy[0] = patch[1] - patch[0]
+    gy[-1] = patch[-1] - patch[-2]
+    gx = np.empty_like(patch)
+    gx[:, 1:-1] = patch[:, 2:] - patch[:, :-2]
+    gx[:, 1:-1] /= 2.0
+    gx[:, 0] = patch[:, 1] - patch[:, 0]
+    gx[:, -1] = patch[:, -1] - patch[:, -2]
+    return gy, gx
 
 
 def hog(crop):
@@ -406,16 +459,16 @@ def hog(crop):
     crop = np.asarray(crop, dtype=np.float64)
     if crop.size == 0 or min(crop.shape) < 2:
         return np.zeros(HOG_DIM), True
-    patch = resize_bilinear(crop, HOG_SIZE, HOG_SIZE)
-    gy, gx = np.gradient(patch)
+    gy, gx = _gradient(resize_bilinear(crop, HOG_SIZE, HOG_SIZE))
     mag = np.hypot(gx, gy)
-    ang = np.mod(np.arctan2(gy, gx), np.pi)
-    bins = np.clip((ang / (np.pi / HOG_BINS)).astype(np.intp), 0, HOG_BINS - 1)
+    # the angle lies in [0, pi]: only an angle of exactly pi needs the cap
+    bins = (np.mod(np.arctan2(gy, gx), np.pi) / (np.pi / HOG_BINS)).astype(np.intp)
+    np.minimum(bins, HOG_BINS - 1, out=bins)
     # one pass in row-major order adds each cell's magnitudes in the same
     # order as binning the cells one by one
-    vec = np.bincount((_hog_cell_offset() + bins).ravel(), weights=mag.ravel(),
-                      minlength=HOG_DIM)
-    norm = np.linalg.norm(vec)
+    bins += _hog_cell_offset()
+    vec = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=HOG_DIM)
+    norm = math.sqrt(vec.dot(vec))    # np.linalg.norm of a vector
     if norm == 0:
         return np.zeros(HOG_DIM), True
     return vec / norm, False
@@ -446,14 +499,15 @@ def positional_features(track, pose, span, width, focal_per_width):
 
 
 def _shape_blocks(obs, rgb, span, cfg):
-    geo, geo_bad = geometric_features(obs.mask, cfg.eccentricity_as_printed)
+    points = _mask_points(obs.mask)
+    geo, geo_bad = geometric_features(obs.mask, cfg.eccentricity_as_printed, points)
     if not geo_bad:
         geo = geo.copy()
         geo[0] /= span**2          # area
         geo[1] /= span             # perimeter
         geo[4] /= span             # major axis
         geo[5] /= span             # minor axis
-    hu, _ = hu_moments(obs.mask)
+    hu, _ = hu_moments(obs.mask, points)
     sc, _ = shape_context(obs.mask)
     x, y, w, h = obs.bbox
     crop = to_gray(rgb[y : y + h, x : x + w]) * obs.mask

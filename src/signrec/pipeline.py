@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import logging
 import multiprocessing
+import os
 from pathlib import Path
 
 from .config import Config, ExtractConfig
@@ -41,13 +42,18 @@ def _read_skin_lists(root):
     return {name: (Path(root) / name).read_bytes() for name in SKIN_FILES}
 
 
-def _skin_model(skin_lists, cfg: Config) -> SkinHistogram:
-    skin, nonskin = (parse_pixel_list(skin_lists[name].decode()) for name in SKIN_FILES)
-    return SkinHistogram.from_pixels(skin, nonskin, bins=cfg.hist_bins)
+def _skin_model(root, skin_lists, cfg: Config) -> SkinHistogram:
+    pixels = []
+    for name in SKIN_FILES:
+        try:
+            pixels.append(parse_pixel_list(skin_lists[name].decode()))
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise LoadError(f"{Path(root) / name}: {exc}") from None
+    return SkinHistogram.from_pixels(*pixels, bins=cfg.hist_bins)
 
 
 def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
-    return _skin_model(_read_skin_lists(corpus_dir), cfg)
+    return _skin_model(corpus_dir, _read_skin_lists(corpus_dir), cfg)
 
 
 def extract_sequence(seq_dir, general_model, cfg: Config, debug_dir=None) -> FeatureSample:
@@ -72,12 +78,15 @@ def _corpus_digest(skin_lists, cfg: ExtractConfig):
 
 
 def _sequence_key(seq_dir, corpus_digest) -> str:
+    """The corpus digest extended by the name and bytes of every recording
+    file (ground truth excluded), in name order."""
     digest = corpus_digest.copy()
-    for path in sorted(Path(seq_dir).iterdir()):
-        if path.name.startswith("gt_"):
+    for name in sorted(os.listdir(seq_dir)):
+        if name.startswith("gt_"):
             continue
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
+        digest.update(name.encode())
+        with open(os.path.join(seq_dir, name), "rb") as f:
+            digest.update(f.read())
     return digest.hexdigest()
 
 
@@ -119,7 +128,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
 
     pending = [e for e in manifest.entries if e.path not in results]
     if pending:
-        general_model = _skin_model(skin_lists, cfg)
+        general_model = _skin_model(root, skin_lists, cfg)
         tasks = [(str(root / e.path), general_model, cfg) for e in pending]
         # each entry is cached as it arrives, so a failure keeps the ones before it
         for sample, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):

@@ -11,6 +11,8 @@ hand-over-hand occlusion.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,8 @@ def rg_normalize(rgb):
     """Map 8-bit RGB to normalized (r, g) chromaticity.
 
     Black pixels (R+G+B = 0) map to the uninformative point (1/3, 1/3).
-    Accepts a single pixel or an array with a trailing channel axis.
+    Accepts a single pixel or an array with a trailing channel axis. This is
+    the formula `_rg_table` tabulates for `rg_bins`.
     """
     arr = np.asarray(rgb, dtype=np.float64)
     total = arr[..., 0] + arr[..., 1] + arr[..., 2]
@@ -36,17 +39,76 @@ def rg_normalize(rgb):
     return r, g
 
 
+def mean(values):
+    """ndarray.mean of a non-empty array, as a float: the float64 sum over
+    the count, without mean's Python-level wrapper."""
+    return float(np.add.reduce(values, axis=None, dtype=np.float64)) / values.size
+
+
+def median(values):
+    """np.median of a non-empty 1-D float array without NaNs: the middle
+    order statistic, or the mean of the two middle ones, without np.median's
+    Python-level overhead."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    middle = np.partition(values, (half - 1, half))
+    return (float(middle[half - 1]) + float(middle[half])) / 2
+
+
 def to_gray(rgb):
     arr = np.asarray(rgb, dtype=np.float64)
     return 0.299 * arr[..., 0] + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
 
 
+# channel sums of 8-bit pixels run from 0 to 3 * 255
+_TOTALS = 766
+
+
+def read_only(table):
+    """`table`, made read-only: a cached table is shared by every caller."""
+    table.setflags(write=False)
+    return table
+
+
+@functools.cache
+def _rg_table(bins):
+    """Bin of channel value c at channel sum `total`, flat at c * 766 + total.
+
+    Every (c, total) pair goes through `rg_normalize` and the same float
+    expression as binning one pixel, so a lookup equals that computation.
+    Built once per `bins`, on first use; pairs no 8-bit pixel has (total < c)
+    land in some bin and are never read.
+    """
+    table = np.empty((256, _TOTALS), dtype=np.min_scalar_type(bins - 1))
+    total = np.arange(_TOTALS)
+    for c in range(256):
+        pixels = np.column_stack([np.full(_TOTALS, c), total - c, np.zeros(_TOTALS)])
+        r, _ = rg_normalize(pixels)
+        table[c] = np.minimum((r * bins).astype(np.intp), bins - 1)
+    return read_only(table.ravel())
+
+
 def rg_bins(rgb, bins):
-    """Flat (r, g) histogram bin, ir * bins + ig, of every pixel."""
-    r, g = rg_normalize(rgb)
-    ir = np.minimum((r * bins).astype(np.intp), bins - 1)
-    ig = np.minimum((g * bins).astype(np.intp), bins - 1)
-    return ir * bins + ig
+    """Flat (r, g) histogram bin, ir * bins + ig, of every pixel.
+
+    `rgb` holds 8-bit channel values (a uint8 frame or a parsed pixel list);
+    each channel's bin is read from `_rg_table` at (value, R + G + B).
+    """
+    rgb = np.asarray(rgb)
+    red = rgb[..., 0].astype(np.intp)
+    green = rgb[..., 1].astype(np.intp)
+    total = red + green
+    total += rgb[..., 2].astype(np.intp)
+    red *= _TOTALS
+    red += total
+    green *= _TOTALS
+    green += total
+    table = _rg_table(bins)
+    flat = table[red].astype(np.intp)
+    flat *= bins
+    flat += table[green]
+    return flat
 
 
 def _bin_counts(flat_bins, bins):
@@ -146,19 +208,13 @@ class Blob:
     area: int
     centroid: tuple[float, float]
 
-    def full_mask(self, shape):
-        out = np.zeros(shape, dtype=bool)
-        x, y, w, h = self.bbox
-        out[y : y + h, x : x + w] = self.mask
-        return out
-
     def median_depth(self, depth_frame):
         x, y, w, h = self.bbox
         patch = np.asarray(depth_frame, dtype=np.float64)[y : y + h, x : x + w]
         values = patch[self.mask & (patch > 0)]
         if values.size == 0:
             return float("nan")
-        return float(np.median(values))
+        return median(values)
 
 
 def _square3(mask, op):
@@ -180,28 +236,37 @@ def clean_mask(skin, motion=None, min_area=30):
     """AND the masks, open with a 3x3 square, and return the surviving blobs.
 
     Connected components use 8-connectivity; components below min_area are
-    dropped.
+    dropped. Only the bounding box of the candidates is opened and labelled:
+    the opening cannot grow past it, and cropping keeps the raster order in
+    which components are numbered, so the blobs and their order are those of
+    the whole frame.
     """
     cand = np.asarray(skin, dtype=bool)
     if motion is not None:
         cand = cand & np.asarray(motion, dtype=bool)
-    labels, count = ndimage.label(_open3(cand), structure=_STRUCT3)
+    rows = np.flatnonzero(cand.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(cand.any(axis=0))
+    top, left = int(rows[0]), int(cols[0])
+    crop = cand[top : int(rows[-1]) + 1, left : int(cols[-1]) + 1]
+    labels, _ = ndimage.label(_open3(crop), structure=_STRUCT3)
     blobs = []
     for index, slc in enumerate(ndimage.find_objects(labels), start=1):
         if slc is None:
             continue
         patch = labels[slc] == index
-        area = int(patch.sum())
+        area = int(np.count_nonzero(patch))
         if area < min_area:
             continue
         ys, xs = np.nonzero(patch)
-        x0, y0 = slc[1].start, slc[0].start
+        x0, y0 = slc[1].start + left, slc[0].start + top
         blobs.append(
             Blob(
                 mask=patch,
                 bbox=(x0, y0, patch.shape[1], patch.shape[0]),
                 area=area,
-                centroid=(float(xs.mean()) + x0, float(ys.mean()) + y0),
+                centroid=(mean(xs) + x0, mean(ys) + y0),
             )
         )
     return blobs
@@ -561,13 +626,13 @@ class SequenceSegmenter:
             for hand in ("left", "right"):
                 track = predicted[hand]
                 o = obs[hand]
-                if o is not None and np.all(np.isfinite(o.centroid)):
+                if o is not None and all(map(math.isfinite, o.centroid)):
                     track = tracking.update(
                         track,
                         o.centroid,
                         (o.bbox[2], o.bbox[3]),
                         cfg.measurement_noise,
-                        depth=o.depth if np.isfinite(o.depth) else None,
+                        depth=o.depth if math.isfinite(o.depth) else None,
                     )
                 elif track.coast_count > cfg.max_coast:
                     jx, jy, jz = pose.joints[f"hand_{hand}"]

@@ -22,6 +22,7 @@ import numpy as np
 from .dataio import (
     DatasetManifest,
     FrameSequence,
+    LoadError,
     ManifestEntry,
     SkeletonPose,
     mirror_sequence,
@@ -239,14 +240,29 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
 
 
 def _ellipse_mask(shape, center, axes, angle=0.0):
+    """Pixels of a frame inside a rotated ellipse.
+
+    No point of the ellipse lies farther from its center than the larger
+    semi-axis, so the test runs only over that square plus a 1-px margin
+    (clipped to the frame); every other pixel is outside.
+    """
     h, w = shape
-    ys, xs = np.mgrid[0:h, 0:w]
+    out = np.zeros((h, w), dtype=bool)
+    reach = max(axes) + 1.0
+    x0 = max(0, math.floor(center[0] - reach))
+    x1 = min(w, math.ceil(center[0] + reach) + 1)
+    y0 = max(0, math.floor(center[1] - reach))
+    y1 = min(h, math.ceil(center[1] + reach) + 1)
+    if x0 >= x1 or y0 >= y1:
+        return out
+    ys, xs = np.mgrid[y0:y1, x0:x1]
     dx = xs - center[0]
     dy = ys - center[1]
     c, s = math.cos(angle), math.sin(angle)
     u = c * dx + s * dy
     v = -s * dx + c * dy
-    return (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
+    out[y0:y1, x0:x1] = (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
+    return out
 
 
 @dataclass
@@ -464,14 +480,33 @@ def _emit_skin_corpus(out_dir: Path, rng):
 
 
 def parse_pixel_list(text):
-    """Rows of whitespace-separated numbers (a skin pixel list) as an array."""
-    rows = [[float(v) for v in line.split()] for line in text.splitlines() if line.strip()]
-    return np.array(rows)
+    """A skin pixel list, one R G B row of integers in 0..255 per line, as an
+    (N, 3) uint8 array. Raises ValueError naming the first bad line."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            row = [int(v) for v in fields]
+        except ValueError:
+            row = []
+        if len(row) != 3 or not all(0 <= v <= 255 for v in row):
+            raise ValueError(f"line {number}: expected three integers in 0..255, "
+                             f"got {line.strip()!r}")
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(-1, 3)
 
 
 def load_skin_corpus(corpus_dir):
     root = Path(corpus_dir)
-    return tuple(parse_pixel_list((root / name).read_text()) for name in SKIN_FILES)
+    lists = []
+    for name in SKIN_FILES:
+        try:
+            lists.append(parse_pixel_list((root / name).read_text()))
+        except ValueError as exc:
+            raise LoadError(f"{root / name}: {exc}") from None
+    return tuple(lists)
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest:

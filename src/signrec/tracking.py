@@ -7,7 +7,7 @@ box size (w, h, vw, vh). One time step equals one frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ _F_BOX = np.array(
 )
 _H_MOTION = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], dtype=float)
 _H_BOX = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+# identity matrices by size: state (6, 4) and measurement (2)
+_EYE = {n: np.eye(n) for n in (2, 4, 6)}
 
 
 def _symmetrize(P):
@@ -73,15 +75,15 @@ class HandTrack:
 
 def _kf_predict(x, P, F, q):
     x = F @ x
-    P = _symmetrize(F @ P @ F.T + np.eye(len(x)) * q)
+    P = _symmetrize(F @ P @ F.T + _EYE[len(x)] * q)
     return x, P
 
 
 def _kf_update(x, P, H, z, r):
-    S = H @ P @ H.T + np.eye(len(z)) * r
+    S = H @ P @ H.T + _EYE[len(z)] * r
     K = P @ H.T @ np.linalg.inv(S)
     x = x + K @ (z - H @ x)
-    P = _symmetrize((np.eye(len(x)) - K @ H) @ P)
+    P = _symmetrize((_EYE[len(x)] - K @ H) @ P)
     return x, P
 
 
@@ -90,14 +92,7 @@ def predict(track: HandTrack, process_noise=1e-2) -> HandTrack:
     mx, mP = _kf_predict(track.motion_state, track.motion_cov, _F_MOTION, process_noise)
     bx, bP = _kf_predict(track.box_state, track.box_cov, _F_BOX, process_noise)
     bx[:2] = np.maximum(bx[:2], 1.0)  # box dimensions stay positive
-    return replace(
-        track,
-        motion_state=mx,
-        motion_cov=mP,
-        box_state=bx,
-        box_cov=bP,
-        coast_count=track.coast_count + 1,
-    )
+    return HandTrack(mx, mP, bx, bP, track.coast_count + 1, track.last_depth)
 
 
 def update(track: HandTrack, centroid, box, measurement_noise=4.0, depth=None) -> HandTrack:
@@ -108,22 +103,14 @@ def update(track: HandTrack, centroid, box, measurement_noise=4.0, depth=None) -
     """
     centroid = np.asarray(centroid, dtype=float)
     box = np.asarray(box, dtype=float)
-    if not (np.all(np.isfinite(centroid)) and np.all(np.isfinite(box))):
+    if not (np.isfinite(centroid).all() and np.isfinite(box).all()):
         raise ValueError("non-finite measurement")
     mx, mP = _kf_update(track.motion_state, track.motion_cov, _H_MOTION, centroid,
                         measurement_noise)
     bx, bP = _kf_update(track.box_state, track.box_cov, _H_BOX, box, measurement_noise)
     bx[:2] = np.maximum(bx[:2], 1.0)
     new_depth = track.last_depth if depth is None else float(depth)
-    return replace(
-        track,
-        motion_state=mx,
-        motion_cov=mP,
-        box_state=bx,
-        box_cov=bP,
-        coast_count=0,
-        last_depth=new_depth,
-    )
+    return HandTrack(mx, mP, bx, bP, 0, new_depth)
 
 
 def search_window(track: HandTrack, frame_shape, pad_frac=0.25, pad_min=10.0):

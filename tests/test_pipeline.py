@@ -107,6 +107,18 @@ class TestExtraction:
         assert len(extractions) == len(manifest.entries)
         assert same_features(cached, extract_corpus(path, cfg))
 
+    @pytest.mark.parametrize("bad", ["12.5 200 30\n", "1 2 3 4\n", b"\xff\xfe 1 2\n"])
+    def test_malformed_skin_list_names_its_file(self, tmp_path, bad):
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=12,
+                         width=96, height=72)
+        generate_synthetic_corpus(spec, 8, tmp_path / "corpus")
+        skin = tmp_path / "corpus" / "skin_pixels.txt"
+        skin.write_bytes(skin.read_bytes() + (bad if isinstance(bad, bytes) else bad.encode()))
+        with pytest.raises(LoadError, match="skin_pixels.txt"):
+            extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config())
+        with pytest.raises(LoadError, match="skin_pixels.txt"):
+            general_skin_model(tmp_path / "corpus", Config())
+
     def test_interrupted_run_leaves_no_stale_entry(self, tiny_corpus, tmp_path, monkeypatch):
         # run A fills the cache; run B dies right after its first write
         root, _ = tiny_corpus

@@ -295,7 +295,9 @@ class TestCleanMask:
         motion[6:16, 6:16] = True
         blobs = clean_mask(skin, motion, min_area=1)
         assert len(blobs) == 1
-        full = blobs[0].full_mask((20, 20))
+        full = np.zeros((20, 20), dtype=bool)
+        x, y, w, h = blobs[0].bbox
+        full[y : y + h, x : x + w] = blobs[0].mask
         assert not full[~(skin & motion)].any()
 
     def test_output_subset_of_dilated_and(self):
@@ -308,7 +310,10 @@ class TestCleanMask:
             blobs = clean_mask(skin, motion, min_area=1)
             allowed = ndimage.binary_dilation(skin & motion, np.ones((3, 3)))
             for blob in blobs:
-                assert not (blob.full_mask((30, 30)) & ~allowed).any()
+                full = np.zeros((30, 30), dtype=bool)
+                x, y, w, h = blob.bbox
+                full[y : y + h, x : x + w] = blob.mask
+                assert not (full & ~allowed).any()
 
 
 def square_blob(cx, cy, side=12):

@@ -4,13 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signrec.dataio import load_sequence, shoulder_distance
+from signrec.dataio import LoadError, load_sequence, shoulder_distance
 from signrec.synth import (
+    SKIN_FILES,
     Scene,
     SynthSpec,
     generate_synthetic_corpus,
     load_ground_truth,
     load_skin_corpus,
+    parse_pixel_list,
 )
 
 SMALL = dict(num_classes=3, num_signers=2, samples=2, frames=18, width=96, height=72)
@@ -117,3 +119,24 @@ class TestContents:
         # depth profiles clearly apart: one flat, one swinging
         assert np.ptp(g0.trajectory[:, 2]) <= 1.0
         assert np.ptp(g1.trajectory[:, 2]) >= 300.0
+
+
+class TestPixelList:
+    def test_rows_parse_to_uint8(self):
+        pixels = parse_pixel_list("0 1 2\n\n255 128 7  \n")
+        assert pixels.dtype == np.uint8
+        assert pixels.tolist() == [[0, 1, 2], [255, 128, 7]]
+        assert parse_pixel_list("").shape == (0, 3)
+
+    @pytest.mark.parametrize("line", ["256 0 0", "-1 2 3", "1.5 2 3", "1 2", "1 2 3 4",
+                                      "a b c", "1e2 3 4"])
+    def test_bad_rows_rejected_with_their_line(self, line):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_pixel_list(f"10 20 30\n{line}\n")
+
+    def test_skin_corpus_bad_file_named(self, tmp_path):
+        generate_synthetic_corpus(SynthSpec(**SMALL), 4, tmp_path)
+        path = tmp_path / SKIN_FILES[1]
+        path.write_text(path.read_text() + "300 1 2\n")
+        with pytest.raises(LoadError, match=SKIN_FILES[1]):
+            load_skin_corpus(tmp_path)
