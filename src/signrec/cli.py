@@ -13,12 +13,11 @@ from pathlib import Path
 
 from .config import Config
 from .dataio import load_sequence, mirror_sequence
-from .evaluation import EvalReport, emit_report, prepare_dataset, run_sd_loocv, run_si_loso
+from .evaluation import (EvalReport, emit_report, prepare_dataset, run_sd_loocv,
+                         run_si_loso, train_recognizer)
 from .features import FeatureSetSpec
-from .hmm import train_bank
 from .pipeline import extract_corpus, general_skin_model
 from .segmentation import SequenceSegmenter
-from .signerlda import fit_transform
 from .synth import SynthSpec, generate_synthetic_corpus
 
 
@@ -90,28 +89,9 @@ def _cmd_train(args):
         by_class.setdefault(s.label, []).append(s.frames)
         posxy.setdefault(s.label, []).append(s.posxy)
     out = Path(args.out)
-    if args.lda_dims > 0:
-        transform = fit_transform(
-            by_class, posxy,
-            out_dim=args.lda_dims,
-            keep_frames=cfg.lda_resample_third,
-            shrinkage=cfg.lda_shrinkage,
-            shrinkage_max=cfg.lda_shrinkage_max,
-            feature_spec=spec.name,
-        )
+    transform, bank = train_recognizer(by_class, posxy, cfg, args.lda_dims, spec.name)
+    if transform is not None:
         transform.save(out / "transform.npz")
-        from .signerlda import project
-
-        by_class = {k: [project(f, transform) for f in v] for k, v in by_class.items()}
-    bank = train_bank(
-        by_class,
-        n_states=cfg.hmm_states,
-        self_prob=cfg.hmm_self_prob,
-        max_iter=cfg.hmm_max_iter,
-        tol=cfg.hmm_tol,
-        var_floor=cfg.variance_floor,
-        feature_spec=spec.name,
-    )
     bank.save(out / "bank")
     print(f"trained {len(bank.vocabulary)} models into {out / 'bank'}")
     return 0

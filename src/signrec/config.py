@@ -58,7 +58,6 @@ class Config(ExtractConfig):
     lda_resample_third: int = 15     # frames kept from the middle third after alignment
     lda_shrinkage: float = 1e-3      # fraction of mean within-scatter diagonal added to it
     lda_shrinkage_max: float = 10.0
-    lda_dims: int = 20
 
     # --- HMM ---
     hmm_states: int = 7

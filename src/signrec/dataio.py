@@ -4,7 +4,8 @@ One directory per recorded sample:
 
     color_000000.ppm ...   binary PPM (P6), 8 bits per channel
     depth_000000.pgm ...   binary PGM (P5), 16-bit big-endian, millimeters, 0 = no reading
-    skeleton.txt           one line per frame: for each joint "name x y z confidence"
+    skeleton.txt           one line per frame: for each joint "name x y z confidence";
+                           the confidence must be numeric but is not read
     meta.txt               key=value lines: signer, label, handedness, fps
 
 A dataset is a tab-separated manifest: path, signer, label, handedness.
@@ -48,10 +49,9 @@ class LoadError(Exception):
 
 @dataclass
 class SkeletonPose:
-    """Upper-body joints in image coordinates (px, px, mm) with confidences."""
+    """Upper-body joints in image coordinates (px, px, mm)."""
 
     joints: dict[str, tuple[float, float, float]]
-    confidence: dict[str, float]
 
     def require(self, name):
         if name not in self.joints:
@@ -211,65 +211,61 @@ def _read_pnm_header(data: bytes, path):
     return magic, width, height, maxval, pos
 
 
-def read_ppm(path):
+# (magic, maxval, dtype as stored, channels) of the three raster formats
+_PPM = ("P6", 255, np.dtype(np.uint8), 3)
+_PGM16 = ("P5", 65535, np.dtype(">u2"), 1)
+_PGM8 = ("P5", 255, np.dtype(np.uint8), 1)
+
+
+def _read_pnm(path, magic, maxval, stored, channels):
     data = Path(path).read_bytes()
-    magic, width, height, maxval, offset = _read_pnm_header(data, path)
-    if magic != "P6" or maxval != 255:
-        raise LoadError(f"{path}: expected binary P6 with maxval 255, got {magic}/{maxval}")
-    expect = width * height * 3
+    got_magic, width, height, got_maxval, offset = _read_pnm_header(data, path)
+    if got_magic != magic or got_maxval != maxval:
+        raise LoadError(f"{path}: expected binary {magic} with maxval {maxval}, "
+                        f"got {got_magic}/{got_maxval}")
+    if width < 0 or height < 0:
+        raise LoadError(f"{path}: negative image size {width}x{height}")
+    expect = width * height * channels * stored.itemsize
     raster = data[offset : offset + expect]
     if len(raster) != expect:
         raise LoadError(f"{path}: raster has {len(raster)} bytes, expected {expect}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    shape = (height, width, channels) if channels > 1 else (height, width)
+    # astype copies out of the read-only bytes, into native byte order
+    return np.frombuffer(raster, dtype=stored).reshape(shape).astype(stored.newbyteorder("="))
+
+
+def _write_pnm(path, image, magic, maxval, stored, channels):
+    image = np.ascontiguousarray(image, dtype=stored)
+    h, w = image.shape[:2]
+    if image.size != h * w * channels:
+        raise ValueError(f"{path}: {image.shape} image for a {channels}-channel {magic}")
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n%d\n" % (magic.encode(), w, h, maxval))
+        fh.write(image.tobytes())
+
+
+def read_ppm(path):
+    return _read_pnm(path, *_PPM)
 
 
 def write_ppm(path, image):
-    image = np.ascontiguousarray(image, dtype=np.uint8)
-    h, w = image.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        fh.write(image.tobytes())
+    _write_pnm(path, image, *_PPM)
 
 
 def read_pgm16(path):
-    data = Path(path).read_bytes()
-    magic, width, height, maxval, offset = _read_pnm_header(data, path)
-    if magic != "P5" or maxval != 65535:
-        raise LoadError(f"{path}: expected binary P5 with maxval 65535, got {magic}/{maxval}")
-    expect = width * height * 2
-    raster = data[offset : offset + expect]
-    if len(raster) != expect:
-        raise LoadError(f"{path}: raster has {len(raster)} bytes, expected {expect}")
-    pixels = np.frombuffer(raster, dtype=">u2").reshape(height, width)
-    return pixels.astype(np.uint16)
+    return _read_pnm(path, *_PGM16)
 
 
 def write_pgm16(path, image):
-    image = np.ascontiguousarray(image, dtype=np.uint16)
-    h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n65535\n" % (w, h))
-        fh.write(image.astype(">u2").tobytes())
+    _write_pnm(path, image, *_PGM16)
 
 
 def read_pgm8(path):
-    data = Path(path).read_bytes()
-    magic, width, height, maxval, offset = _read_pnm_header(data, path)
-    if magic != "P5" or maxval != 255:
-        raise LoadError(f"{path}: expected binary P5 with maxval 255, got {magic}/{maxval}")
-    expect = width * height
-    raster = data[offset : offset + expect]
-    if len(raster) != expect:
-        raise LoadError(f"{path}: raster has {len(raster)} bytes, expected {expect}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    return _read_pnm(path, *_PGM8)
 
 
 def write_pgm8(path, image):
-    image = np.ascontiguousarray(image, dtype=np.uint8)
-    h, w = image.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h))
-        fh.write(image.tobytes())
+    _write_pnm(path, image, *_PGM8)
 
 
 # --- skeleton / meta ------------------------------------------------------
@@ -282,8 +278,7 @@ def _format_skeleton(poses):
             if name not in pose.joints:
                 continue
             x, y, z = (float(v) for v in pose.joints[name])
-            conf = float(pose.confidence.get(name, 1.0))
-            parts.append(f"{name} {x!r} {y!r} {z!r} {conf!r}")
+            parts.append(f"{name} {x!r} {y!r} {z!r} 1.0")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -296,16 +291,14 @@ def _parse_skeleton(text, path):
             continue
         if len(fields) % 5 != 0:
             raise LoadError(f"{path}:{lineno}: joint records must have 5 fields each")
-        joints, conf = {}, {}
+        joints = {}
         for k in range(0, len(fields), 5):
-            name = fields[k]
             try:
-                x, y, z, c = (float(v) for v in fields[k + 1 : k + 5])
+                x, y, z, _ = (float(v) for v in fields[k + 1 : k + 5])
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-numeric joint values") from None
-            joints[name] = (x, y, z)
-            conf[name] = c
-        poses.append(SkeletonPose(joints, conf))
+            joints[fields[k]] = (x, y, z)
+        poses.append(SkeletonPose(joints))
     return poses
 
 
@@ -379,15 +372,13 @@ def load_sequence(path) -> FrameSequence:
 # --- geometric operations -------------------------------------------------
 
 def mirror_pose(pose: SkeletonPose, width: int) -> SkeletonPose:
-    joints, conf = {}, {}
+    joints = {}
     for name, (x, y, z) in pose.joints.items():
-        target = _MIRROR_JOINT.get(name, name)
-        joints[target] = ((width - 1) - x, y, z)
-        conf[target] = pose.confidence.get(name, 1.0)
+        joints[_MIRROR_JOINT.get(name, name)] = ((width - 1) - x, y, z)
     # keep canonical ordering so serialization round-trips deterministically
     ordered = {n: joints[n] for n in JOINT_NAMES if n in joints}
     ordered.update({n: v for n, v in joints.items() if n not in ordered})
-    return SkeletonPose(ordered, {n: conf[n] for n in ordered})
+    return SkeletonPose(ordered)
 
 
 def mirror_sequence(seq: FrameSequence) -> FrameSequence:

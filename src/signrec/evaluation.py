@@ -10,11 +10,12 @@ projected and scored.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +45,8 @@ class EvalReport:
     unscorable: int = 0           # samples no model could score; in no cell
 
     def to_json(self):
-        payload = {
-            "protocol": self.protocol,
-            "feature_spec": self.feature_spec,
-            "lda_dims": self.lda_dims,
-            "vocabulary": self.vocabulary,
-            "per_signer": self.per_signer,
-            "mean_accuracy": self.mean_accuracy,
-            "overall_accuracy": self.overall_accuracy,
-            "confusion": self.confusion.astype(int).tolist(),
-            "runtime_seconds": self.runtime_seconds,
-            "config_snapshot": self.config_snapshot,
-            "unscorable": self.unscorable,
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload["confusion"] = self.confusion.astype(int).tolist()
         return json.dumps(payload, sort_keys=True, indent=1)
 
     @classmethod
@@ -64,21 +54,11 @@ class EvalReport:
         """Parse `to_json` output read from `path` (named in errors)."""
         data = json.loads(text)
         try:
-            return cls(
-                protocol=data["protocol"],
-                feature_spec=data["feature_spec"],
-                lda_dims=data["lda_dims"],
-                vocabulary=data["vocabulary"],
-                per_signer=data["per_signer"],
-                mean_accuracy=data["mean_accuracy"],
-                overall_accuracy=data["overall_accuracy"],
-                confusion=np.array(data["confusion"], dtype=np.int64),
-                runtime_seconds=data["runtime_seconds"],
-                config_snapshot=data["config_snapshot"],
-                unscorable=data["unscorable"],
-            )
+            values = {f.name: data[f.name] for f in dataclasses.fields(cls)}
         except KeyError as exc:
             raise LoadError(f"{path}: missing key {exc.args[0]!r}") from None
+        values["confusion"] = np.array(values["confusion"], dtype=np.int64)
+        return cls(**values)
 
 
 @dataclass
@@ -149,6 +129,27 @@ def _train_kwargs(cfg: Config):
         tol=cfg.hmm_tol,
         var_floor=cfg.variance_floor,
     )
+
+
+def train_recognizer(frames_by_class, posxy_by_class, cfg: Config, lda_dims=0,
+                     feature_spec=""):
+    """Fit the signer-independent transform (None when `lda_dims` is 0) on
+    the given samples, then train the bank on them projected through it.
+    Returns (transform, bank)."""
+    transform = None
+    if lda_dims > 0:
+        transform = fit_transform(
+            frames_by_class, posxy_by_class,
+            out_dim=lda_dims,
+            keep_frames=cfg.lda_resample_third,
+            shrinkage=cfg.lda_shrinkage,
+            shrinkage_max=cfg.lda_shrinkage_max,
+            feature_spec=feature_spec,
+        )
+        frames_by_class = {label: [project(f, transform) for f in frames]
+                           for label, frames in frames_by_class.items()}
+    bank = train_bank(frames_by_class, **_train_kwargs(cfg), feature_spec=feature_spec)
+    return transform, bank
 
 
 def _sd_one_signer(args):
@@ -223,28 +224,15 @@ def _si_one_signer(args):
     if missing:
         return held_out, None
 
-    transform = None
-    if lda_dims > 0:
-        transform = fit_transform(
-            {label: [s.frames for s in grouped[label]] for label in vocabulary},
-            {label: [s.posxy for s in grouped[label]] for label in vocabulary},
-            out_dim=lda_dims,
-            keep_frames=cfg.lda_resample_third,
-            shrinkage=cfg.lda_shrinkage,
-            shrinkage_max=cfg.lda_shrinkage_max,
-            feature_spec=feature_spec_name,
-        )
-
-    def view(frames):
-        return project(frames, transform) if transform is not None else frames
-
-    bank = train_bank(
-        {label: [view(s.frames) for s in grouped[label]] for label in vocabulary},
-        **_train_kwargs(cfg),
+    transform, bank = train_recognizer(
+        {label: [s.frames for s in grouped[label]] for label in vocabulary},
+        {label: [s.posxy for s in grouped[label]] for label in vocabulary},
+        cfg, lda_dims, feature_spec_name,
     )
     tally = _Tally(vocabulary)
     for s in test:
-        tally.add(s.label, bank.classify(view(s.frames))[0])
+        frames = project(s.frames, transform) if transform is not None else s.frames
+        tally.add(s.label, bank.classify(frames)[0])
     return held_out, tally
 
 

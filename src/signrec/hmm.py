@@ -1,13 +1,13 @@
 """Left-to-right HMMs with diagonal-Gaussian emissions, one per sign.
 
 The chain has N emitting states plus non-emitting entry and exit states.
-Only self and next-state transitions are allowed; the entry state feeds
-state 1 and only the last emitting state reaches the exit. Training is
-standard multi-sequence Baum-Welch restricted to that topology; scoring is
-the log-domain forward algorithm (Rabiner 1989). Because the transition
-matrix is banded, every recursion step is an O(N) two-predecessor
-``logaddexp``, and the E-step runs all sequences of a class as one padded
-batch.
+A state can only stay or move to the next one; the entry state feeds state 1
+with probability 1 and only the last emitting state reaches the exit. A
+model stores just that band, so no other transition can be represented.
+Training is standard multi-sequence Baum-Welch restricted to that topology;
+scoring is the log-domain forward algorithm (Rabiner 1989). Every recursion
+step is an O(N) two-predecessor ``logaddexp``, and the E-step runs all
+sequences of a class as one padded batch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import load_record, save_record
+from .dataio import LoadError, load_record, save_record
 
 log = logging.getLogger(__name__)
 
@@ -30,7 +30,8 @@ class HmmModel:
     label: str
     means: np.ndarray         # (N, D)
     variances: np.ndarray     # (N, D), floored
-    transitions: np.ndarray   # (N + 2, N + 2) row-stochastic; 0 entry, N+1 exit
+    stay: np.ndarray          # (N,) self-transition probabilities
+    leave: np.ndarray         # (N,) to the next state; leave[-1] is the exit
 
     @property
     def n_states(self):
@@ -41,16 +42,8 @@ class HmmModel:
         return self.means.shape[1]
 
 
-def _topology(n_states, self_prob):
-    """Row-stochastic (N+2)x(N+2) chain: self + forward only, no skips."""
-    size = n_states + 2
-    trans = np.zeros((size, size))
-    trans[0, 1] = 1.0
-    for i in range(1, n_states + 1):
-        trans[i, i] = self_prob
-        trans[i, i + 1] = 1.0 - self_prob
-    trans[-1, -1] = 1.0
-    return trans
+# the arrays of a model, and the members of a bank record (stacked over models)
+_MEMBERS = ("means", "variances", "stay", "leave")
 
 
 def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> HmmModel:
@@ -85,30 +78,19 @@ def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> 
         label=label,
         means=means,
         variances=variances,
-        transitions=_topology(n_states, self_prob),
+        stay=np.full(n_states, self_prob),
+        leave=np.full(n_states, 1.0 - self_prob),
     )
 
 
 def _bands(model: HmmModel):
     """Log transition probabilities of the band: stay (N,), advance (N-1,)
-    to the next state, enter (into state 1) and leave (from state N).
-
-    A loaded model is outside input, so any other non-zero transition (a
-    skip, an early exit, an entry past state 1) raises ValueError.
-    """
-    n = model.n_states
-    trans = model.transitions
-    # every non-zero must be a stay (the diagonal past the entry state) or
-    # a move (the diagonal above it: entry, advances, exit)
-    if trans.shape != (n + 2, n + 2) or np.count_nonzero(trans) != (
-            np.count_nonzero(np.diagonal(trans)[1:]) + np.count_nonzero(np.diagonal(trans, 1))):
-        raise ValueError(
-            f"model {model.label!r}: transitions outside the left-to-right band"
-        )
+    to the next state, enter (into state 1, always 0.0) and exit (from
+    state N)."""
     with np.errstate(divide="ignore"):
-        stay = np.log(np.diagonal(trans)[1:-1])
-        moves = np.log(np.diagonal(trans, 1))   # entry, advances, exit
-    return stay, moves[1:-1], moves[0], moves[-1]
+        stay = np.log(model.stay)
+        leave = np.log(model.leave)
+    return stay, leave[:-1], 0.0, leave[-1]
 
 
 def _emission_logs(model: HmmModel, frames):
@@ -207,7 +189,7 @@ def _pad(samples):
 def _expected_counts(model: HmmModel, padded, lengths, squares):
     """E-step over a padded batch: per-sequence log-likelihoods and the
     summed posterior counts (occupancy, first and second moments, self,
-    advance and exit transitions)."""
+    advance and exit counts)."""
     bands = stay, advance, _, leave = _bands(model)
     emit = _emission_logs(model, padded)
     alpha = _forward(bands, emit)
@@ -233,33 +215,33 @@ def _expected_counts(model: HmmModel, padded, lengths, squares):
 
 
 def _reestimate(model: HmmModel, counts, var_floor):
-    """M-step: a state with (numerically) no occupancy keeps its parameters."""
+    """M-step: a state with (numerically) no occupancy keeps its parameters,
+    and one with no stay or leave counts keeps its stay and leave."""
     occupancy, mean_num, sq_num, stay_num, advance_num, exit_num = counts
-    new_trans = model.transitions.copy()
-    new_means = model.means.copy()
-    new_vars = model.variances.copy()
     leave_num = np.append(advance_num, exit_num)
-    for i in range(model.n_states):
-        denom = occupancy[i]
-        if denom <= 1e-12:
-            continue
-        row_sum = stay_num[i] + leave_num[i]
-        if row_sum > 0:
-            new_trans[i + 1, i + 1] = stay_num[i] / row_sum
-            new_trans[i + 1, i + 2] = leave_num[i] / row_sum
-        new_means[i] = mean_num[i] / denom
-        new_vars[i] = np.maximum(sq_num[i] / denom - new_means[i] ** 2, var_floor)
-    return HmmModel(label=model.label, means=new_means, variances=new_vars,
-                    transitions=new_trans)
+    row_sum = stay_num + leave_num
+    occupied = occupancy > 1e-12
+    moved = occupied & (row_sum > 0)
+    # the rows that np.where discards may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = mean_num / occupancy[:, None]
+        variances = np.maximum(sq_num / occupancy[:, None] - means**2, var_floor)
+        stay = stay_num / row_sum
+        leave = leave_num / row_sum
+    return HmmModel(label=model.label,
+                    means=np.where(occupied[:, None], means, model.means),
+                    variances=np.where(occupied[:, None], variances, model.variances),
+                    stay=np.where(moved, stay, model.stay),
+                    leave=np.where(moved, leave, model.leave))
 
 
 def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
     """Multi-sequence EM within the no-skip topology.
 
-    All sequences share one padded E-step per iteration.  Transitions that
-    start at zero stay zero; variances are floored every iteration; a state
-    with (numerically) no occupancy keeps its previous parameters. Returns
-    (model, per-iteration total log-likelihoods).
+    All sequences share one padded E-step per iteration.  A stay or leave
+    probability that starts at zero stays zero; variances are floored every
+    iteration; a state with (numerically) no occupancy keeps its previous
+    parameters. Returns (model, per-iteration total log-likelihoods).
     """
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
     if not samples:
@@ -299,21 +281,34 @@ class ClassifierBank:
         return self.vocabulary[int(np.argmax(scores))], scores
 
     def save(self, directory):
-        """Write the bank as one record, ``models.npz``, inside `directory`."""
+        """Write the bank as one record, ``models.npz``, inside `directory`:
+        the members of `_MEMBERS`, each stacked over the vocabulary."""
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
         models = [self.models[label] for label in self.vocabulary]
         save_record(out / "models.npz",
                     {"vocabulary": self.vocabulary, "feature_spec": self.feature_spec},
                     **{name: np.stack([getattr(m, name) for m in models])
-                       for name in ("means", "variances", "transitions")})
+                       for name in _MEMBERS})
 
     @classmethod
     def load(cls, directory):
-        meta, arrays = load_record(Path(directory) / "models.npz")
+        """Read a bank written by `save`; a record with other members or
+        shapes raises LoadError naming the file."""
+        path = Path(directory) / "models.npz"
+        meta, arrays = load_record(path)
+        if set(arrays) != set(_MEMBERS):
+            raise LoadError(f"{path}: members {sorted(arrays)}, expected {list(_MEMBERS)}")
+        vocabulary = meta["vocabulary"]
+        shapes = [arrays[name].shape for name in _MEMBERS]
+        full = shapes[0]
+        if len(full) != 3 or full[0] != len(vocabulary) or shapes[1:] != [
+                full, full[:2], full[:2]]:
+            raise LoadError(f"{path}: member shapes {shapes} are not (C, N, D), "
+                            f"(C, N, D), (C, N), (C, N) for C = {len(vocabulary)} models")
         models = {label: HmmModel(label, **{name: a[i] for name, a in arrays.items()})
-                  for i, label in enumerate(meta["vocabulary"])}
-        return cls(models, meta["vocabulary"], meta["feature_spec"])
+                  for i, label in enumerate(vocabulary)}
+        return cls(models, vocabulary, meta["feature_spec"])
 
 
 def train_bank(samples_by_class, n_states=7, self_prob=0.6, max_iter=40,
@@ -341,12 +336,3 @@ def train_bank(samples_by_class, n_states=7, self_prob=0.6, max_iter=40,
     return ClassifierBank(models=models, vocabulary=vocabulary,
                           feature_spec=feature_spec)
 
-
-def save_model(model: HmmModel, path):
-    save_record(path, {"label": model.label}, means=model.means,
-                variances=model.variances, transitions=model.transitions)
-
-
-def load_model(path) -> HmmModel:
-    meta, arrays = load_record(path)
-    return HmmModel(meta["label"], **arrays)

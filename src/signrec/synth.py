@@ -394,7 +394,7 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
             "hand_left": (lx + hand_noise[1, 0], ly + hand_noise[1, 1], lz + hand_znoise[1]),
             "head": (scene.head[0] + joint_noise[4, 0], scene.head[1] + joint_noise[4, 1], FACE_Z),
         }
-        poses.append(SkeletonPose(joints, {name: 1.0 for name in joints}))
+        poses.append(SkeletonPose(joints))
 
         gt.right_masks.append(masks["right"])
         gt.left_masks.append(masks["left"])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signrec.dataio import (
@@ -15,11 +15,17 @@ from signrec.dataio import (
     load_record,
     load_sequence,
     mirror_sequence,
+    read_pgm8,
+    read_pgm16,
+    read_ppm,
     save_sequence,
     shoulder_distance,
+    write_pgm8,
+    write_pgm16,
+    write_ppm,
 )
 from signrec.features import FeatureSample, load_sample, save_sample
-from signrec.hmm import ClassifierBank, HmmModel, load_model, save_model
+from signrec.hmm import ClassifierBank, HmmModel
 from signrec.signerlda import LdaTransform
 
 
@@ -34,7 +40,7 @@ def make_pose(hand_right=(300.0, 250.0, 1500.0), hand_left=(340.0, 250.0, 1500.0
         "hand_right": hand_right,
         "head": (240.0, 120.0, 1950.0),
     }
-    return SkeletonPose(joints, {name: 1.0 for name in joints})
+    return SkeletonPose(joints)
 
 
 def make_sequence(n=3, w=64, h=48, rng=None):
@@ -90,12 +96,69 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match="color_000001"):
             load_sequence(tmp_path / "s")
 
+    def test_skeleton_fifth_field_numeric_but_ignored(self, tmp_path):
+        seq = make_sequence(3)
+        save_sequence(seq, tmp_path / "s")
+        skeleton = tmp_path / "s" / "skeleton.txt"
+        text = skeleton.read_text()
+        assert text.count(" 1.0") == 3 * len(seq.skeleton[0].joints)
+        skeleton.write_text(text.replace(" 1.0", " 0.25"))
+        loaded = load_sequence(tmp_path / "s")
+        assert [p.joints for p in loaded.skeleton] == [p.joints for p in seq.skeleton]
+        skeleton.write_text(text.replace(" 1.0", " high", 1))
+        with pytest.raises(LoadError, match="skeleton.txt:1: non-numeric"):
+            load_sequence(tmp_path / "s")
+
     def test_non_numeric_fps_named(self, tmp_path):
         save_sequence(make_sequence(3), tmp_path / "s")
         meta = tmp_path / "s" / "meta.txt"
         meta.write_text(meta.read_text().replace("fps=30.0", "fps=fast"))
         with pytest.raises(LoadError, match="meta.txt"):
             load_sequence(tmp_path / "s")
+
+
+# reader, writer and a valid image of each raster format
+PNM = {
+    "ppm": (read_ppm, write_ppm, np.arange(18).reshape(2, 3, 3)),
+    "pgm16": (read_pgm16, write_pgm16, np.arange(6).reshape(2, 3) * 9000),
+    "pgm8": (read_pgm8, write_pgm8, np.arange(6).reshape(2, 3)),
+}
+HEADERS = st.builds(
+    lambda magic, w, h, maxval, raster: b"%s\n%d %d\n%d\n" % (magic, w, h, maxval) + raster,
+    st.sampled_from([b"P5", b"P6", b"P3"]), st.integers(-4, 4), st.integers(-4, 4),
+    st.sampled_from([255, 65535, 0]), st.binary(max_size=80))
+
+
+class TestPnm:
+    """Frames are outside input: bad bytes raise LoadError naming the file."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(PNM)), cut=st.integers(0, 10**6))
+    def test_truncated_file_named(self, kind, cut):
+        read, write, image = PNM[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frame_000007.pnm"
+            write(path, image)
+            assert np.array_equal(read(path), image)
+            data = path.read_bytes()
+            path.write_bytes(data[: cut % len(data)])
+            with pytest.raises(LoadError, match="frame_000007"):
+                read(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(sorted(PNM)),
+           data=st.one_of(st.binary(max_size=60), HEADERS))
+    @example(kind="pgm8", data=b"P5\n-2 -3\n255\n" + bytes(6))
+    @example(kind="ppm", data=b"P6\n2 1\n255\n" + bytes(5))
+    def test_garbage_named(self, kind, data):
+        read = PNM[kind][0]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "frame_000007.pnm"
+            path.write_bytes(data)
+            try:
+                read(path)      # the bytes may happen to be a valid file
+            except LoadError as exc:
+                assert "frame_000007" in str(exc)
 
 
 class TestMirror:
@@ -184,9 +247,10 @@ class TestManifest:
             DatasetManifest.load(tmp_path / "m.tsv")
 
 
-# a manifest field: no tab, and nothing str.splitlines breaks a line at
+# a manifest field: text the UTF-8 manifest can hold (no lone surrogate), no
+# tab, and nothing str.splitlines breaks a line at
 BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-FIELDS = st.text(st.characters(exclude_characters=BREAKS), max_size=12)
+FIELDS = st.text(st.characters(codec="utf-8", exclude_characters=BREAKS), max_size=12)
 
 
 class TestRecords:
@@ -207,20 +271,16 @@ class TestRecords:
             assert DatasetManifest.load(tmp / "m.tsv").entries == entries
 
             models = {label: HmmModel(label, rng.normal(size=(3, 2)),
-                                      rng.uniform(0.5, 2.0, size=(3, 2)), np.eye(5))
+                                      rng.uniform(0.5, 2.0, size=(3, 2)),
+                                      np.full(3, 0.6), np.full(3, 0.4))
                       for label in labels}
-            save_model(models[labels[0]], tmp / "m.txt")
-            model = load_model(tmp / "m.txt")
-            assert model.label == labels[0]
-            assert np.array_equal(model.means, models[labels[0]].means)
-
             ClassifierBank(models, labels, feature_spec=spec).save(tmp / "bank")
             bank = ClassifierBank.load(tmp / "bank")
             assert bank.vocabulary == labels
             assert bank.feature_spec == spec
             for label in labels:
                 assert bank.models[label].label == label
-                for name in ("means", "variances", "transitions"):
+                for name in ("means", "variances", "stay", "leave"):
                     assert np.array_equal(getattr(bank.models[label], name),
                                           getattr(models[label], name))
 

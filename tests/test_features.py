@@ -434,7 +434,7 @@ class TestPositional:
             "neck": (neck[0], neck[1], torso_z),
             "torso": (240.0, 300.0, torso_z),
         }
-        return SkeletonPose(joints, {n: 1.0 for n in joints})
+        return SkeletonPose(joints)
 
     def test_hand_at_neck_is_origin(self):
         from signrec.features import positional_features

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from signrec.dataio import LoadError, save_record
 from signrec.hmm import (
     ClassifierBank,
     HmmModel,
@@ -17,18 +18,31 @@ from signrec.hmm import (
     baum_welch,
     forward_loglik,
     init_model,
-    load_model,
-    save_model,
     train_bank,
 )
 
 
 def random_model(rng, n_states, dim, label="m"):
     model = init_model([rng.normal(size=(n_states * 3, dim))], label=label,
-                       n_states=n_states, self_prob=float(rng.uniform(0.3, 0.8)))
+                       n_states=n_states)
+    model.stay = np.full(n_states, rng.uniform(0.3, 0.8))
+    model.leave = 1.0 - model.stay
     model.means = rng.normal(size=(n_states, dim))
     model.variances = rng.uniform(0.3, 2.0, size=(n_states, dim))
     return model
+
+
+def dense(model):
+    """The model's (N+2)x(N+2) transition matrix: entry state 0, emitting
+    states 1..N, exit state N+1."""
+    n = model.n_states
+    trans = np.zeros((n + 2, n + 2))
+    trans[0, 1] = 1.0
+    states = np.arange(1, n + 1)
+    trans[states, states] = model.stay
+    trans[states, states + 1] = model.leave
+    trans[-1, -1] = 1.0
+    return trans
 
 
 def gaussian_logpdf(x, mean, var):
@@ -41,6 +55,7 @@ def enumerate_paths(model, frames):
     """Every admissible state path with its joint log probability."""
     n = model.n_states
     t_len = len(frames)
+    trans = dense(model)
     for path in itertools.product(range(n), repeat=t_len):
         if path[0] != 0:
             continue
@@ -49,14 +64,14 @@ def enumerate_paths(model, frames):
         logp = 0.0
         ok = True
         for a, b in zip(path, path[1:]):
-            p = model.transitions[a + 1, b + 1]
+            p = trans[a + 1, b + 1]
             if p <= 0:
                 ok = False
                 break
             logp += math.log(p)
         if not ok:
             continue
-        exit_p = model.transitions[n, n + 1]
+        exit_p = trans[n, n + 1]
         if exit_p <= 0:
             continue
         logp += math.log(exit_p)
@@ -91,7 +106,7 @@ def enumerate_em_step(model, samples, var_floor):
             for a, b in zip(path, path[1:]):
                 (stays if a == b else leaves)[a] += weight
             leaves[n - 1] += weight          # the exit
-    trans = model.transitions.copy()
+    trans = dense(model)
     for i in range(n):
         trans[i + 1, i + 1] = stays[i] / (stays[i] + leaves[i])
         trans[i + 1, i + 2] = leaves[i] / (stays[i] + leaves[i])
@@ -151,10 +166,8 @@ class TestInitModel:
 
     def test_topology_rows_stochastic(self):
         model = init_model([np.zeros((14, 2))], n_states=7, self_prob=0.6)
-        sums = model.transitions.sum(axis=1)
-        assert np.allclose(sums, 1.0, atol=1e-12)
-        emitting = model.transitions[1:-1, 1:-1]
-        assert np.allclose(emitting, np.triu(np.tril(emitting, 1)))
+        assert np.allclose(model.stay, 0.6)
+        assert np.allclose(model.stay + model.leave, 1.0, atol=1e-12)
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):
@@ -168,18 +181,15 @@ class TestForward:
         x = rng.normal(size=(1, 2))
         expected = (
             gaussian_logpdf(x[0], model.means[0], model.variances[0])
-            + math.log(model.transitions[1, 2])
+            + math.log(model.leave[0])
         )
         assert forward_loglik(model, x) == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_chain_single_path(self):
         rng = np.random.default_rng(1)
         model = random_model(rng, 7, 2)
-        model.transitions = np.zeros((9, 9))
-        model.transitions[0, 1] = 1.0
-        for i in range(1, 8):
-            model.transitions[i, i + 1] = 1.0
-        model.transitions[8, 8] = 1.0
+        model.stay = np.zeros(7)
+        model.leave = np.ones(7)
         x = rng.normal(size=(7, 2))
         expected = sum(
             gaussian_logpdf(x[t], model.means[t], model.variances[t]) for t in range(7)
@@ -210,25 +220,34 @@ class TestForward:
             forward_loglik(model, rng.normal(size=(5, 3)))
 
 
-class TestBand:
-    @pytest.mark.parametrize("cell", [(1, 3), (2, 4), (0, 2)],
-                             ids=["skip", "early_exit", "late_entry"])
-    def test_loaded_model_outside_band_rejected(self, tmp_path, cell):
+class TestBankRecord:
+    """A bank record is outside input: anything but four members of
+    matching shapes fails to load, naming the file."""
+
+    def save_members(self, directory, vocabulary, **members):
+        directory.mkdir()
+        save_record(directory / "models.npz",
+                    {"vocabulary": vocabulary, "feature_spec": ""}, **members)
+
+    def test_dense_transitions_rejected(self, tmp_path):
         rng = np.random.default_rng(15)
-        model = random_model(rng, 3, 2, label="sign 03")
-        model.transitions[cell[0]] *= 0.9
-        model.transitions[cell] += 0.1
-        save_model(model, tmp_path / "m.npz")
-        loaded = load_model(tmp_path / "m.npz")
-        frames = rng.normal(size=(6, 2))
-        with pytest.raises(ValueError, match="'sign 03'.*band"):
-            forward_loglik(loaded, frames)
-        with pytest.raises(ValueError, match="'sign 03'.*band"):
-            baum_welch(loaded, [frames], max_iter=1)
-        ClassifierBank({"sign 03": model}, ["sign 03"]).save(tmp_path / "bank")
-        bank = ClassifierBank.load(tmp_path / "bank")
-        with pytest.raises(ValueError, match="'sign 03'.*band"):
-            bank.classify(frames)
+        model = random_model(rng, 3, 2)
+        self.save_members(tmp_path / "bank", ["a"], means=model.means[None],
+                          variances=model.variances[None],
+                          transitions=dense(model)[None])
+        with pytest.raises(LoadError, match="models.npz.*members"):
+            ClassifierBank.load(tmp_path / "bank")
+
+    @pytest.mark.parametrize("vocabulary, stay_shape", [
+        (["a"], (2, 3)), (["a"], (1, 4)), (["a"], (1, 3, 1)), (["a", "b"], (1, 3))])
+    def test_mismatched_shapes_rejected(self, tmp_path, vocabulary, stay_shape):
+        rng = np.random.default_rng(20)
+        model = random_model(rng, 3, 2)
+        self.save_members(tmp_path / "bank", vocabulary, means=model.means[None],
+                          variances=model.variances[None],
+                          stay=np.full(stay_shape, 0.5), leave=model.leave[None])
+        with pytest.raises(LoadError, match="models.npz.*shapes"):
+            ClassifierBank.load(tmp_path / "bank")
 
 
 class TestRecursions:
@@ -239,7 +258,7 @@ class TestRecursions:
             model = random_model(rng, n, 2)
             if rng.random() < 0.25:       # a state that never advances
                 k = int(rng.integers(1, n + 1))
-                model.transitions[k, k:k + 2] = (1.0, 0.0)
+                model.stay[k - 1], model.leave[k - 1] = 1.0, 0.0
             lengths = rng.integers(1, 12, size=int(rng.integers(1, 6)))
             padded, lengths, _ = _pad([rng.normal(size=(t, 2)) for t in lengths])
             bands = _bands(model)
@@ -263,7 +282,7 @@ class TestBaumWelch:
             np.testing.assert_allclose(trained.means, means, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(trained.variances, variances, rtol=1e-9,
                                        atol=1e-12)
-            np.testing.assert_allclose(trained.transitions, trans, rtol=1e-9,
+            np.testing.assert_allclose(dense(trained), trans, rtol=1e-9,
                                        atol=1e-12)
 
     @pytest.mark.parametrize("n, lengths", [(4, [4, 9, 5, 13]), (1, [1, 3, 1, 6]),
@@ -285,7 +304,7 @@ class TestBaumWelch:
             assert history[step] == pytest.approx(np.sum(batch[0]), rel=1e-12)
             counts = [np.sum(parts, axis=0) for parts in zip(*singles)][1:]
             reference = _reestimate(reference, counts, 1e-4)
-        for name in ("means", "variances", "transitions"):
+        for name in ("means", "variances", "stay", "leave"):
             np.testing.assert_allclose(getattr(trained, name),
                                        getattr(reference, name), rtol=1e-12,
                                        atol=1e-12)
@@ -319,16 +338,17 @@ class TestBaumWelch:
         rng = np.random.default_rng(7)
         samples = [rng.normal(size=(20, 2)) for _ in range(3)]
         model = init_model(samples, n_states=5)
-        zero_mask = model.transitions == 0.0
+        model.stay[2], model.leave[2] = 0.0, 1.0     # state 3 never repeats
         trained, _ = baum_welch(model, samples, max_iter=10, tol=0.0)
-        assert np.all(trained.transitions[zero_mask] == 0.0)
+        assert trained.stay[2] == 0.0 and trained.leave[2] == 1.0
+        assert np.all(trained.stay[[0, 1, 3, 4]] > 0.0)
 
     def test_rows_stay_stochastic(self):
         rng = np.random.default_rng(8)
         samples = [rng.normal(size=(20, 2)) for _ in range(3)]
         trained, _ = baum_welch(init_model(samples, n_states=5), samples,
                                 max_iter=10, tol=0.0)
-        assert np.allclose(trained.transitions.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(trained.stay + trained.leave, 1.0, atol=1e-12)
 
     def test_variance_floor_enforced(self):
         samples = [np.full((20, 2), 3.0)]
@@ -396,12 +416,11 @@ class TestModelIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         model = random_model(rng, 5, 3, label="sign07")
-        save_model(model, tmp_path / "m.txt")
-        loaded = load_model(tmp_path / "m.txt")
+        ClassifierBank({"sign07": model}, ["sign07"]).save(tmp_path / "bank")
+        loaded = ClassifierBank.load(tmp_path / "bank").models["sign07"]
         assert loaded.label == "sign07"
-        assert np.array_equal(loaded.means, model.means)
-        assert np.array_equal(loaded.variances, model.variances)
-        assert np.array_equal(loaded.transitions, model.transitions)
+        for name in ("means", "variances", "stay", "leave"):
+            assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
     def test_bank_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
