@@ -126,16 +126,29 @@ class DatasetManifest:
         return self
 
     def save(self, path):
-        lines = [
-            f"{e.path}\t{e.signer_id}\t{e.sign_label}\t{e.handedness}"
-            for e in self.entries
-        ]
-        Path(path).write_text("\n".join(lines) + "\n")
+        """Write the manifest as UTF-8. A field UTF-8 cannot hold (a lone
+        surrogate) raises ValueError naming it, and nothing is written."""
+        lines = []
+        for e in self.entries:
+            fields = (e.path, e.signer_id, e.sign_label, e.handedness)
+            for value in fields:
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}: manifest field {value!r} of entry "
+                                     f"{e.path!r} is not encodable as UTF-8") from None
+            lines.append("\t".join(fields))
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                            f"{exc.start})") from None
         entries = []
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(text.splitlines(), 1):
             if not raw.strip():
                 continue
             parts = raw.split("\t")

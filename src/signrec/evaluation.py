@@ -131,8 +131,8 @@ def _train_kwargs(cfg: Config):
     )
 
 
-def train_recognizer(frames_by_class, posxy_by_class, cfg: Config, lda_dims=0,
-                     feature_spec=""):
+def train_recognizer(frames_by_class, posxy_by_class, cfg: Config, lda_dims,
+                     feature_spec):
     """Fit the signer-independent transform (None when `lda_dims` is 0) on
     the given samples, then train the bank on them projected through it.
     Returns (transform, bank)."""
