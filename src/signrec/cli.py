@@ -12,12 +12,10 @@ import sys
 from pathlib import Path
 
 from .config import Config
-from .dataio import load_sequence, mirror_sequence
 from .evaluation import (EvalReport, emit_report, prepare_dataset, run_sd_loocv,
                          run_si_loso, train_recognizer)
 from .features import FeatureSetSpec
-from .pipeline import extract_corpus, general_skin_model
-from .segmentation import SequenceSegmenter
+from .pipeline import extract_corpus, extract_sequence, general_skin_model
 from .synth import SynthSpec, generate_synthetic_corpus
 
 
@@ -57,11 +55,8 @@ def _cmd_segment(args):
     cfg = _load_config(args)
     manifest_path = Path(args.data)
     model = general_skin_model(manifest_path.parent, cfg)
-    seq_dir = manifest_path.parent / args.sample
-    seq = load_sequence(seq_dir)
-    if seq.handedness == "left":
-        seq = mirror_sequence(seq)
-    SequenceSegmenter(model, cfg).run(seq, debug_dir=Path(args.out) / args.sample)
+    extract_sequence(manifest_path.parent / args.sample, model, cfg,
+                     debug_dir=Path(args.out) / args.sample)
     print(f"wrote per-frame masks to {Path(args.out) / args.sample}")
     return 0
 

@@ -5,8 +5,11 @@ One directory per recorded sample:
     color_000000.ppm ...   binary PPM (P6), 8 bits per channel
     depth_000000.pgm ...   binary PGM (P5), 16-bit big-endian, millimeters, 0 = no reading
     skeleton.txt           one line per frame: for each joint "name x y z confidence";
-                           the confidence must be numeric but is not read
+                           the confidence must be numeric but is not read; every
+                           frame has the REQUIRED_JOINTS
     meta.txt               key=value lines: signer, label, handedness, fps
+
+skeleton.txt, meta.txt and the manifest are UTF-8 text.
 
 A dataset is a tab-separated manifest: path, signer, label, handedness.
 
@@ -33,7 +36,8 @@ JOINT_NAMES = (
     "hand_right",
     "head",
 )
-REQUIRED_JOINTS = ("neck", "torso", "shoulder_left", "shoulder_right")
+REQUIRED_JOINTS = ("neck", "torso", "shoulder_left", "shoulder_right", "hand_left",
+                   "hand_right")
 
 _MIRROR_JOINT = {
     "shoulder_left": "shoulder_right",
@@ -45,6 +49,15 @@ _MIRROR_JOINT = {
 
 class LoadError(Exception):
     """A file is missing or malformed; the message names the file."""
+
+
+def read_text(path):
+    """The contents of a UTF-8 text file; other bytes raise LoadError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
 
 
 @dataclass
@@ -142,13 +155,8 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path):
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                            f"{exc.start})") from None
         entries = []
-        for lineno, raw in enumerate(text.splitlines(), 1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             if not raw.strip():
                 continue
             parts = raw.split("\t")
@@ -311,6 +319,9 @@ def _parse_skeleton(text, path):
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-numeric joint values") from None
             joints[fields[k]] = (x, y, z)
+        for name in REQUIRED_JOINTS:
+            if name not in joints:
+                raise LoadError(f"{path}:{lineno}: frame {len(poses)} has no joint {name!r}")
         poses.append(SkeletonPose(joints))
     return poses
 
@@ -323,14 +334,14 @@ def save_sequence(seq: FrameSequence, path):
         write_ppm(out / f"color_{i:06d}.ppm", frame)
     for i, frame in enumerate(seq.depth_frames):
         write_pgm16(out / f"depth_{i:06d}.pgm", frame)
-    (out / "skeleton.txt").write_text(_format_skeleton(seq.skeleton))
+    (out / "skeleton.txt").write_text(_format_skeleton(seq.skeleton), encoding="utf-8")
     meta = [
         f"signer={seq.signer_id}",
         f"label={seq.sign_label if seq.sign_label is not None else ''}",
         f"handedness={seq.handedness}",
         f"fps={seq.fps!r}",
     ]
-    (out / "meta.txt").write_text("\n".join(meta) + "\n")
+    (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
 
 
 def load_sequence(path) -> FrameSequence:
@@ -353,7 +364,7 @@ def load_sequence(path) -> FrameSequence:
         raise LoadError(f"{meta_path}: missing")
 
     meta = {}
-    for raw in meta_path.read_text().splitlines():
+    for raw in read_text(meta_path).splitlines():
         if "=" in raw:
             key, value = raw.split("=", 1)
             meta[key.strip()] = value.strip()
@@ -365,7 +376,7 @@ def load_sequence(path) -> FrameSequence:
     seq = FrameSequence(
         color_frames=[read_ppm(p) for p in color_paths],
         depth_frames=[read_pgm16(p) for p in depth_paths],
-        skeleton=_parse_skeleton(skel_path.read_text(), skel_path),
+        skeleton=_parse_skeleton(read_text(skel_path), skel_path),
         fps=fps,
         signer_id=meta.get("signer", ""),
         sign_label=meta.get("label") or None,

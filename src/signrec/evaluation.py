@@ -180,30 +180,26 @@ def _sd_one_signer(args):
     return signer, tally
 
 
-def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> EvalReport:
-    """Per signer: hold out each sample in turn, train on the rest."""
-    start = time.monotonic()
-    vocabulary = sorted({s.label for s in prepared})
-    signers = sorted({s.signer for s in prepared})
-    tasks = [
-        (signer, [s for s in prepared if s.signer == signer], vocabulary, cfg)
-        for signer in signers
-    ]
+def _report(protocol, folds, vocabulary, cfg: Config, lda_dims, feature_spec_name,
+            start) -> EvalReport:
+    """Merge the (signer, tally) results of one protocol's folds into its
+    report. A fold whose tally is None could not be trained and is skipped."""
     total = _Tally(vocabulary)
     per_signer = {}
-    for signer, tally in map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs):
+    for signer, tally in folds:
         if tally is None:
-            log.warning("skipping signer %s: fewer than 2 samples for some class", signer)
+            log.warning("%s: skipping signer %s: too few training samples for some class",
+                        protocol, signer)
             continue
         per_signer[signer] = tally.accuracy()
         total.merge(tally)
 
     if not per_signer:
-        raise ValueError("no signer had enough samples for leave-one-out")
+        raise ValueError(f"{protocol}: no signer could be evaluated")
     return EvalReport(
-        protocol="SD-LOOCV",
+        protocol=protocol,
         feature_spec=feature_spec_name,
-        lda_dims=0,
+        lda_dims=lda_dims,
         vocabulary=vocabulary,
         per_signer=per_signer,
         mean_accuracy=float(np.mean(list(per_signer.values()))),
@@ -213,6 +209,19 @@ def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> Eval
         config_snapshot=cfg.snapshot(),
         unscorable=total.unscorable,
     )
+
+
+def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> EvalReport:
+    """Per signer: hold out each sample in turn, train on the rest."""
+    start = time.monotonic()
+    vocabulary = sorted({s.label for s in prepared})
+    signers = sorted({s.signer for s in prepared})
+    tasks = [
+        (signer, [s for s in prepared if s.signer == signer], vocabulary, cfg)
+        for signer in signers
+    ]
+    return _report("SD-LOOCV", map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs),
+                   vocabulary, cfg, 0, feature_spec_name, start)
 
 
 def _si_one_signer(args):
@@ -257,30 +266,8 @@ def run_si_loso(prepared, cfg: Config, lda_dims=0, feature_spec_name="",
         )
         for held_out in signers
     ]
-    total = _Tally(vocabulary)
-    per_signer = {}
-    for held_out, tally in map_ordered(_si_one_signer, tasks, jobs or cfg.jobs):
-        if tally is None:
-            log.warning("skipping held-out %s: some class has no training data", held_out)
-            continue
-        per_signer[held_out] = tally.accuracy()
-        total.merge(tally)
-
-    if not per_signer:
-        raise ValueError("no held-out signer could be evaluated")
-    return EvalReport(
-        protocol="SI-LOSO",
-        feature_spec=feature_spec_name,
-        lda_dims=lda_dims,
-        vocabulary=vocabulary,
-        per_signer=per_signer,
-        mean_accuracy=float(np.mean(list(per_signer.values()))),
-        overall_accuracy=total.accuracy(),
-        confusion=total.confusion,
-        runtime_seconds=time.monotonic() - start,
-        config_snapshot=cfg.snapshot(),
-        unscorable=total.unscorable,
-    )
+    return _report("SI-LOSO", map_ordered(_si_one_signer, tasks, jobs or cfg.jobs),
+                   vocabulary, cfg, lda_dims, feature_spec_name, start)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -537,7 +537,7 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
             ("left", frame.left, frame.left_track),
         ):
             pos = positional_features(track, pose, span, width, cfg.focal_per_width)
-            jx, jy, _ = pose.joints.get(f"hand_{hand}", (np.nan, np.nan, np.nan))
+            jx, jy, _ = pose.require(f"hand_{hand}")
             nx, ny, _ = pose.require("neck")
             kinect = np.array([(jx - nx) / span, (jy - ny) / span])
             if obs is not None and not obs.shape_frozen:

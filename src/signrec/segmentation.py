@@ -11,6 +11,7 @@ hand-over-hand occlusion.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -203,10 +204,15 @@ def body_region(depth, torso_z, front=1200.0, back=300.0):
 
 @dataclass
 class Blob:
+    """A candidate region and, once assigned, the record of one hand."""
+
     mask: np.ndarray            # cropped boolean patch
     bbox: tuple[int, int, int, int]   # x, y, w, h in full-image coordinates
     area: int
     centroid: tuple[float, float]
+    depth: float = float("nan")       # median depth (mm), set on assignment
+    occlusion: str = "none"           # none | hand_over_hand | hand_over_face
+    shape_frozen: bool = False        # placed from a template: shape not read
 
     def median_depth(self, depth_frame):
         x, y, w, h = self.bbox
@@ -274,32 +280,18 @@ def clean_mask(skin, motion=None, min_area=30):
 
 # --- hand assignment ----------------------------------------------------------
 
-@dataclass
-class HandObservation:
-    mask: np.ndarray
-    bbox: tuple[int, int, int, int]
-    centroid: tuple[float, float]
-    depth: float
-    occlusion: str = "none"      # none | hand_over_hand | hand_over_face
-    shape_frozen: bool = False
-
-
-@dataclass
-class HandPrediction:
-    position: tuple[float, float]
-    box: tuple[float, float]
-    depth: float = float("nan")
-
-
-def _blob_score(blob: Blob, pred: HandPrediction, blob_depth, cfg):
-    if np.isnan(blob_depth) or np.isnan(pred.depth):
+def _blob_score(blob: Blob, pred, blob_depth, cfg):
+    """Score of `blob` for the hand whose predicted `tracking.HandTrack` is
+    `pred`."""
+    if np.isnan(blob_depth) or np.isnan(pred.last_depth):
         depth_score = 0.5
     else:
-        depth_score = max(0.0, 1.0 - abs(blob_depth - pred.depth) / cfg.depth_score_scale)
-    pred_area = max(pred.box[0] * pred.box[1], 1.0)
+        depth_score = max(0.0, 1.0 - abs(blob_depth - pred.last_depth) / cfg.depth_score_scale)
+    bw, bh = pred.box_state[:2]
+    px, py = pred.motion_state[:2]
+    pred_area = max(bw * bh, 1.0)
     size_score = min(blob.area, pred_area) / max(blob.area, pred_area)
-    dist = float(np.hypot(blob.centroid[0] - pred.position[0],
-                          blob.centroid[1] - pred.position[1]))
+    dist = float(np.hypot(blob.centroid[0] - px, blob.centroid[1] - py))
     prox_score = max(0.0, 1.0 - dist / cfg.proximity_scale)
     return (
         cfg.weight_depth * depth_score
@@ -308,24 +300,15 @@ def _blob_score(blob: Blob, pred: HandPrediction, blob_depth, cfg):
     )
 
 
-def _observation_from_blob(blob: Blob, depth, occlusion="none"):
-    return HandObservation(
-        mask=blob.mask.copy(),
-        bbox=blob.bbox,
-        centroid=blob.centroid,
-        depth=depth,
-        occlusion=occlusion,
-    )
-
-
-def rank_and_assign(blobs, pred_left: HandPrediction, pred_right: HandPrediction,
-                    depth_frame, cfg, allow_shared=False):
+def rank_and_assign(blobs, pred_left, pred_right, depth_frame, cfg, allow_shared=False):
     """Assign the best-scoring blob to each hand.
 
+    `pred_left` and `pred_right` are the predicted `tracking.HandTrack`s.
     Scores combine depth agreement, size agreement and proximity to the
     predicted position, each in [0, 1]. Assignment is one-to-one unless
     allow_shared is set (hand-overlap flagged by the tracker). A hand whose
     best score falls below cfg.min_assign_score is reported missing (None).
+    Each hand gets its own copy of its blob, with the blob's median depth.
     """
     if not blobs:
         return None, None
@@ -356,7 +339,7 @@ def rank_and_assign(blobs, pred_left: HandPrediction, pred_right: HandPrediction
         if hand not in assigned:
             return None
         i = assigned[hand]
-        return _observation_from_blob(blobs[i], depths[i])
+        return dataclasses.replace(blobs[i], depth=depths[i])
 
     return build("left"), build("right")
 
@@ -454,8 +437,8 @@ def resolve_hand_over_hand(joint: Blob, template_left, template_right,
 
 @dataclass
 class FrameResult:
-    left: HandObservation | None
-    right: HandObservation | None
+    left: Blob | None
+    right: Blob | None
     left_track: "object"
     right_track: "object"
 
@@ -479,7 +462,8 @@ def _face_box(pose, span, shape):
     return (x0, y0, max(1, x1 - x0), max(1, y1 - y0))
 
 
-def _placed_observation(template, centroid, shape, depth_frame, occlusion):
+def _placed_hand(template, centroid, shape, depth_frame):
+    """A hand placed by template matching inside a hand-over-hand blob."""
     th, tw = template.shape
     h, w = shape
     ys, xs = np.nonzero(template)
@@ -492,10 +476,11 @@ def _placed_observation(template, centroid, shape, depth_frame, occlusion):
         bbox=(x0, y0, tw, th),
         area=int(template.sum()),
         centroid=(float(centroid[0]), float(centroid[1])),
+        occlusion="hand_over_hand",
+        shape_frozen=True,
     )
-    obs = _observation_from_blob(blob, blob.median_depth(depth_frame), occlusion)
-    obs.shape_frozen = occlusion == "hand_over_hand"
-    return obs
+    blob.depth = blob.median_depth(depth_frame)
+    return blob
 
 
 class SequenceSegmenter:
@@ -580,14 +565,6 @@ class SequenceSegmenter:
                 face_model.update(depth, rate=cfg.face_update_rate)
 
             blobs = clean_mask(cand, min_area=cfg.min_blob_area)
-            preds = {
-                h: HandPrediction(
-                    position=tuple(predicted[h].position),
-                    box=tuple(predicted[h].box),
-                    depth=predicted[h].last_depth,
-                )
-                for h in predicted
-            }
 
             overlap = tracking.detect_overlap(
                 windows["left"], windows["right"], blobs, cfg.min_blob_area
@@ -599,18 +576,14 @@ class SequenceSegmenter:
                     joint,
                     templates["left"],
                     templates["right"],
-                    preds["left"].position,
-                    preds["right"].position,
+                    predicted["left"].position,
+                    predicted["right"].position,
                 )
-                obs["left"] = _placed_observation(
-                    templates["left"], lc, shape, depth, "hand_over_hand"
-                )
-                obs["right"] = _placed_observation(
-                    templates["right"], rc, shape, depth, "hand_over_hand"
-                )
+                obs["left"] = _placed_hand(templates["left"], lc, shape, depth)
+                obs["right"] = _placed_hand(templates["right"], rc, shape, depth)
             else:
                 left_obs, right_obs = rank_and_assign(
-                    blobs, preds["left"], preds["right"], depth, cfg,
+                    blobs, predicted["left"], predicted["right"], depth, cfg,
                     allow_shared=overlap,
                 )
                 obs = {"left": left_obs, "right": right_obs}

@@ -22,7 +22,6 @@ import numpy as np
 from .dataio import (
     DatasetManifest,
     FrameSequence,
-    LoadError,
     ManifestEntry,
     SkeletonPose,
     mirror_sequence,
@@ -496,17 +495,6 @@ def parse_pixel_list(text):
                              f"got {line.strip()!r}")
         rows.append(row)
     return np.array(rows, dtype=np.uint8).reshape(-1, 3)
-
-
-def load_skin_corpus(corpus_dir):
-    root = Path(corpus_dir)
-    lists = []
-    for name in SKIN_FILES:
-        try:
-            lists.append(parse_pixel_list((root / name).read_text()))
-        except ValueError as exc:
-            raise LoadError(f"{root / name}: {exc}") from None
-    return tuple(lists)
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest:

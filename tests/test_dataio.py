@@ -109,6 +109,17 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match="skeleton.txt:1: non-numeric"):
             load_sequence(tmp_path / "s")
 
+    def test_pose_without_hand_named(self, tmp_path):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        skeleton = tmp_path / "s" / "skeleton.txt"
+        lines = skeleton.read_text().splitlines()
+        fields = lines[1].split()
+        at = fields.index("hand_left")
+        lines[1] = " ".join(fields[:at] + fields[at + 5 :])
+        skeleton.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError, match=r"s/skeleton.txt:2: frame 1 has no joint 'hand_left'"):
+            load_sequence(tmp_path / "s")
+
     def test_non_numeric_fps_named(self, tmp_path):
         save_sequence(make_sequence(3), tmp_path / "s")
         meta = tmp_path / "s" / "meta.txt"
@@ -159,6 +170,27 @@ class TestPnm:
                 read(path)      # the bytes may happen to be a valid file
             except LoadError as exc:
                 assert "frame_000007" in str(exc)
+
+
+class TestRecordingText:
+    """skeleton.txt and meta.txt are outside input: truncated or garbage bytes
+    raise LoadError naming the file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["skeleton.txt", "meta.txt"]), keep=st.integers(0, 2000),
+           garbage=st.binary(max_size=40))
+    @example(name="skeleton.txt", keep=2000, garbage=b"\xff\xfe")
+    @example(name="meta.txt", keep=2000, garbage=b"\xff\xfe")
+    def test_truncated_or_garbage_named(self, name, keep, garbage):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "s"
+            save_sequence(make_sequence(3, w=8, h=6), root)
+            path = root / name
+            path.write_bytes(path.read_bytes()[:keep] + garbage)
+            try:
+                load_sequence(root)     # the bytes may still be a valid file
+            except LoadError as exc:
+                assert name in str(exc)
 
 
 class TestMirror:

@@ -8,7 +8,6 @@ from signrec.config import Config
 from signrec.segmentation import (
     Blob,
     FaceDepthModel,
-    HandPrediction,
     SequenceSegmenter,
     SkinHistogram,
     _open3,
@@ -23,6 +22,7 @@ from signrec.segmentation import (
     skin_mask,
     update_adaptive_model,
 )
+from signrec.tracking import HandTrack
 
 
 class TestRgNormalize:
@@ -333,15 +333,15 @@ class TestRankAndAssign:
 
     def test_single_blob_goes_to_nearest_prediction(self):
         blob = square_blob(60, 30)
-        pred_r = HandPrediction(position=(60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
-        pred_l = HandPrediction(position=(15.0, 30.0), box=(12.0, 12.0), depth=1500.0)
+        pred_r = HandTrack.seed((60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
+        pred_l = HandTrack.seed((15.0, 30.0), box=(12.0, 12.0), depth=1500.0)
         left, right = rank_and_assign([blob], pred_l, pred_r, flat_depth(1500), self.cfg)
         assert right is not None and left is None
 
     def test_two_identical_blobs_one_to_one(self):
         blobs = [square_blob(20, 30), square_blob(60, 30)]
-        pred_l = HandPrediction(position=(20.0, 30.0), box=(12.0, 12.0), depth=1500.0)
-        pred_r = HandPrediction(position=(60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
+        pred_l = HandTrack.seed((20.0, 30.0), box=(12.0, 12.0), depth=1500.0)
+        pred_r = HandTrack.seed((60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
         left, right = rank_and_assign(blobs, pred_l, pred_r, flat_depth(1500), self.cfg)
         assert left.centroid[0] == pytest.approx(19.5)
         assert right.centroid[0] == pytest.approx(59.5)
@@ -352,22 +352,22 @@ class TestRankAndAssign:
         x, y, w, h = far.bbox
         depth[y : y + h, x : x + w] = 2100.0   # > 500 mm behind the prediction
         near = square_blob(64, 34)
-        pred_r = HandPrediction(position=(60.0, 31.0), box=(12.0, 12.0), depth=1500.0)
-        pred_l = HandPrediction(position=(-50.0, -50.0), box=(12.0, 12.0), depth=1500.0)
+        pred_r = HandTrack.seed((60.0, 31.0), box=(12.0, 12.0), depth=1500.0)
+        pred_l = HandTrack.seed((-50.0, -50.0), box=(12.0, 12.0), depth=1500.0)
         left, right = rank_and_assign([far, near], pred_l, pred_r, depth, self.cfg)
         assert right.centroid == pytest.approx(near.centroid)
 
     def test_no_blob_above_score_marks_missing(self):
         blob = square_blob(70, 50)
-        pred = HandPrediction(position=(-200.0, -200.0), box=(12.0, 12.0), depth=1500.0)
+        pred = HandTrack.seed((-200.0, -200.0), box=(12.0, 12.0), depth=1500.0)
         left, right = rank_and_assign([blob], pred, pred, flat_depth(3000), self.cfg)
         assert left is None and right is None
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(11)
         blobs = [square_blob(20, 20), square_blob(50, 20, side=10), square_blob(35, 45, side=14)]
-        pred_l = HandPrediction(position=(22.0, 21.0), box=(12.0, 12.0), depth=1500.0)
-        pred_r = HandPrediction(position=(48.0, 21.0), box=(10.0, 10.0), depth=1500.0)
+        pred_l = HandTrack.seed((22.0, 21.0), box=(12.0, 12.0), depth=1500.0)
+        pred_r = HandTrack.seed((48.0, 21.0), box=(10.0, 10.0), depth=1500.0)
         depth = flat_depth(1500)
         reference = rank_and_assign(blobs, pred_l, pred_r, depth, self.cfg)
         for perm in itertools.permutations(blobs):
@@ -377,14 +377,27 @@ class TestRankAndAssign:
 
     def test_shared_blob_only_when_flagged(self):
         blob = square_blob(40, 30, side=16)
-        pred_l = HandPrediction(position=(38.0, 30.0), box=(16.0, 16.0), depth=1500.0)
-        pred_r = HandPrediction(position=(42.0, 30.0), box=(16.0, 16.0), depth=1500.0)
+        pred_l = HandTrack.seed((38.0, 30.0), box=(16.0, 16.0), depth=1500.0)
+        pred_r = HandTrack.seed((42.0, 30.0), box=(16.0, 16.0), depth=1500.0)
         depth = flat_depth(1500)
         left, right = rank_and_assign([blob], pred_l, pred_r, depth, self.cfg)
         assert (left is None) != (right is None)
         left, right = rank_and_assign([blob], pred_l, pred_r, depth, self.cfg,
                                       allow_shared=True)
         assert left is not None and right is not None
+
+    def test_shared_blob_gives_each_hand_its_own_record(self):
+        blob = square_blob(40, 30, side=16)
+        pred_l = HandTrack.seed((38.0, 30.0), box=(16.0, 16.0), depth=1500.0)
+        pred_r = HandTrack.seed((42.0, 30.0), box=(16.0, 16.0), depth=1500.0)
+        left, right = rank_and_assign([blob], pred_l, pred_r, flat_depth(1500), self.cfg,
+                                      allow_shared=True)
+        assert left is not right
+        assert np.array_equal(left.mask, right.mask)
+        assert left.centroid == right.centroid == blob.centroid
+        assert left.depth == right.depth == 1500.0
+        left.occlusion = "hand_over_face"
+        assert right.occlusion == "none"
 
 
 class TestFaceOcclusion:

@@ -4,14 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signrec.dataio import LoadError, load_sequence, shoulder_distance
+from signrec.dataio import load_sequence, shoulder_distance
 from signrec.synth import (
     SKIN_FILES,
     Scene,
     SynthSpec,
     generate_synthetic_corpus,
     load_ground_truth,
-    load_skin_corpus,
     parse_pixel_list,
 )
 
@@ -87,7 +86,8 @@ class TestContents:
 
     def test_skin_corpus_emitted_and_separable(self, tmp_path):
         generate_synthetic_corpus(SynthSpec(**SMALL), 4, tmp_path)
-        skin, nonskin = load_skin_corpus(tmp_path)
+        skin, nonskin = (parse_pixel_list((tmp_path / name).read_text())
+                         for name in SKIN_FILES)
         assert len(skin) > 100 and len(nonskin) > 100
         # chromaticity separation: skin is strongly red-dominant
         r_skin = skin[:, 0] / skin.sum(axis=1)
@@ -133,10 +133,3 @@ class TestPixelList:
     def test_bad_rows_rejected_with_their_line(self, line):
         with pytest.raises(ValueError, match="line 2"):
             parse_pixel_list(f"10 20 30\n{line}\n")
-
-    def test_skin_corpus_bad_file_named(self, tmp_path):
-        generate_synthetic_corpus(SynthSpec(**SMALL), 4, tmp_path)
-        path = tmp_path / SKIN_FILES[1]
-        path.write_text(path.read_text() + "300 1 2\n")
-        with pytest.raises(LoadError, match=SKIN_FILES[1]):
-            load_skin_corpus(tmp_path)
