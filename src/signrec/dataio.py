@@ -38,6 +38,7 @@ JOINT_NAMES = (
 )
 REQUIRED_JOINTS = ("neck", "torso", "shoulder_left", "shoulder_right", "hand_left",
                    "hand_right")
+HANDEDNESS = ("left", "right")
 
 _MIRROR_JOINT = {
     "shoulder_left": "shoulder_right",
@@ -136,13 +137,17 @@ class DatasetManifest:
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
             raise ValueError("manifest contains duplicate paths")
+        for e in self.entries:
+            _check_handedness(e.handedness, f"entry {e.path!r}")
         return self
 
     def save(self, path):
         """Write the manifest as UTF-8. A field UTF-8 cannot hold (a lone
-        surrogate) raises ValueError naming it, and nothing is written."""
+        surrogate) or a handedness other than left or right raises
+        ValueError naming it, and nothing is written."""
         lines = []
         for e in self.entries:
+            _check_handedness(e.handedness, f"{path}: entry {e.path!r}")
             fields = (e.path, e.signer_id, e.sign_label, e.handedness)
             for value in fields:
                 try:
@@ -167,6 +172,11 @@ class DatasetManifest:
             return cls(entries).validate()
         except ValueError as exc:
             raise LoadError(f"{path}: {exc}") from None
+
+
+def _check_handedness(value, where):
+    if value not in HANDEDNESS:
+        raise ValueError(f"{where}: handedness {value!r} is not one of {HANDEDNESS}")
 
 
 # --- records -------------------------------------------------------------
@@ -318,6 +328,9 @@ def _parse_skeleton(text, path):
                 x, y, z, _ = (float(v) for v in fields[k + 1 : k + 5])
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-numeric joint values") from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise LoadError(f"{path}:{lineno}: joint {fields[k]!r} has a non-finite "
+                                f"coordinate")
             joints[fields[k]] = (x, y, z)
         for name in REQUIRED_JOINTS:
             if name not in joints:
@@ -373,6 +386,9 @@ def load_sequence(path) -> FrameSequence:
         fps = float(meta.get("fps", 30.0))
     except ValueError:
         raise LoadError(f"{meta_path}: non-numeric fps {meta['fps']!r}") from None
+    handedness = meta.get("handedness", "right")
+    if handedness not in HANDEDNESS:
+        raise LoadError(f"{meta_path}: handedness {handedness!r} is not one of {HANDEDNESS}")
     seq = FrameSequence(
         color_frames=[read_ppm(p) for p in color_paths],
         depth_frames=[read_pgm16(p) for p in depth_paths],
@@ -380,7 +396,7 @@ def load_sequence(path) -> FrameSequence:
         fps=fps,
         signer_id=meta.get("signer", ""),
         sign_label=meta.get("label") or None,
-        handedness=meta.get("handedness", "right"),
+        handedness=handedness,
     )
     if len(seq.skeleton) != len(seq.color_frames):
         raise LoadError(

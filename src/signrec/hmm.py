@@ -5,9 +5,10 @@ A state can only stay or move to the next one; the entry state feeds state 1
 with probability 1 and only the last emitting state reaches the exit. A
 model stores just that band, so no other transition can be represented.
 Training is standard multi-sequence Baum-Welch restricted to that topology;
-scoring is the log-domain forward algorithm (Rabiner 1989). Every recursion
-step is an O(N) two-predecessor ``logaddexp``, and the E-step runs all
-sequences of a class as one padded batch.
+scoring is the log-domain forward algorithm (Rabiner 1989). Forward and
+backward are one recursion whose every step is an O(N) two-predecessor
+``logaddexp``, and the E-step runs all sequences of a class, in both
+directions, as one padded batch.
 """
 
 from __future__ import annotations
@@ -85,77 +86,90 @@ def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> 
 
 def _bands(model: HmmModel):
     """Log transition probabilities of the band: stay (N,), advance (N-1,)
-    to the next state, enter (into state 1, always 0.0) and exit (from
-    state N)."""
+    to the next state and exit (from state N). Entry into state 1 has
+    probability 1, log 0.0."""
     with np.errstate(divide="ignore"):
         stay = np.log(model.stay)
         leave = np.log(model.leave)
-    return stay, leave[:-1], 0.0, leave[-1]
+    return stay, leave[:-1], leave[-1]
 
 
-def _emission_logs(model: HmmModel, frames):
-    """Log densities, shape (..., N) for frames of shape (..., D)."""
-    quad = frames[..., None, :] - model.means   # (..., N, D), reused in place
-    quad *= quad
-    quad /= model.variances
-    norm = np.sum(np.log(2.0 * np.pi * model.variances), axis=1)  # (N,)
-    return -0.5 * (quad.sum(axis=-1) + norm)
+def _emission_logs(model: HmmModel, frames, squares):
+    """Log densities, shape (..., N), of frames (..., D) and their squares.
 
-
-def _forward(bands, emit):
-    """Forward log probabilities alpha (T, B, N) of emissions (T, B, N).
-
-    Each step has two predecessors per state: itself and the state before.
-    The recursion runs state-major, (T, N + 1, B), so that every slice it
-    touches is contiguous, with a -inf sentinel row before state 1: since
-    logaddexp(x, -inf) == x exactly, each step is one logaddexp into the
-    output row plus the emission.
+    The diagonal-Gaussian quadratic is expanded, sum((x - m)**2 / v) =
+    x**2 @ (1/v) - 2 x @ (m/v) + sum(m**2 / v), so the densities of all
+    frames and states are two matrix products plus a per-state constant.
     """
-    stay, advance, enter, _ = bands
-    steps, batch, n = emit.shape
-    emit = np.ascontiguousarray(emit.transpose(0, 2, 1))
-    alpha = np.empty((steps, n + 1, batch))
-    alpha[:, 0] = LOG_ZERO                          # the sentinel row
-    alpha[0, 1:] = LOG_ZERO
-    alpha[0, 1] = enter + emit[0, 0]
-    stay = stay[:, None]
-    into = np.append(0.0, advance)[:, None]         # from the row before
-    for t in range(1, steps):
-        prev = alpha[t - 1]
-        row = alpha[t, 1:]
-        np.logaddexp(prev[1:] + stay, prev[:-1] + into, out=row)
-        row += emit[t]
-    return np.ascontiguousarray(alpha[:, 1:].transpose(0, 2, 1))
+    precision = 1.0 / model.variances
+    norm = -0.5 * np.sum(model.means**2 * precision
+                         + np.log(2.0 * np.pi * model.variances), axis=1)
+    logs = frames.reshape(-1, model.dim) @ (model.means * precision).T
+    logs += squares.reshape(-1, model.dim) @ (-0.5 * precision).T
+    logs += norm
+    return logs.reshape(frames.shape[:-1] + (model.n_states,))
 
 
-def _backward(bands, emit, lengths):
-    """Backward log probabilities beta (T, B, N); sequence b ends at
-    lengths[b] - 1, and beta past that end is left unspecified.
+def _recursion(emit, stay, advance, start):
+    """The band recursion over K independent columns (Rabiner 1989).
 
-    Like `_forward` it runs state-major; ahead[t] = emit[t] + beta[t] has a
-    -inf sentinel row after the last state, which has no successor.
+    emit (T, N, K) are emission logs, state-major so that every slice the
+    loop touches is contiguous; stay (N, K) and advance (N - 1, K) are log
+    transition probabilities and start (K,) is the log probability of state
+    1 at step 0, all broadcastable. Returns `pre` (T, N, K), the logaddexp
+    of the two predecessor paths into each state, and `post` (T, N + 1, K)
+    = pre + emit behind a -inf sentinel row: logaddexp(x, -inf) == x
+    exactly, so state 1 needs no special case. A step is one add for both
+    paths, one logaddexp and one emission add.
     """
-    stay, advance, _, leave = bands
+    steps, n, k = emit.shape
+    weights = np.empty((2, n, k))     # from the state before, and from itself
+    weights[0, 0] = 0.0               # the sentinel's
+    weights[0, 1:] = advance
+    weights[1] = stay
+    pre = np.empty((steps, n, k))
+    post = np.empty((steps, n + 1, k))
+    post[:, 0] = LOG_ZERO
+    pre[0] = LOG_ZERO
+    pre[0, 0] = start
+    np.add(pre[0], emit[0], out=post[0, 1:])
+    # pairs[t] views post[t] twice: rows 0..N-1 (the state before) and
+    # rows 1..N (the state itself)
+    row, state, col = post.strides
+    pairs = np.ndarray((steps, 2, n, k), buffer=post, strides=(row, state, state, col))
+    paths = np.empty((2, n, k))
+    before, own = paths
+    for prev, reach, e, out in zip(pairs[:-1], pre[1:], emit[1:], post[1:, 1:]):
+        np.add(prev, weights, out=paths)
+        np.logaddexp(own, before, out=reach)
+        np.add(reach, e, out=out)
+    return pre, post
+
+
+def _forward_backward(bands, emit, lengths):
+    """Forward and backward log probabilities alpha and beta, C-contiguous
+    (T, B, N), of a padded batch of emissions (T, B, N) with the given
+    sequence lengths; beta is -inf past each end.
+
+    On the band, backward is the forward recursion run over a sequence's
+    emissions reversed in time and in state order, starting from the exit.
+    Each reversed copy is left-aligned, so every sequence of both directions
+    starts at step 0, and one `_recursion` over 2B columns computes both.
+    """
+    stay, advance, leave = bands
     steps, batch, n = emit.shape
-    emit = np.ascontiguousarray(emit.transpose(0, 2, 1))
-    beta = np.empty((steps, n, batch))
-    ahead = np.empty((steps, n + 1, batch))
-    ahead[:, -1] = LOG_ZERO                         # the sentinel row
-    last = np.full((n, 1), LOG_ZERO)
-    last[-1] = leave
-    beta[-1] = last
-    stay = stay[:, None]
-    onto = np.append(advance, 0.0)[:, None]         # to the row after
-    ends = {}
-    for b, length in enumerate(lengths.tolist()):
-        ends.setdefault(length - 1, []).append(b)
-    for t in range(steps - 2, -1, -1):
-        nxt = ahead[t + 1]
-        np.add(emit[t + 1], beta[t + 1], out=nxt[:-1])
-        np.logaddexp(nxt[:-1] + stay, nxt[1:] + onto, out=beta[t])
-        if t in ends:
-            beta[t][:, ends[t]] = last
-    return np.ascontiguousarray(beta.transpose(0, 2, 1))
+    back = lengths - 1 - np.arange(steps)[:, None]   # (T, B); < 0 past the end
+    cols = np.arange(batch)
+    both = np.empty((steps, n, 2 * batch))
+    both[..., :batch] = emit.transpose(0, 2, 1)
+    both[..., batch:] = emit[back, cols, ::-1].transpose(0, 2, 1)
+    forward = np.arange(2 * batch) < batch
+    pre, post = _recursion(both, np.where(forward, stay[:, None], stay[::-1, None]),
+                           np.where(forward, advance[:, None], advance[::-1, None]),
+                           np.where(forward, 0.0, leave))
+    alpha = np.ascontiguousarray(post[:, 1:, :batch].transpose(0, 2, 1))
+    beta = np.where((back >= 0)[..., None], pre[back, ::-1, batch + cols], LOG_ZERO)
+    return alpha, np.ascontiguousarray(beta)
 
 
 def forward_loglik(model: HmmModel, frames) -> float:
@@ -171,9 +185,10 @@ def forward_loglik(model: HmmModel, frames) -> float:
         raise ValueError(
             f"frame dimension {frames.shape[1]} does not match model {model.dim}"
         )
-    bands = _bands(model)
-    alpha = _forward(bands, _emission_logs(model, frames[:, None, :]))
-    return float(alpha[-1, 0, -1] + bands[3])
+    stay, advance, leave = _bands(model)
+    emit = _emission_logs(model, frames, frames * frames)
+    _, post = _recursion(emit[..., None], stay[:, None], advance[:, None], 0.0)
+    return float(post[-1, -1, 0] + leave)
 
 
 def _pad(samples):
@@ -190,23 +205,21 @@ def _expected_counts(model: HmmModel, padded, lengths, squares):
     """E-step over a padded batch: per-sequence log-likelihoods and the
     summed posterior counts (occupancy, first and second moments, self,
     advance and exit counts)."""
-    bands = stay, advance, _, leave = _bands(model)
-    emit = _emission_logs(model, padded)
-    alpha = _forward(bands, emit)
-    beta = _backward(bands, emit, lengths)
+    bands = stay, advance, leave = _bands(model)
+    emit = _emission_logs(model, padded, squares)
+    alpha, beta = _forward_backward(bands, emit, lengths)
     batch = np.arange(len(lengths))
     loglik = alpha[lengths - 1, batch, -1] + leave
     if not np.all(np.isfinite(loglik)):
         raise FloatingPointError(
             f"sequence has zero probability under model {model.label!r}"
         )
-    valid = (np.arange(len(padded))[:, None] < lengths)[..., None]   # (T, B, 1)
-    gamma = np.exp(np.where(valid, alpha + beta - loglik[:, None], LOG_ZERO))
+    # beta is -inf past each end, so every posterior below is 0 there
+    gamma = np.exp(alpha + beta - loglik[:, None])
     # xi over t = 0..T-2 touches only the band: stay in j or advance j -> j+1
     ahead = emit[1:] + beta[1:] - loglik[:, None]
-    stays = np.exp(np.where(valid[1:], alpha[:-1] + stay + ahead, LOG_ZERO))
-    moves = np.exp(np.where(valid[1:], alpha[:-1, :, :-1] + advance + ahead[..., 1:],
-                            LOG_ZERO))
+    stays = np.exp(alpha[:-1] + stay + ahead)
+    moves = np.exp(alpha[:-1, :, :-1] + advance + ahead[..., 1:])
     flat = gamma.reshape(-1, model.n_states).T
     return (loglik, gamma.sum(axis=(0, 1)), flat @ padded.reshape(-1, model.dim),
             flat @ squares.reshape(-1, model.dim),

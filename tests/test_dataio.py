@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -120,6 +121,27 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match=r"s/skeleton.txt:2: frame 1 has no joint 'hand_left'"):
             load_sequence(tmp_path / "s")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_coordinate_named(self, tmp_path, token):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        skeleton = tmp_path / "s" / "skeleton.txt"
+        lines = skeleton.read_text().splitlines()
+        fields = lines[1].split()
+        fields[fields.index("shoulder_left") + 2] = token
+        lines[1] = " ".join(fields)
+        skeleton.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError, match=r"s/skeleton.txt:2: joint 'shoulder_left' has "
+                                            r"a non-finite coordinate"):
+            load_sequence(tmp_path / "s")
+
+    @pytest.mark.parametrize("value", ["Left", "both", ""])
+    def test_other_handedness_named(self, tmp_path, value):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        meta = tmp_path / "s" / "meta.txt"
+        meta.write_text(meta.read_text().replace("handedness=right", f"handedness={value}"))
+        with pytest.raises(LoadError, match=rf"s/meta.txt: handedness '{value}'"):
+            load_sequence(tmp_path / "s")
+
     def test_non_numeric_fps_named(self, tmp_path):
         save_sequence(make_sequence(3), tmp_path / "s")
         meta = tmp_path / "s" / "meta.txt"
@@ -178,19 +200,35 @@ class TestRecordingText:
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(["skeleton.txt", "meta.txt"]), keep=st.integers(0, 2000),
-           garbage=st.binary(max_size=40))
-    @example(name="skeleton.txt", keep=2000, garbage=b"\xff\xfe")
-    @example(name="meta.txt", keep=2000, garbage=b"\xff\xfe")
-    def test_truncated_or_garbage_named(self, name, keep, garbage):
+           garbage=st.binary(max_size=40),
+           token=st.sampled_from([None, "nan", "inf", "-inf", "NaN", "-Infinity", "1e999"]),
+           at=st.integers(0, 10**4))
+    @example(name="skeleton.txt", keep=2000, garbage=b"\xff\xfe", token=None, at=0)
+    @example(name="meta.txt", keep=2000, garbage=b"\xff\xfe", token=None, at=0)
+    @example(name="skeleton.txt", keep=2000, garbage=b"", token="nan", at=0)
+    def test_truncated_or_garbage_named(self, name, keep, garbage, token, at):
+        """`token` replaces one coordinate of skeleton.txt (coordinate `at`,
+        counted over the file) before the cut."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "s"
             save_sequence(make_sequence(3, w=8, h=6), root)
             path = root / name
-            path.write_bytes(path.read_bytes()[:keep] + garbage)
+            data = path.read_bytes()
+            if token is not None and name == "skeleton.txt":
+                lines = [line.split(" ") for line in data.decode().split("\n")]
+                slots = [(row, i) for row, fields in enumerate(lines)
+                         for i in range(len(fields)) if i % 5 in (1, 2, 3)]
+                row, i = slots[at % len(slots)]
+                lines[row][i] = token
+                data = "\n".join(" ".join(fields) for fields in lines).encode()
+            path.write_bytes(data[:keep] + garbage)
             try:
-                load_sequence(root)     # the bytes may still be a valid file
+                seq = load_sequence(root)     # the bytes may still be a valid file
             except LoadError as exc:
                 assert name in str(exc)
+            else:
+                assert all(math.isfinite(v) for pose in seq.skeleton
+                           for joint in pose.joints.values() for v in joint)
 
 
 class TestMirror:
@@ -284,6 +322,18 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"m.tsv.*'sign\\ud800'.*UTF-8"):
             manifest.save(tmp_path / "m.tsv")
         assert not (tmp_path / "m.tsv").exists()
+
+    def test_other_handedness_named_on_save(self, tmp_path):
+        manifest = DatasetManifest([ManifestEntry("a", "signerA", "sign00", "Left")])
+        with pytest.raises(ValueError, match=r"m.tsv: entry 'a': handedness 'Left'"):
+            manifest.save(tmp_path / "m.tsv")
+        assert not (tmp_path / "m.tsv").exists()
+
+    @pytest.mark.parametrize("value", ["Left", "RIGHT", "ambi", ""])
+    def test_other_handedness_named_on_load(self, tmp_path, value):
+        (tmp_path / "m.tsv").write_text(f"a\tsignerA\tsign00\t{value}\n")
+        with pytest.raises(LoadError, match=rf"m.tsv: entry 'a': handedness '{value}'"):
+            DatasetManifest.load(tmp_path / "m.tsv")
 
     def test_undecodable_bytes_named_on_load(self, tmp_path):
         (tmp_path / "m.tsv").write_bytes(b"a\tsignerA\tsign\xff\tright\n")

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from signrec.dataio import LoadError, save_record
+from signrec.evaluation import prepare_dataset
+from signrec.features import FeatureSetSpec
 from signrec.hmm import (
     ClassifierBank,
     HmmModel,
-    _backward,
     _bands,
     _emission_logs,
     _expected_counts,
-    _forward,
+    _forward_backward,
     _pad,
     _reestimate,
     baum_welch,
@@ -115,13 +118,21 @@ def enumerate_em_step(model, samples, var_floor):
     return means, variances, trans
 
 
+def direct_emission_logs(model, frames):
+    """Oracle: diagonal-Gaussian log densities (..., N) in the direct form,
+    sum((x - m)**2 / v), with one (..., N, D) temporary."""
+    quad = (frames[..., None, :] - model.means) ** 2 / model.variances
+    return -0.5 * (quad.sum(axis=-1)
+                   + np.sum(np.log(2.0 * np.pi * model.variances), axis=1))
+
+
 def rowwise_forward(bands, emit):
     """Oracle: alpha (T, B, N) built batch-major, one whole row copy per
     step, with no sentinel."""
-    stay, advance, enter, _ = bands
+    stay, advance, _ = bands
     alpha = np.empty_like(emit)
     alpha[0] = -np.inf
-    alpha[0, :, 0] = enter + emit[0, :, 0]
+    alpha[0, :, 0] = emit[0, :, 0]
     for t in range(1, len(emit)):
         prev = alpha[t - 1]
         alpha[t] = prev + stay
@@ -133,7 +144,7 @@ def rowwise_forward(bands, emit):
 def rowwise_backward(bands, emit, lengths):
     """Oracle: beta (T, B, N) built like `rowwise_forward`, with a fresh end
     mask per step."""
-    stay, advance, _, leave = bands
+    stay, advance, leave = bands
     beta = np.empty_like(emit)
     last = np.full(emit.shape[2], -np.inf)
     last[-1] = leave
@@ -260,12 +271,68 @@ class TestRecursions:
                 k = int(rng.integers(1, n + 1))
                 model.stay[k - 1], model.leave[k - 1] = 1.0, 0.0
             lengths = rng.integers(1, 12, size=int(rng.integers(1, 6)))
-            padded, lengths, _ = _pad([rng.normal(size=(t, 2)) for t in lengths])
+            padded, lengths, squares = _pad([rng.normal(size=(t, 2)) for t in lengths])
             bands = _bands(model)
-            emit = _emission_logs(model, padded)
-            assert np.array_equal(_forward(bands, emit), rowwise_forward(bands, emit))
-            assert np.array_equal(_backward(bands, emit, lengths),
-                                  rowwise_backward(bands, emit, lengths))
+            emit = _emission_logs(model, padded, squares)
+            alpha, beta = _forward_backward(bands, emit, lengths)
+            valid = np.arange(len(padded))[:, None] < lengths
+            assert np.array_equal(alpha, rowwise_forward(bands, emit))
+            assert np.array_equal(beta[valid],
+                                  rowwise_backward(bands, emit, lengths)[valid])
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           lengths=st.lists(st.integers(1, 15), min_size=1, max_size=6),
+           stuck=st.lists(st.integers(0, 6), max_size=3))
+    @example(seed=0, n=5, lengths=[3, 5, 9, 1], stuck=[2])   # T < N, and a stay of 1
+    def test_recursions_property(self, seed, n, lengths, stuck):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, 3)
+        for k in stuck:               # states that never advance
+            if k < n:
+                model.stay[k], model.leave[k] = 1.0, 0.0
+        samples = [rng.normal(size=(t, 3)) for t in lengths]
+        padded, lengths, squares = _pad(samples)
+        bands = _bands(model)
+        emit = _emission_logs(model, padded, squares)
+        alpha, beta = _forward_backward(bands, emit, lengths)
+        valid = np.arange(len(padded))[:, None] < lengths
+        assert alpha.flags.c_contiguous and beta.flags.c_contiguous
+        assert np.array_equal(alpha, rowwise_forward(bands, emit))
+        assert np.array_equal(beta[valid], rowwise_backward(bands, emit, lengths)[valid])
+        assert np.all(beta[~valid] == -np.inf)
+        for frames in samples:
+            single = _emission_logs(model, frames, frames * frames)[:, None]
+            score = forward_loglik(model, frames)
+            assert score == rowwise_forward(bands, single)[-1, 0, -1] + bands[2]
+            if len(frames) < n:
+                assert score == -np.inf
+
+
+class TestEmissions:
+    def test_matrix_products_match_direct_form_on_features(self, tiny_extracted):
+        """The expanded quadratic against (x - m)**2 / v on pos,S,HOG
+        (D = 98), with every variance at the floor, where the expansion's
+        terms are largest. A sum of D rounded terms is within D * eps of the
+        sum of their magnitudes, so that is the bound."""
+        extracted, cfg = tiny_extracted
+        prepared = prepare_dataset(extracted, FeatureSetSpec.parse("pos,S,HOG"), cfg)
+        frames = [p.frames for p in prepared]
+        assert frames[0].shape[1] == 98
+        worst = 0.0
+        for label in sorted({p.label for p in prepared}):
+            model = init_model([p.frames for p in prepared if p.label == label])
+            model.variances[:] = cfg.variance_floor
+            precision = 1.0 / model.variances
+            for x in frames:
+                got = _emission_logs(model, x, x * x)
+                want = direct_emission_logs(model, x)
+                scale = 0.5 * ((x * x) @ precision.T
+                               + np.sum(model.means**2 * precision
+                                        + np.abs(np.log(2 * np.pi * model.variances)),
+                                        axis=1))
+                worst = max(worst, float(np.max(np.abs(got - want) / scale)))
+        assert worst <= 98 * np.finfo(float).eps
 
 
 class TestBaumWelch:
