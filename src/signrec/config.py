@@ -10,6 +10,14 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
+from .dataio import read_text
+
+
+_BOOLS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
+# by annotation, a string under `from __future__ import annotations`; each
+# raises KeyError or ValueError on a value it cannot read
+_PARSERS = {"bool": _BOOLS.__getitem__, "int": int, "float": float}
+
 
 @dataclass
 class ExtractConfig:
@@ -74,9 +82,12 @@ class Config(ExtractConfig):
 
     @classmethod
     def load(cls, path):
+        """Read a key=value file; a line that does not parse raises
+        ValueError naming `path:line`, and bytes that are not UTF-8 raise
+        LoadError naming the file."""
         cfg = cls()
         types = {f.name: f.type for f in dataclasses.fields(cls)}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -86,12 +97,11 @@ class Config(ExtractConfig):
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             kind = types[key]
-            if kind in ("bool", bool):
-                setattr(cfg, key, value in ("True", "true", "1"))
-            elif kind in ("int", int):
-                setattr(cfg, key, int(value))
-            else:
-                setattr(cfg, key, float(value))
+            try:
+                setattr(cfg, key, _PARSERS[kind](value))
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}:{lineno}: {key}={value!r} is not "
+                                 f"a valid {kind}") from None
         return cfg
 
     def snapshot(self) -> str:

@@ -143,13 +143,18 @@ class DatasetManifest:
 
     def save(self, path):
         """Write the manifest as UTF-8. A field UTF-8 cannot hold (a lone
-        surrogate) or a handedness other than left or right raises
-        ValueError naming it, and nothing is written."""
+        surrogate), a field holding a tab or a line break, or a handedness
+        other than left or right raises ValueError naming it, and nothing is
+        written."""
         lines = []
         for e in self.entries:
             _check_handedness(e.handedness, f"{path}: entry {e.path!r}")
             fields = (e.path, e.signer_id, e.sign_label, e.handedness)
             for value in fields:
+                # `load` splits rows at every break str.splitlines knows
+                if "\t" in value or (value + ".").splitlines() != [value + "."]:
+                    raise ValueError(f"{path}: manifest field {value!r} of entry "
+                                     f"{e.path!r} holds a tab or a line break")
                 try:
                     value.encode("utf-8")
                 except UnicodeEncodeError:
@@ -205,7 +210,9 @@ def save_record(path, meta, **arrays):
 def load_record(path):
     """Read a record written by `save_record`; returns (meta, arrays)."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # a handle closed here: np.load leaves a file it opened from a path
+        # open when the zip is truncated
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files}
         meta = json.loads(arrays.pop(_META).item())
     except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:

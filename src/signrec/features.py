@@ -522,9 +522,7 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
     """Per-frame feature matrix for one segmented sequence (full layout,
     right hand first). Shape blocks freeze during hand-over-hand occlusion
     and across missed detections."""
-    from .dataio import shoulder_distance
-
-    span = shoulder_distance(seq)
+    span = seg_result.span
     width = seq.frame_shape[1]
     rows = []
     frozen = {"left": np.zeros(_SHAPE_WIDTH), "right": np.zeros(_SHAPE_WIDTH)}

@@ -15,10 +15,13 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
+
+from . import dataio, tracking
 
 _STRUCT3 = np.ones((3, 3), dtype=bool)
 
@@ -394,8 +397,8 @@ def resolve_face_occlusion(depth_frame, face_model: FaceDepthModel, threshold,
 def match_template(joint_mask, template):
     """Best placement of a template mask inside a joint blob mask.
 
-    Returns (dy, dx): the template origin relative to the joint mask origin
-    that maximizes the overlap (intersection count).
+    Returns (dy, dx), as Python ints: the template origin relative to the
+    joint mask origin that maximizes the overlap (intersection count).
     """
     template = np.asarray(template, dtype=bool)
     joint = np.asarray(joint_mask, dtype=bool)
@@ -406,34 +409,45 @@ def match_template(joint_mask, template):
     windows = sliding_window_view(padded, (th, tw))
     overlap = np.einsum("ijkl,kl->ij", windows, template.astype(np.float64))
     best = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-    return best[0] - (th - 1), best[1] - (tw - 1)
+    return int(best[0]) - (th - 1), int(best[1]) - (tw - 1)
 
 
-def resolve_hand_over_hand(joint: Blob, template_left, template_right,
-                           fallback_left, fallback_right):
-    """Locate both hands inside a merged blob via their pre-occlusion shapes.
+def place_hand(joint: Blob, template, fallback, shape, depth_frame) -> Blob:
+    """A hand placed by its pre-occlusion shape inside a hand-over-hand blob.
 
-    Each stored mask slides over the joint blob; the placement maximizing the
-    overlap wins. A hand whose template no longer fits (joint blob
-    smaller than the template) falls back to its predicted position. Returns
-    the (x, y) centroids of the left and right hands.
-    """
-    jx, jy = joint.bbox[0], joint.bbox[1]
-    results = []
-    for template, fallback in ((template_left, fallback_left),
-                               (template_right, fallback_right)):
-        if template is None or joint.area < int(np.sum(template)):
-            results.append((float(fallback[0]), float(fallback[1])))
-            continue
+    The template slides over the joint blob, and the placement maximizing the
+    overlap wins; the centroid is that placement's origin plus the template's
+    mean pixel. A hand whose template no longer fits (joint blob smaller than
+    the template) is centred on `fallback`, its predicted position. The box is
+    then clamped to the (h, w) frame `shape`."""
+    th, tw = template.shape
+    h, w = shape
+    ys, xs = np.nonzero(template)
+    area = int(xs.size)
+    mean_x, mean_y = float(xs.mean()), float(ys.mean())
+    if joint.area < area:
+        cx, cy = float(fallback[0]), float(fallback[1])
+        x0, y0 = int(round(cx - mean_x)), int(round(cy - mean_y))
+    else:
         dy, dx = match_template(joint.mask, template)
-        ys, xs = np.nonzero(template)
-        cx = jx + dx + float(xs.mean())
-        cy = jy + dy + float(ys.mean())
-        results.append((cx, cy))
-    return results[0], results[1]
+        x0, y0 = joint.bbox[0] + dx, joint.bbox[1] + dy
+        cx, cy = x0 + mean_x, y0 + mean_y
+    blob = Blob(
+        mask=template.copy(),
+        bbox=(min(max(x0, 0), w - tw), min(max(y0, 0), h - th), tw, th),
+        area=area,
+        centroid=(cx, cy),
+        occlusion="hand_over_hand",
+        shape_frozen=True,
+    )
+    blob.depth = blob.median_depth(depth_frame)
+    return blob
 
 
 # --- per-sequence driver --------------------------------------------------------
+
+HANDS = ("left", "right")
+
 
 @dataclass
 class FrameResult:
@@ -445,10 +459,8 @@ class FrameResult:
 
 @dataclass
 class SegmentationResult:
+    span: float                       # shoulder span (px) the frames were read at
     frames: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.frames)
 
 
 def _face_box(pose, span, shape):
@@ -462,31 +474,11 @@ def _face_box(pose, span, shape):
     return (x0, y0, max(1, x1 - x0), max(1, y1 - y0))
 
 
-def _placed_hand(template, centroid, shape, depth_frame):
-    """A hand placed by template matching inside a hand-over-hand blob."""
-    th, tw = template.shape
-    h, w = shape
-    ys, xs = np.nonzero(template)
-    x0 = int(round(centroid[0] - xs.mean()))
-    y0 = int(round(centroid[1] - ys.mean()))
-    x0 = min(max(x0, 0), w - tw)
-    y0 = min(max(y0, 0), h - th)
-    blob = Blob(
-        mask=template.copy(),
-        bbox=(x0, y0, tw, th),
-        area=int(template.sum()),
-        centroid=(float(centroid[0]), float(centroid[1])),
-        occlusion="hand_over_hand",
-        shape_frozen=True,
-    )
-    blob.depth = blob.median_depth(depth_frame)
-    return blob
-
-
 class SequenceSegmenter:
-    """Stateful per-sequence segmentation: adaptive skin model, face depth
-    model, dual Kalman trackers and occlusion bookkeeping, advanced strictly
-    in frame order."""
+    """One sequence's segmentation state, advanced in frame order by `step`:
+    the signer's skin model, the face depth model, one Kalman track per hand
+    and each hand's last unoccluded shape. `reset(span)` starts a sequence of
+    shoulder span `span` px; the next `step` boots the state from its frame."""
 
     def __init__(self, general_model: SkinHistogram, cfg):
         if general_model.bins != cfg.hist_bins:
@@ -495,171 +487,159 @@ class SequenceSegmenter:
         self.general_model = general_model
         self.cfg = cfg
 
+    def reset(self, span):
+        self.span = span
+        self.signer_model = None      # fitted at boot unless no boot pixel is skin
+        self.face_model = None
+        self.tracks = None
+        self.templates = {hand: None for hand in HANDS}
+        self.gray = None              # the last frame, for the motion mask
+        self.candidates = None        # the last frame's candidate mask
+
     def run(self, seq, debug_dir=None) -> SegmentationResult:
-        from . import dataio, tracking
-
-        cfg = self.cfg
-        span = dataio.shoulder_distance(seq)
-        shape = seq.frame_shape
-        signer_model = None
-        face_model = None
-        prev_gray = None
-        templates = {"left": None, "right": None}
-        tracks = {}
-        result = SegmentationResult()
-
+        result = SegmentationResult(span=dataio.shoulder_distance(seq))
+        self.reset(result.span)
         for t in range(len(seq)):
-            rgb = seq.color_frames[t]
-            depth = np.asarray(seq.depth_frames[t], dtype=np.float64)
-            pose = seq.skeleton[t]
-            gray = to_gray(rgb)
-            torso_z = pose.joints["torso"][2]
-            body = body_region(depth, torso_z, cfg.body_depth_front, cfg.body_depth_back)
-
-            # one chromaticity pass per frame: the boot model, the skin
-            # candidates, the hand-over-face skin test and the adaptive
-            # update all read these bins
-            frame_bins = rg_bins(rgb, cfg.hist_bins)
-            if t == 0:
-                boot = self.general_model.lookup(frame_bins, cfg.skin_threshold) & body
-                if boot.any():
-                    signer_model = SkinHistogram.from_bins(
-                        frame_bins[boot], frame_bins[body & ~boot], cfg.hist_bins
-                    )
-                face_model = FaceDepthModel.from_frame(depth, _face_box(pose, span, shape))
-                for hand in ("left", "right"):
-                    jx, jy, jz = pose.joints[f"hand_{hand}"]
-                    tracks[hand] = tracking.HandTrack.seed(
-                        (jx, jy),
-                        box=(0.5 * span, 0.5 * span),
-                        depth=jz,
-                        initial_cov=cfg.initial_covariance,
-                    )
-            model = signer_model if signer_model is not None else self.general_model
-            skin_now = model.lookup(frame_bins, cfg.skin_threshold)
-            if t == 0:
-                cand = boot
-            else:
-                cand = skin_now & body & motion_mask(gray, prev_gray, cfg.motion_threshold)
-
-            predicted = {h: tracking.predict(tracks[h], cfg.process_noise) for h in tracks}
-            windows = {
-                h: tracking.search_window(predicted[h], shape, cfg.window_pad_frac,
-                                          cfg.window_pad_min)
-                for h in predicted
-            }
-
-            # hand-over-face: depth against the face model recovers hand pixels
-            face_rect = (face_model.bbox[0], face_model.bbox[1],
-                         face_model.bbox[0] + face_model.bbox[2],
-                         face_model.bbox[1] + face_model.bbox[3])
-            near_face = [
-                h for h in windows if tracking.windows_intersect(windows[h], face_rect)
-            ]
-            if near_face:
-                fg = resolve_face_occlusion(
-                    depth, face_model, cfg.face_depth_threshold, cfg.face_update_rate
-                )
-                cand = cand | (fg & skin_now)
-            else:
-                face_model.update(depth, rate=cfg.face_update_rate)
-
-            blobs = clean_mask(cand, min_area=cfg.min_blob_area)
-
-            overlap = tracking.detect_overlap(
-                windows["left"], windows["right"], blobs, cfg.min_blob_area
-            )
-            obs = {"left": None, "right": None}
-            if overlap and templates["left"] is not None and templates["right"] is not None:
-                joint = max(blobs, key=lambda b: b.area)
-                lc, rc = resolve_hand_over_hand(
-                    joint,
-                    templates["left"],
-                    templates["right"],
-                    predicted["left"].position,
-                    predicted["right"].position,
-                )
-                obs["left"] = _placed_hand(templates["left"], lc, shape, depth)
-                obs["right"] = _placed_hand(templates["right"], rc, shape, depth)
-            else:
-                left_obs, right_obs = rank_and_assign(
-                    blobs, predicted["left"], predicted["right"], depth, cfg,
-                    allow_shared=overlap,
-                )
-                obs = {"left": left_obs, "right": right_obs}
-                for hand in ("left", "right"):
-                    o = obs[hand]
-                    if o is None:
-                        continue
-                    if near_face and _centroid_in_box(o.centroid, face_model.bbox):
-                        o.occlusion = "hand_over_face"
-                    else:
-                        templates[hand] = o.mask.copy()
-
-            for hand in ("left", "right"):
-                track = predicted[hand]
-                o = obs[hand]
-                if o is not None and all(map(math.isfinite, o.centroid)):
-                    track = tracking.update(
-                        track,
-                        o.centroid,
-                        (o.bbox[2], o.bbox[3]),
-                        cfg.measurement_noise,
-                        depth=o.depth if math.isfinite(o.depth) else None,
-                    )
-                elif track.coast_count > cfg.max_coast:
-                    jx, jy, jz = pose.joints[f"hand_{hand}"]
-                    track = tracking.HandTrack.seed(
-                        (jx, jy),
-                        box=tuple(track.box),
-                        depth=jz,
-                        initial_cov=cfg.initial_covariance,
-                    )
-                tracks[hand] = track
-
-            if signer_model is not None and t >= 1:
-                hands_mask = np.zeros(shape, dtype=bool)
-                for o in obs.values():
-                    if o is not None:
-                        x, y, w, h = o.bbox
-                        hands_mask[y : y + h, x : x + w] |= o.mask
-                if hands_mask.any():
-                    nonskin = body & ~hands_mask & ~cand
-                    signer_model = update_adaptive_model(
-                        signer_model, frame_bins[hands_mask], frame_bins[nonskin],
-                        cfg.skin_alpha
-                    )
-
+            frame = self.step(seq.color_frames[t], seq.depth_frames[t], seq.skeleton[t])
             if debug_dir is not None:
-                _dump_debug(debug_dir, t, gray, cand, obs, shape)
-
-            result.frames.append(
-                FrameResult(
-                    left=obs["left"],
-                    right=obs["right"],
-                    left_track=tracks["left"],
-                    right_track=tracks["right"],
-                )
-            )
-            prev_gray = gray
+                _dump_debug(debug_dir, t, self.gray, self.candidates, frame)
+            result.frames.append(frame)
         return result
 
+    def _seed(self, pose, hand, box):
+        """A track started at the skeleton's hand joint."""
+        jx, jy, jz = pose.joints[f"hand_{hand}"]
+        return tracking.HandTrack.seed(
+            (jx, jy), box=box, depth=jz, initial_cov=self.cfg.initial_covariance
+        )
 
-def _centroid_in_box(centroid, bbox):
-    x, y, w, h = bbox
-    return x <= centroid[0] <= x + w and y <= centroid[1] <= y + h
+    def _boot(self, frame_bins, body, depth, pose):
+        """Fit the signer's skin model, the face depth model and both tracks
+        to the first frame, and return its candidates: the pixels of the body
+        that the general model calls skin."""
+        cfg = self.cfg
+        boot = self.general_model.lookup(frame_bins, cfg.skin_threshold) & body
+        if boot.any():
+            self.signer_model = SkinHistogram.from_bins(
+                frame_bins[boot], frame_bins[body & ~boot], cfg.hist_bins
+            )
+        self.face_model = FaceDepthModel.from_frame(
+            depth, _face_box(pose, self.span, depth.shape)
+        )
+        box = (0.5 * self.span, 0.5 * self.span)
+        self.tracks = {hand: self._seed(pose, hand, box) for hand in HANDS}
+        return boot
+
+    def step(self, rgb, depth, pose) -> FrameResult:
+        """Segment and track both hands in the sequence's next frame."""
+        cfg = self.cfg
+        depth = np.asarray(depth, dtype=np.float64)
+        shape = depth.shape
+        gray = to_gray(rgb)
+        body = body_region(depth, pose.joints["torso"][2], cfg.body_depth_front,
+                           cfg.body_depth_back)
+
+        # one chromaticity pass per frame: the boot model, the skin
+        # candidates, the hand-over-face skin test and the adaptive
+        # update all read these bins
+        frame_bins = rg_bins(rgb, cfg.hist_bins)
+        booting = self.tracks is None
+        if booting:
+            cand = self._boot(frame_bins, body, depth, pose)
+        model = self.general_model if self.signer_model is None else self.signer_model
+        skin_now = model.lookup(frame_bins, cfg.skin_threshold)
+        if not booting:
+            cand = skin_now & body & motion_mask(gray, self.gray, cfg.motion_threshold)
+
+        predicted = {h: tracking.predict(self.tracks[h], cfg.process_noise) for h in HANDS}
+        windows = {
+            h: tracking.search_window(predicted[h], shape, cfg.window_pad_frac,
+                                      cfg.window_pad_min)
+            for h in HANDS
+        }
+
+        # hand-over-face: depth against the face model recovers hand pixels
+        fx, fy, fw, fh = self.face_model.bbox
+        face_rect = (fx, fy, fx + fw, fy + fh)
+        near_face = any(tracking.windows_intersect(windows[h], face_rect) for h in HANDS)
+        if near_face:
+            fg = resolve_face_occlusion(
+                depth, self.face_model, cfg.face_depth_threshold, cfg.face_update_rate
+            )
+            cand = cand | (fg & skin_now)
+        else:
+            self.face_model.update(depth, rate=cfg.face_update_rate)
+
+        blobs = clean_mask(cand, min_area=cfg.min_blob_area)
+
+        overlap = tracking.detect_overlap(
+            windows["left"], windows["right"], blobs, cfg.min_blob_area
+        )
+        if overlap and all(self.templates[h] is not None for h in HANDS):
+            joint = max(blobs, key=lambda b: b.area)
+            obs = {
+                h: place_hand(joint, self.templates[h], predicted[h].position, shape, depth)
+                for h in HANDS
+            }
+        else:
+            obs = dict(zip(HANDS, rank_and_assign(
+                blobs, predicted["left"], predicted["right"], depth, cfg,
+                allow_shared=overlap,
+            )))
+            for hand, o in obs.items():
+                if o is None:
+                    continue
+                if near_face and _inside(o.centroid, face_rect):
+                    o.occlusion = "hand_over_face"
+                else:
+                    self.templates[hand] = o.mask.copy()
+
+        for hand in HANDS:
+            track = predicted[hand]
+            o = obs[hand]
+            if o is not None and all(map(math.isfinite, o.centroid)):
+                track = tracking.update(
+                    track,
+                    o.centroid,
+                    (o.bbox[2], o.bbox[3]),
+                    cfg.measurement_noise,
+                    depth=o.depth if math.isfinite(o.depth) else None,
+                )
+            elif track.coast_count > cfg.max_coast:
+                track = self._seed(pose, hand, track.box)
+            self.tracks[hand] = track
+
+        # the boot frame's pixels already made the signer model
+        if self.signer_model is not None and not booting:
+            hands_mask = np.zeros(shape, dtype=bool)
+            for o in obs.values():
+                if o is not None:
+                    x, y, w, h = o.bbox
+                    hands_mask[y : y + h, x : x + w] |= o.mask
+            if hands_mask.any():
+                nonskin = body & ~hands_mask & ~cand
+                self.signer_model = update_adaptive_model(
+                    self.signer_model, frame_bins[hands_mask], frame_bins[nonskin],
+                    cfg.skin_alpha
+                )
+
+        self.gray, self.candidates = gray, cand
+        return FrameResult(obs["left"], obs["right"], self.tracks["left"],
+                           self.tracks["right"])
 
 
-def _dump_debug(debug_dir, t, gray, cand, obs, shape):
-    from . import dataio
-    from pathlib import Path
+def _inside(point, rect):
+    x0, y0, x1, y1 = rect
+    return x0 <= point[0] <= x1 and y0 <= point[1] <= y1
 
+
+def _dump_debug(debug_dir, t, gray, cand, frame: FrameResult):
     out = Path(debug_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_pgm8(out / f"frame_{t:06d}.pgm", np.clip(gray, 0, 255).astype(np.uint8))
     dataio.write_pgm8(out / f"candidates_{t:06d}.pgm", cand.astype(np.uint8) * 255)
-    hands = np.zeros(shape, dtype=np.uint8)
-    for value, o in ((128, obs.get("left")), (255, obs.get("right"))):
+    hands = np.zeros(gray.shape, dtype=np.uint8)
+    for value, o in ((128, frame.left), (255, frame.right)):
         if o is None:
             continue
         x, y, w, h = o.bbox

@@ -4,8 +4,9 @@ Each function here computes what a shipped kernel computes, the way it was
 written before that kernel was rewritten for speed: whole-frame float
 chromaticity, whole-frame labelling, `np.ix_` resizing, a boolean-masked
 pair matrix, `np.gradient`/`np.median`/`np.linalg.norm`, a full-frame
-ellipse grid and a `pathlib` cache key. The shipped kernels must give
-bit-identical results.
+ellipse grid and a `pathlib` cache key. `reference_segment` is the
+per-sequence segmentation loop as one function, before it became
+`SequenceSegmenter.step`. The shipped code must give bit-identical results.
 """
 
 import math
@@ -25,7 +26,23 @@ from signrec.features import (
     _hog_cell_offset,
     trace_boundary,
 )
-from signrec.segmentation import Blob, _open3, rg_normalize
+from signrec import dataio, tracking
+from signrec.segmentation import (
+    Blob,
+    FaceDepthModel,
+    FrameResult,
+    SkinHistogram,
+    _face_box,
+    _open3,
+    body_region,
+    match_template,
+    motion_mask,
+    rank_and_assign,
+    resolve_face_occlusion,
+    rg_normalize,
+    to_gray,
+    update_adaptive_model,
+)
 
 
 def rg_bins(rgb, bins):
@@ -256,3 +273,153 @@ def sequence_key(seq_dir, corpus_digest):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def resolve_hand_over_hand(joint, template_left, template_right,
+                           fallback_left, fallback_right):
+    """The (x, y) centroids of both hands inside a merged blob, placed by
+    their pre-occlusion shapes; an undersized joint gives the fallbacks."""
+    jx, jy = joint.bbox[0], joint.bbox[1]
+    results = []
+    for template, fallback in ((template_left, fallback_left),
+                               (template_right, fallback_right)):
+        if template is None or joint.area < int(np.sum(template)):
+            results.append((float(fallback[0]), float(fallback[1])))
+            continue
+        dy, dx = match_template(joint.mask, template)
+        ys, xs = np.nonzero(template)
+        cx = jx + dx + float(xs.mean())
+        cy = jy + dy + float(ys.mean())
+        results.append((cx, cy))
+    return results[0], results[1]
+
+
+def _placed_hand(template, centroid, shape, depth_frame):
+    th, tw = template.shape
+    h, w = shape
+    ys, xs = np.nonzero(template)
+    x0 = int(round(centroid[0] - xs.mean()))
+    y0 = int(round(centroid[1] - ys.mean()))
+    x0 = min(max(x0, 0), w - tw)
+    y0 = min(max(y0, 0), h - th)
+    blob = Blob(mask=template.copy(), bbox=(x0, y0, tw, th), area=int(template.sum()),
+                centroid=(float(centroid[0]), float(centroid[1])),
+                occlusion="hand_over_hand", shape_frozen=True)
+    blob.depth = blob.median_depth(depth_frame)
+    return blob
+
+
+def _centroid_in_box(centroid, bbox):
+    x, y, w, h = bbox
+    return x <= centroid[0] <= x + w and y <= centroid[1] <= y + h
+
+
+def reference_segment(general_model, cfg, seq):
+    """The `FrameResult` of every frame of `seq`, from one loop, and the
+    signer's skin model after the last frame."""
+    span = dataio.shoulder_distance(seq)
+    shape = seq.frame_shape
+    signer_model = None
+    face_model = None
+    prev_gray = None
+    templates = {"left": None, "right": None}
+    tracks = {}
+    frames = []
+
+    for t in range(len(seq)):
+        rgb = seq.color_frames[t]
+        depth = np.asarray(seq.depth_frames[t], dtype=np.float64)
+        pose = seq.skeleton[t]
+        gray = to_gray(rgb)
+        torso_z = pose.joints["torso"][2]
+        body = body_region(depth, torso_z, cfg.body_depth_front, cfg.body_depth_back)
+        frame_bins = rg_bins(rgb, cfg.hist_bins)
+        if t == 0:
+            boot = general_model.lookup(frame_bins, cfg.skin_threshold) & body
+            if boot.any():
+                signer_model = SkinHistogram.from_bins(
+                    frame_bins[boot], frame_bins[body & ~boot], cfg.hist_bins)
+            face_model = FaceDepthModel.from_frame(depth, _face_box(pose, span, shape))
+            for hand in ("left", "right"):
+                jx, jy, jz = pose.joints[f"hand_{hand}"]
+                tracks[hand] = tracking.HandTrack.seed(
+                    (jx, jy), box=(0.5 * span, 0.5 * span), depth=jz,
+                    initial_cov=cfg.initial_covariance)
+        model = signer_model if signer_model is not None else general_model
+        skin_now = model.lookup(frame_bins, cfg.skin_threshold)
+        if t == 0:
+            cand = boot
+        else:
+            cand = skin_now & body & motion_mask(gray, prev_gray, cfg.motion_threshold)
+
+        predicted = {h: tracking.predict(tracks[h], cfg.process_noise) for h in tracks}
+        windows = {h: tracking.search_window(predicted[h], shape, cfg.window_pad_frac,
+                                             cfg.window_pad_min)
+                   for h in predicted}
+
+        face_rect = (face_model.bbox[0], face_model.bbox[1],
+                     face_model.bbox[0] + face_model.bbox[2],
+                     face_model.bbox[1] + face_model.bbox[3])
+        near_face = [h for h in windows if tracking.windows_intersect(windows[h], face_rect)]
+        if near_face:
+            fg = resolve_face_occlusion(depth, face_model, cfg.face_depth_threshold,
+                                        cfg.face_update_rate)
+            cand = cand | (fg & skin_now)
+        else:
+            face_model.update(depth, rate=cfg.face_update_rate)
+
+        blobs = clean_mask(cand, min_area=cfg.min_blob_area)
+
+        overlap = tracking.detect_overlap(windows["left"], windows["right"], blobs,
+                                          cfg.min_blob_area)
+        obs = {"left": None, "right": None}
+        if overlap and templates["left"] is not None and templates["right"] is not None:
+            joint = max(blobs, key=lambda b: b.area)
+            lc, rc = resolve_hand_over_hand(joint, templates["left"], templates["right"],
+                                            predicted["left"].position,
+                                            predicted["right"].position)
+            obs["left"] = _placed_hand(templates["left"], lc, shape, depth)
+            obs["right"] = _placed_hand(templates["right"], rc, shape, depth)
+        else:
+            left_obs, right_obs = rank_and_assign(blobs, predicted["left"],
+                                                  predicted["right"], depth, cfg,
+                                                  allow_shared=overlap)
+            obs = {"left": left_obs, "right": right_obs}
+            for hand in ("left", "right"):
+                o = obs[hand]
+                if o is None:
+                    continue
+                if near_face and _centroid_in_box(o.centroid, face_model.bbox):
+                    o.occlusion = "hand_over_face"
+                else:
+                    templates[hand] = o.mask.copy()
+
+        for hand in ("left", "right"):
+            track = predicted[hand]
+            o = obs[hand]
+            if o is not None and all(map(math.isfinite, o.centroid)):
+                track = tracking.update(track, o.centroid, (o.bbox[2], o.bbox[3]),
+                                        cfg.measurement_noise,
+                                        depth=o.depth if math.isfinite(o.depth) else None)
+            elif track.coast_count > cfg.max_coast:
+                jx, jy, jz = pose.joints[f"hand_{hand}"]
+                track = tracking.HandTrack.seed((jx, jy), box=tuple(track.box), depth=jz,
+                                                initial_cov=cfg.initial_covariance)
+            tracks[hand] = track
+
+        if signer_model is not None and t >= 1:
+            hands_mask = np.zeros(shape, dtype=bool)
+            for o in obs.values():
+                if o is not None:
+                    x, y, w, h = o.bbox
+                    hands_mask[y : y + h, x : x + w] |= o.mask
+            if hands_mask.any():
+                nonskin = body & ~hands_mask & ~cand
+                signer_model = update_adaptive_model(
+                    signer_model, frame_bins[hands_mask], frame_bins[nonskin],
+                    cfg.skin_alpha)
+
+        frames.append(FrameResult(left=obs["left"], right=obs["right"],
+                                  left_track=tracks["left"], right_track=tracks["right"]))
+        prev_gray = gray
+    return frames, signer_model

@@ -1,6 +1,7 @@
 import pytest
 
 from signrec.config import Config
+from signrec.dataio import LoadError
 
 
 class TestConfig:
@@ -19,6 +20,25 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         (tmp_path / "c.txt").write_text("nope=1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            Config.load(tmp_path / "c.txt")
+
+    @pytest.mark.parametrize("line", ["zero_idle=flase", "zero_idle=yes", "hmm_states=seven",
+                                      "hmm_states=7.0", "motion_threshold=twelve"])
+    def test_unparsable_value_named(self, tmp_path, line):
+        (tmp_path / "c.txt").write_text(f"# tuning\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ValueError, match=rf"c.txt:2: {key}="):
+            Config.load(tmp_path / "c.txt")
+
+    @pytest.mark.parametrize("value, expected", [("true", True), ("1", True),
+                                                 ("False", False), ("0", False)])
+    def test_boolean_spellings(self, tmp_path, value, expected):
+        (tmp_path / "c.txt").write_text(f"zero_idle={value}\n")
+        assert Config.load(tmp_path / "c.txt").zero_idle is expected
+
+    def test_undecodable_bytes_named(self, tmp_path):
+        (tmp_path / "c.txt").write_bytes(b"hmm_states=7 # \xff\n")
+        with pytest.raises(LoadError, match="c.txt.*UTF-8"):
             Config.load(tmp_path / "c.txt")
 
     def test_snapshot_contains_every_field(self):

@@ -323,6 +323,34 @@ class TestManifest:
             manifest.save(tmp_path / "m.tsv")
         assert not (tmp_path / "m.tsv").exists()
 
+    @pytest.mark.parametrize("entry", [
+        # one field spelling a second row: it would load back as two entries
+        ManifestEntry("p1\ts1\tl1\tright\np2", "s2", "l2", "right"),
+        *(ManifestEntry("a", "signerA", f"sign{c}00") for c in "\r\x0b\x1c\x85\u2028"),
+    ])
+    def test_tab_or_line_break_named_on_save(self, tmp_path, entry):
+        with pytest.raises(ValueError, match=r"m.tsv: manifest field .* of entry "
+                                             r".* holds a tab or a line break"):
+            DatasetManifest([entry]).save(tmp_path / "m.tsv")
+        assert not (tmp_path / "m.tsv").exists()
+
+    @settings(max_examples=200)
+    @given(garbage=st.booleans(), cut=st.integers(0, 10**4), pad=st.binary(max_size=40))
+    @example(garbage=False, cut=10**4, pad=b"\n\xff")
+    @example(garbage=False, cut=10**4, pad=b"x\ty\n")
+    def test_garbage_truncated_or_padded_named_on_load(self, garbage, cut, pad):
+        """Outside bytes either load or raise LoadError naming the file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.tsv"
+            DatasetManifest([ManifestEntry("a", "signerA", "sign00", "left"),
+                             ManifestEntry("b", "signé", "sign01", "right")]).save(path)
+            data = path.read_bytes()
+            path.write_bytes(pad if garbage else data[: cut % (len(data) + 1)] + pad)
+            try:
+                DatasetManifest.load(path)
+            except LoadError as exc:
+                assert "corpus.tsv" in str(exc)
+
     def test_other_handedness_named_on_save(self, tmp_path):
         manifest = DatasetManifest([ManifestEntry("a", "signerA", "sign00", "Left")])
         with pytest.raises(ValueError, match=r"m.tsv: entry 'a': handedness 'Left'"):
@@ -349,9 +377,13 @@ def utf8(text):
     return True
 
 
-# a manifest field: no tab, and nothing str.splitlines breaks a line at
+# what a manifest field may not hold: a tab, or a break str.splitlines knows
 BREAKS = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-FIELDS = st.text(st.characters(exclude_characters=BREAKS), max_size=12)
+FIELDS = st.text(st.one_of(st.characters(), st.sampled_from(BREAKS)), max_size=12)
+
+
+def breaks_row(text):
+    return any(c in BREAKS for c in text)
 
 
 class TestRecords:
@@ -364,17 +396,21 @@ class TestRecords:
     @settings(max_examples=40, deadline=None)
     @given(labels=st.lists(FIELDS, min_size=1, max_size=3, unique=True), spec=FIELDS)
     @example(labels=["sign\ud800", "é"], spec="pos\udfff")   # records escape surrogates
+    @example(labels=["l1\tright\np1", "sign\u2028"], spec="pos\n")
     def test_artefacts_round_trip_any_manifest_label(self, labels, spec):
         rng = np.random.default_rng(0)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             entries = [ManifestEntry(f"p{i}", label, label) for i, label in enumerate(labels)]
-            if all(map(utf8, labels)):
+            bad = [label for label in labels if breaks_row(label) or not utf8(label)]
+            if not bad:
                 DatasetManifest(entries).save(tmp / "m.tsv")
                 assert DatasetManifest.load(tmp / "m.tsv").entries == entries
-            else:   # a lone surrogate: the UTF-8 manifest refuses it by name
-                with pytest.raises(ValueError, match="not encodable as UTF-8"):
+            else:   # the manifest refuses the first such label by name
+                reason = "tab or a line break" if breaks_row(bad[0]) else "not encodable"
+                with pytest.raises(ValueError, match=reason):
                     DatasetManifest(entries).save(tmp / "m.tsv")
+                assert not (tmp / "m.tsv").exists()
 
             models = {label: HmmModel(label, rng.normal(size=(3, 2)),
                                       rng.uniform(0.5, 2.0, size=(3, 2)),

@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from reference_kernels import reference_segment
 from signrec.config import Config
+from signrec.dataio import load_sequence, mirror_sequence, shoulder_distance
+from signrec.pipeline import general_skin_model
 from signrec.segmentation import (
     Blob,
     FaceDepthModel,
@@ -14,14 +19,15 @@ from signrec.segmentation import (
     clean_mask,
     match_template,
     motion_mask,
+    place_hand,
     rank_and_assign,
     resolve_face_occlusion,
-    resolve_hand_over_hand,
     rg_bins,
     rg_normalize,
     skin_mask,
     update_adaptive_model,
 )
+from signrec.synth import SynthSpec, generate_synthetic_corpus
 from signrec.tracking import HandTrack
 
 
@@ -450,6 +456,14 @@ def blob_from_mask(mask, x0=0, y0=0):
     )
 
 
+def placed(joint, template, fallback):
+    hand = place_hand(joint, template, fallback, (60, 80), np.zeros((60, 80)))
+    assert all(type(v) is int for v in hand.bbox)
+    assert (hand.occlusion, hand.shape_frozen, hand.area) == (
+        "hand_over_hand", True, int(template.sum()))
+    return hand
+
+
 class TestHandOverHand:
     def test_disjoint_union_recovers_placements(self):
         tmpl_l = np.zeros((8, 8), dtype=bool)
@@ -460,30 +474,37 @@ class TestHandOverHand:
         joint[2 : 2 + 8, 1 : 1 + 8] = tmpl_l
         joint[3 : 3 + 7, 14 : 14 + 9] = tmpl_r
         jb = blob_from_mask(joint, x0=30, y0=20)
-        left, right = resolve_hand_over_hand(
-            jb, tmpl_l, tmpl_r, (0.0, 0.0), (0.0, 0.0)
-        )
+        left = placed(jb, tmpl_l, (0.0, 0.0))
+        right = placed(jb, tmpl_r, (0.0, 0.0))
         lys, lxs = np.nonzero(tmpl_l)
-        assert left == pytest.approx((30 + 1 + lxs.mean(), 20 + 2 + lys.mean()))
+        assert left.centroid == pytest.approx((30 + 1 + lxs.mean(), 20 + 2 + lys.mean()))
+        assert left.bbox == (31, 22, 8, 8)
         rys, rxs = np.nonzero(tmpl_r)
-        assert right == pytest.approx((30 + 14 + rxs.mean(), 20 + 3 + rys.mean()))
+        assert right.centroid == pytest.approx((30 + 14 + rxs.mean(), 20 + 3 + rys.mean()))
+        assert right.bbox == (44, 23, 9, 7)
 
     def test_single_template_blob_flags_same_spot(self):
         tmpl = np.zeros((8, 8), dtype=bool)
         tmpl[1:7, 1:7] = True
         jb = blob_from_mask(tmpl.copy(), x0=10, y0=10)
-        left, right = resolve_hand_over_hand(jb, tmpl, tmpl, (0.0, 0.0), (0.0, 0.0))
+        left = placed(jb, tmpl, (0.0, 0.0))
+        right = placed(jb, tmpl, (0.0, 0.0))
         ys, xs = np.nonzero(tmpl)
-        assert left == pytest.approx((10 + xs.mean(), 10 + ys.mean()))
-        assert right == pytest.approx(left)
+        assert left.centroid == pytest.approx((10 + xs.mean(), 10 + ys.mean()))
+        assert left.bbox == right.bbox == (10, 10, 8, 8)
+        assert right.centroid == pytest.approx(left.centroid)
 
     def test_undersized_joint_falls_back_to_predictions(self):
         tmpl = np.ones((10, 10), dtype=bool)
         small = np.ones((3, 3), dtype=bool)
         jb = blob_from_mask(small, x0=5, y0=5)
-        left, right = resolve_hand_over_hand(jb, tmpl, tmpl, (1.0, 2.0), (3.0, 4.0))
-        assert left == (1.0, 2.0)
-        assert right == (3.0, 4.0)
+        left = placed(jb, tmpl, (1.0, 2.0))
+        right = placed(jb, tmpl, (3.0, 4.0))
+        assert left.centroid == (1.0, 2.0)
+        assert right.centroid == (3.0, 4.0)
+        assert left.bbox == right.bbox == (0, 0, 10, 10)     # clamped to the frame
+        # the box origin rounds half to even: 20 - 4.5 -> 16, 31 - 4.5 -> 26
+        assert placed(jb, tmpl, (20.0, 31.0)).bbox == (16, 26, 10, 10)
 
     def test_match_template_exact_on_shifted_copy(self):
         rng = np.random.default_rng(2)
@@ -492,3 +513,87 @@ class TestHandOverHand:
         joint = np.zeros((25, 30), dtype=bool)
         joint[7 : 7 + 9, 12 : 12 + 11] = tmpl
         assert match_template(joint, tmpl) == (7, 12)
+
+
+def same_value(a, b):
+    """Equal values of equal types; NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def assert_same_frames(frames, oracle):
+    assert len(frames) == len(oracle)
+    for t, (got, want) in enumerate(zip(frames, oracle)):
+        for name in ("left", "right", "left_track", "right_track"):
+            a, b = getattr(got, name), getattr(want, name)
+            if b is None:
+                assert a is None, (t, name)
+                continue
+            for f in dataclasses.fields(b):
+                assert same_value(getattr(a, f.name), getattr(b, f.name)), (t, name, f.name)
+
+
+@pytest.fixture(scope="module")
+def occlusion_corpus(tmp_path_factory):
+    """Plain motion, crossing hands and a face touch; signer B is left-handed."""
+    root = tmp_path_factory.mktemp("occlusion_corpus")
+    spec = SynthSpec(num_classes=3, num_signers=2, samples=1, frames=36,
+                     width=160, height=120, left_handed=(1,))
+    manifest = generate_synthetic_corpus(spec, 99, root)
+    cfg = Config()
+    seqs = [load_sequence(root / e.path) for e in manifest.entries]
+    seqs = [mirror_sequence(s) if s.handedness == "left" else s for s in seqs]
+    return general_skin_model(root, cfg), cfg, seqs
+
+
+def step_loop(segmenter, seq):
+    segmenter.reset(shoulder_distance(seq))
+    return [segmenter.step(seq.color_frames[t], seq.depth_frames[t], seq.skeleton[t])
+            for t in range(len(seq))]
+
+
+class TestSequenceSegmenter:
+    def test_run_and_step_match_one_loop_oracle(self, occlusion_corpus):
+        model, cfg, seqs = occlusion_corpus
+        kinds = set()
+        segmenter = SequenceSegmenter(model, cfg)
+        for seq in seqs:
+            oracle, signer_model = reference_segment(model, cfg, seq)
+            result = segmenter.run(seq)
+            assert result.span == shoulder_distance(seq)
+            assert_same_frames(result.frames, oracle)
+            assert_same_frames(step_loop(segmenter, seq), oracle)
+            assert same_value(segmenter.signer_model.skin_counts, signer_model.skin_counts)
+            assert same_value(segmenter.signer_model.nonskin_counts,
+                              signer_model.nonskin_counts)
+            kinds |= {o.occlusion for f in oracle for o in (f.left, f.right)
+                      if o is not None}
+        assert kinds == {"none", "hand_over_hand", "hand_over_face"}
+
+    def test_track_reseeded_after_max_coast(self, occlusion_corpus):
+        """Blanking the right hand's depth hides it from the body region; once
+        it has coasted past max_coast frames its track restarts at the
+        skeleton's hand joint."""
+        model, cfg, seqs = occlusion_corpus
+        seq = seqs[0]
+        depth = [d.copy() for d in seq.depth_frames]
+        for t in range(4, 4 + cfg.max_coast + 6):
+            x, y, _ = seq.skeleton[t].joints["hand_right"]
+            depth[t][max(0, int(y) - 20) : int(y) + 20, max(0, int(x) - 20) : int(x) + 20] = 0
+        seq = dataclasses.replace(seq, depth_frames=depth)
+        frames = SequenceSegmenter(model, cfg).run(seq).frames
+        reseeded = [t for t, f in enumerate(frames)
+                    if f.right is None and f.right_track.coast_count == 0]
+        assert reseeded
+        t = reseeded[0]
+        assert frames[t - 1].right_track.coast_count == cfg.max_coast
+        assert np.array_equal(frames[t].right_track.position,
+                              seq.skeleton[t].joints["hand_right"][:2])
+        assert_same_frames(frames, reference_segment(model, cfg, seq)[0])
