@@ -19,16 +19,23 @@ from .pipeline import extract_corpus, extract_sequence, general_skin_model
 from .synth import SynthSpec, generate_synthetic_corpus
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="key=value configuration file")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument("--jobs", type=_positive_int, default=None)
 
 
 def _load_config(args) -> Config:
     cfg = Config.load(args.config) if args.config else Config()
-    if args.jobs:
+    if args.jobs is not None:
         cfg.jobs = args.jobs
     return cfg
 

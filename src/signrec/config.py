@@ -7,6 +7,7 @@ described by (data, config, seed).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +18,14 @@ _BOOLS = {"True": True, "true": True, "1": True, "False": False, "false": False,
 # by annotation, a string under `from __future__ import annotations`; each
 # raises KeyError or ValueError on a value it cannot read
 _PARSERS = {"bool": _BOOLS.__getitem__, "int": int, "float": float}
+# the bounded keys: each value must pass the check; every float must be finite
+_RANGES = {
+    **dict.fromkeys(("hist_bins", "hmm_states", "hmm_max_iter", "lda_resample_third",
+                     "jobs"), (lambda v: v >= 1, "at least 1")),
+    **dict.fromkeys(("min_blob_area", "max_coast"), (lambda v: v >= 0, "at least 0")),
+    "hmm_self_prob": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "variance_floor": (lambda v: v > 0, "above 0"),
+}
 
 
 @dataclass
@@ -82,7 +91,8 @@ class Config(ExtractConfig):
 
     @classmethod
     def load(cls, path):
-        """Read a key=value file; a line that does not parse raises
+        """Read a key=value file; a line that does not parse, a non-finite
+        float or a value outside its key's range in `_RANGES` raises
         ValueError naming `path:line`, and bytes that are not UTF-8 raise
         LoadError naming the file."""
         cfg = cls()
@@ -98,10 +108,16 @@ class Config(ExtractConfig):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             kind = types[key]
             try:
-                setattr(cfg, key, _PARSERS[kind](value))
+                parsed = _PARSERS[kind](value)
             except (KeyError, ValueError):
                 raise ValueError(f"{path}:{lineno}: {key}={value!r} is not "
                                  f"a valid {kind}") from None
+            if kind == "float" and not math.isfinite(parsed):
+                raise ValueError(f"{path}:{lineno}: {key}={value!r} is not finite")
+            if key in _RANGES and not _RANGES[key][0](parsed):
+                raise ValueError(f"{path}:{lineno}: {key}={value!r} is not "
+                                 f"{_RANGES[key][1]}")
+            setattr(cfg, key, parsed)
         return cfg
 
     def snapshot(self) -> str:

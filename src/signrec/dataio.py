@@ -13,7 +13,7 @@ skeleton.txt, meta.txt and the manifest are UTF-8 text.
 
 A dataset is a tab-separated manifest: path, signer, label, handedness.
 
-Saved artefacts (features, HMMs, transforms) are npz records: `save_record`.
+Saved artefacts (features, HMMs, transforms) are npz records: `save_record`, `load_record`.
 """
 
 from __future__ import annotations
@@ -207,17 +207,23 @@ def save_record(path, meta, **arrays):
         raise
 
 
-def load_record(path):
-    """Read a record written by `save_record`; returns (meta, arrays)."""
+def load_record(path, arrays, meta=()):
+    """Read a record written by `save_record`; returns (meta, arrays). Array
+    members other than `arrays`, or a `__meta__` that is not a JSON object
+    with the keys `meta`, raise LoadError naming the file."""
     try:
         # a handle closed here: np.load leaves a file it opened from a path
         # open when the zip is truncated
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-        meta = json.loads(arrays.pop(_META).item())
+            members = {name: data[name] for name in data.files}
+        stored = json.loads(members.pop(_META).item())
     except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
         raise LoadError(f"{path}: unreadable record ({exc})") from None
-    return meta, arrays
+    if set(members) != set(arrays):
+        raise LoadError(f"{path}: members {sorted(members)}, expected {list(arrays)}")
+    if not isinstance(stored, dict) or not stored.keys() >= set(meta):
+        raise LoadError(f"{path}: {_META} is not a JSON object with keys {list(meta)}")
+    return stored, members
 
 
 # --- PPM / PGM ------------------------------------------------------------

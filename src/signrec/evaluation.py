@@ -83,7 +83,7 @@ def prepare_dataset(extracted, spec: FeatureSetSpec, cfg: Config):
             _PreparedSample(
                 signer=entry.signer_id,
                 label=entry.sign_label,
-                frames=full.select(spec).frames,
+                frames=full.frames[:, spec.columns()],
                 posxy=full.posxy(),
             )
         )

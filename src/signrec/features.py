@@ -3,8 +3,8 @@
 Each frame yields, per hand: normalized position and velocity relative to
 the neck/torso, a geometric block (area, perimeter, solidity, eccentricity,
 ellipse axes, orientation), Hu invariant moments, a shape-context histogram
-of the blob boundary, and a HOG patch descriptor. Samples store the full
-block matrix; named feature sets select columns from it.
+of the blob boundary, and a HOG patch descriptor. Samples always hold the
+full block matrix; named feature sets select columns from it.
 """
 
 from __future__ import annotations
@@ -85,42 +85,28 @@ class FeatureSample:
     frames: np.ndarray          # (T, D) float64
     sign_label: str
     signer_id: str
-    selected: str = "full"
 
     def __len__(self):
         return len(self.frames)
 
-    def select(self, spec: FeatureSetSpec) -> "FeatureSample":
-        if self.selected != "full":
-            raise ValueError("feature set already selected")
-        return FeatureSample(
-            frames=self.frames[:, spec.columns()],
-            sign_label=self.sign_label,
-            signer_id=self.signer_id,
-            selected=spec.name,
-        )
-
     def posxy(self):
         """Normalized (x, y) of both hands, used for sequence alignment."""
         cols = np.array([0, 1, HAND_DIM, HAND_DIM + 1], dtype=np.intp)
-        if self.selected != "full":
-            raise ValueError("posxy requires the full matrix")
         return self.frames[:, cols]
 
 
 def save_sample(sample: FeatureSample, path, key=""):
     """Write `sample` as a record; `key` tags what it was extracted from."""
-    meta = {"label": sample.sign_label, "signer": sample.signer_id,
-            "selected": sample.selected, "key": key}
+    meta = {"label": sample.sign_label, "signer": sample.signer_id, "key": key}
     save_record(path, meta, frames=sample.frames)
 
 
 def load_sample(path, key=None) -> FeatureSample:
     """Read a sample record; if `key` is given it must equal the stored one."""
-    meta, arrays = load_record(path)
+    meta, arrays = load_record(path, ("frames",), ("label", "signer", "key"))
     if key is not None and meta["key"] != key:
         raise LoadError(f"{path}: stored under a different key")
-    return FeatureSample(arrays["frames"], meta["label"], meta["signer"], meta["selected"])
+    return FeatureSample(arrays["frames"], meta["label"], meta["signer"])
 
 
 # --- geometry helpers -------------------------------------------------------
@@ -579,8 +565,6 @@ def zero_idle_hand(sample: FeatureSample, path_threshold=0.5,
     Idle means total travel below path_threshold shoulder widths and mean
     speed below speed_threshold shoulder widths per frame. Idempotent.
     """
-    if sample.selected != "full":
-        raise ValueError("idle-hand zeroing applies to the full matrix")
     frames = sample.frames.copy()
     for hand, base in (("right", 0), ("left", HAND_DIM)):
         path, speed = hand_travel(sample, hand)
@@ -590,5 +574,4 @@ def zero_idle_hand(sample: FeatureSample, path_threshold=0.5,
         frames=frames,
         sign_label=sample.sign_label,
         signer_id=sample.signer_id,
-        selected=sample.selected,
     )

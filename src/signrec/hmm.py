@@ -306,12 +306,10 @@ class ClassifierBank:
 
     @classmethod
     def load(cls, directory):
-        """Read a bank written by `save`; a record with other members or
-        shapes raises LoadError naming the file."""
+        """Read a bank written by `save`; a record with other members,
+        metadata keys or shapes raises LoadError naming the file."""
         path = Path(directory) / "models.npz"
-        meta, arrays = load_record(path)
-        if set(arrays) != set(_MEMBERS):
-            raise LoadError(f"{path}: members {sorted(arrays)}, expected {list(_MEMBERS)}")
+        meta, arrays = load_record(path, _MEMBERS, ("vocabulary", "feature_spec"))
         vocabulary = meta["vocabulary"]
         shapes = [arrays[name].shape for name in _MEMBERS]
         full = shapes[0]

@@ -589,7 +589,7 @@ class SequenceSegmenter:
             for hand, o in obs.items():
                 if o is None:
                     continue
-                if near_face and _inside(o.centroid, face_rect):
+                if near_face and tracking.point_inside(o.centroid, face_rect):
                     o.occlusion = "hand_over_face"
                 else:
                     self.templates[hand] = o.mask.copy()
@@ -626,11 +626,6 @@ class SequenceSegmenter:
         self.gray, self.candidates = gray, cand
         return FrameResult(obs["left"], obs["right"], self.tracks["left"],
                            self.tracks["right"])
-
-
-def _inside(point, rect):
-    x0, y0, x1, y1 = rect
-    return x0 <= point[0] <= x1 and y0 <= point[1] <= y1
 
 
 def _dump_debug(debug_dir, t, gray, cand, frame: FrameResult):

@@ -16,7 +16,7 @@ from itertools import accumulate
 import numpy as np
 import scipy.linalg
 
-from .dataio import load_record, save_record
+from .dataio import LoadError, load_record, save_record
 
 
 def dtw_align(ref, query):
@@ -104,15 +104,9 @@ def resample_linear(frames, length):
     return frames[lo] * (1 - w) + frames[hi] * w
 
 
-@dataclass
-class AlignedClassSet:
-    label: str
-    frames: np.ndarray        # (N, T, D) aligned, resampled, middle third
-    reference_index: int
-
-
-def align_and_resample(samples_xy, samples_full, label, keep_frames) -> AlignedClassSet:
-    """Align all samples of one sign to a common middle-third timeline.
+def align_and_resample(samples_xy, samples_full, keep_frames):
+    """Align all samples of one sign to a common middle-third timeline;
+    returns the (N, keep_frames, D) stack.
 
     The reference is the sample of median length. After warping, each sample
     is linearly resampled to 3 * keep_frames and the first and last thirds
@@ -134,57 +128,38 @@ def align_and_resample(samples_xy, samples_full, label, keep_frames) -> AlignedC
         warped = warp_to_reference(ref_xy, xy, np.asarray(full, dtype=np.float64))
         resampled = resample_linear(warped, total)
         aligned.append(resampled[keep_frames : 2 * keep_frames])
-    return AlignedClassSet(
-        label=label,
-        frames=np.stack(aligned),
-        reference_index=ref_idx,
-    )
+    return np.stack(aligned)
 
 
-@dataclass
-class ScatterAccumulator:
-    class_means: np.ndarray    # (C, T, D)
-    global_means: np.ndarray   # (T, D)
-    between: np.ndarray        # (D, D)
-    within: np.ndarray         # (D, D)
-    class_counts: np.ndarray   # (C,)
-
-
-def accumulate_scatter(aligned_sets) -> ScatterAccumulator:
-    """Between-sign and within-sign scatter from per-frame means.
+def accumulate_scatter(aligned):
+    """Between-sign and within-sign scatter, (between, within), from the
+    per-frame means of one (N_c, T, D) stack per sign.
 
     The global mean weighs classes by sample count. The between matrix sums
     unweighted outer products of class-mean offsets; the within matrix sums
     sample deviations from their class mean, weighted by the class share of
     the corpus.
     """
-    if not aligned_sets:
+    if not aligned:
         raise ValueError("no classes given")
-    t_len = aligned_sets[0].frames.shape[1]
-    dim = aligned_sets[0].frames.shape[2]
-    for s in aligned_sets:
-        if s.frames.shape[1] != t_len or s.frames.shape[2] != dim:
+    t_len, dim = aligned[0].shape[1:]
+    for frames in aligned:
+        if frames.shape[1:] != (t_len, dim):
             raise ValueError("aligned sets disagree on (T, D)")
 
-    counts = np.array([len(s.frames) for s in aligned_sets], dtype=np.float64)
+    counts = np.array([len(frames) for frames in aligned], dtype=np.float64)
     total = counts.sum()
-    class_means = np.stack([s.frames.mean(axis=0) for s in aligned_sets])  # (C, T, D)
+    class_means = np.stack([frames.mean(axis=0) for frames in aligned])  # (C, T, D)
     global_means = np.einsum("c,ctd->td", counts / total, class_means)
 
     offsets = class_means - global_means[None]                 # (C, T, D)
     between = np.einsum("ctd,cte->de", offsets, offsets)
 
     within = np.zeros((dim, dim))
-    for s, n_c in zip(aligned_sets, counts):
-        dev = s.frames - s.frames.mean(axis=0)[None]           # (N, T, D)
+    for frames, n_c in zip(aligned, counts):
+        dev = frames - frames.mean(axis=0)[None]               # (N, T, D)
         within += (n_c / total) * np.einsum("ntd,nte->de", dev, dev)
-    return ScatterAccumulator(
-        class_means=class_means,
-        global_means=global_means,
-        between=between,
-        within=within,
-        class_counts=counts,
-    )
+    return between, within
 
 
 @dataclass
@@ -199,10 +174,6 @@ class LdaTransform:
     def dim(self):
         return self.weights.shape[0]
 
-    @property
-    def out_dim(self):
-        return self.weights.shape[1]
-
     def save(self, path):
         meta = {"keep_frames": self.keep_frames, "shrinkage": self.shrinkage,
                 "feature_spec": self.feature_spec}
@@ -210,28 +181,36 @@ class LdaTransform:
 
     @classmethod
     def load(cls, path):
-        meta, arrays = load_record(path)
-        return cls(**arrays, **meta)
+        """Read a transform written by `save`; a record with other members,
+        metadata or shapes raises LoadError naming the file."""
+        meta, arrays = load_record(path, ("weights", "eigenvalues"),
+                                   ("keep_frames", "shrinkage", "feature_spec"))
+        weights, eigenvalues = arrays["weights"], arrays["eigenvalues"]
+        if weights.ndim != 2 or eigenvalues.shape != weights.shape[1:]:
+            raise LoadError(f"{path}: member shapes {weights.shape}, {eigenvalues.shape} "
+                            f"are not (D, M), (M,)")
+        return cls(weights, eigenvalues, meta["keep_frames"], meta["shrinkage"],
+                   meta["feature_spec"])
 
 
-def solve_transform(acc: ScatterAccumulator, out_dim, shrinkage=1e-3,
-                    shrinkage_max=10.0) -> LdaTransform:
-    """Top generalized eigenvectors of (between, within + ridge).
+def solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0):
+    """Top generalized eigenvectors of (between, within + ridge); returns
+    (weights, eigenvalues, shrinkage used).
 
     The within matrix is regularized by shrinkage * mean diagonal; if the
     solver still fails the ridge grows tenfold up to shrinkage_max.
     """
-    dim = acc.between.shape[0]
+    dim = between.shape[0]
     if out_dim > dim:
         raise ValueError(f"cannot keep {out_dim} of {dim} dimensions")
-    ridge_unit = np.trace(acc.within) / dim
+    ridge_unit = np.trace(within) / dim
     if ridge_unit <= 0:
         ridge_unit = 1.0
     gamma = shrinkage
     while True:
-        regularized = acc.within + gamma * ridge_unit * np.eye(dim)
+        regularized = within + gamma * ridge_unit * np.eye(dim)
         try:
-            eigvals, eigvecs = scipy.linalg.eigh(acc.between, regularized)
+            eigvals, eigvecs = scipy.linalg.eigh(between, regularized)
             break
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
             gamma *= 10.0
@@ -246,12 +225,7 @@ def solve_transform(acc: ScatterAccumulator, out_dim, shrinkage=1e-3,
         pivot = int(np.argmax(np.abs(vectors[:, k])))
         if vectors[pivot, k] < 0:
             vectors[:, k] = -vectors[:, k]
-    return LdaTransform(
-        weights=vectors,
-        eigenvalues=values,
-        keep_frames=0,
-        shrinkage=gamma,
-    )
+    return vectors, values, gamma
 
 
 def project(frames, transform: LdaTransform):
@@ -267,15 +241,9 @@ def project(frames, transform: LdaTransform):
 def fit_transform(samples_by_class, posxy_by_class, out_dim, keep_frames,
                   shrinkage=1e-3, shrinkage_max=10.0, feature_spec="") -> LdaTransform:
     """Fit the transform from per-class lists of (frames, posxy) arrays."""
-    aligned = []
-    for label in sorted(samples_by_class):
-        aligned.append(
-            align_and_resample(
-                posxy_by_class[label], samples_by_class[label], label, keep_frames
-            )
-        )
-    acc = accumulate_scatter(aligned)
-    transform = solve_transform(acc, out_dim, shrinkage, shrinkage_max)
-    transform.keep_frames = keep_frames
-    transform.feature_spec = feature_spec
-    return transform
+    aligned = [align_and_resample(posxy_by_class[label], samples_by_class[label],
+                                  keep_frames)
+               for label in sorted(samples_by_class)]
+    weights, eigenvalues, used = solve_transform(*accumulate_scatter(aligned), out_dim,
+                                                 shrinkage, shrinkage_max)
+    return LdaTransform(weights, eigenvalues, keep_frames, used, feature_spec)

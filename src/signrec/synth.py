@@ -108,18 +108,15 @@ class Scene:
 
 @dataclass
 class SignerStyle:
-    rotation: float = 0.0
-    scale: float = 1.0
     shift: tuple = (0.0, 0.0)
     aspect: float = 0.0
     z_shift: float = 0.0
 
     def apply(self, xy, neck):
-        dx, dy = xy[0] - neck[0], xy[1] - neck[1]
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        # neck + (xy - neck) is not always xy in floats; this order fixes the corpus bytes
         return (
-            neck[0] + self.scale * (c * dx - s * dy) + self.shift[0],
-            neck[1] + self.scale * (s * dx + c * dy) + self.shift[1],
+            neck[0] + (xy[0] - neck[0]) + self.shift[0],
+            neck[1] + (xy[1] - neck[1]) + self.shift[1],
         )
 
 
@@ -144,8 +141,6 @@ def signer_style(spec: SynthSpec, seed, signer_index) -> SignerStyle:
     s = spec.style_strength
     magnitude = 0.095 * spec.width * s * eta[0]
     return SignerStyle(
-        rotation=0.0,
-        scale=1.0,
         shift=(magnitude * shift_dir[0] + 0.004 * spec.width * s * eta[3],
                magnitude * shift_dir[1] + 0.004 * spec.height * s * eta[4]),
         aspect=float(np.clip(0.05 * s * eta[5], -0.2, 0.2)),
@@ -156,10 +151,10 @@ def signer_style(spec: SynthSpec, seed, signer_index) -> SignerStyle:
 def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
     """Closed-loop 3D trajectories (right hand, optional left hand).
 
-    Returns (right_fn, left_fn, one_handed) where each fn maps s in [0, 1]
-    to (x, y, z). Distinct classes get distinct loop centers, radii, phases
-    and depth profiles; two special classes make the hands cross and touch
-    the face.
+    Returns (right_fn, left_fn) where each fn maps s in [0, 1] to (x, y, z);
+    left_fn is None for a one-handed sign. Distinct classes get distinct loop
+    centers, radii, phases and depth profiles; two special classes make the
+    hands cross and touch the face.
     """
     w, h = scene.width, scene.height
     c = class_index
@@ -215,7 +210,7 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
             x, y, z = right_cross(s)
             return w - x, y + 0.035 * h, z + 90.0
 
-        return right_cross, left_cross, False
+        return right_cross, left_cross
 
     if not spec.depth_pairs and c == spec.face_class and c < spec.num_classes:
         base = (0.62 * w, 0.66 * h)
@@ -233,9 +228,9 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
                     0.72 * h + 0.06 * h * math.sin(theta),
                     1650.0)
 
-        return right_face, left_small, False
+        return right_face, left_small
 
-    return right, (None if one_handed else left_mirror), one_handed
+    return right, (None if one_handed else left_mirror)
 
 
 def _ellipse_mask(shape, center, axes, angle=0.0):
@@ -508,7 +503,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest
     entries = []
     for ci in range(spec.num_classes):
         label = f"sign{ci:02d}"
-        right_fn, left_fn, _ = class_trajectory(spec, scene, ci)
+        right_fn, left_fn = class_trajectory(spec, scene, ci)
         for si in range(spec.num_signers):
             signer = f"signer{chr(ord('A') + si)}"
             style = signer_style(spec, seed, si)

@@ -135,6 +135,11 @@ def windows_intersect(a, b):
     return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
 
 
+def point_inside(point, rect):
+    x0, y0, x1, y1 = rect
+    return x0 <= point[0] <= x1 and y0 <= point[1] <= y1
+
+
 def detect_overlap(window_left, window_right, blobs, min_area=30) -> bool:
     """Hands are treated as one object when their search windows intersect
     and exactly one large candidate blob sits inside the union."""
@@ -144,9 +149,6 @@ def detect_overlap(window_left, window_right, blobs, min_area=30) -> bool:
     for blob in blobs:
         if blob.area < min_area:
             continue
-        cx, cy = blob.centroid
-        inside_left = window_left[0] <= cx <= window_left[2] and window_left[1] <= cy <= window_left[3]
-        inside_right = window_right[0] <= cx <= window_right[2] and window_right[1] <= cy <= window_right[3]
-        if inside_left or inside_right:
+        if point_inside(blob.centroid, window_left) or point_inside(blob.centroid, window_right):
             count += 1
     return count == 1

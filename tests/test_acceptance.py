@@ -32,7 +32,7 @@ from signrec.dataio import load_sequence
 from conftest import JOBS
 from test_features import random_blob
 from test_hmm import enumerate_loglik, random_model
-from test_signerlda import _FakeAligned, brute_force_dtw
+from test_signerlda import brute_force_dtw
 
 
 def report(criterion, ok, detail):
@@ -136,20 +136,18 @@ class TestCriterion04Lda:
         mix = a @ a.T / 5 + np.eye(5)
         x1 = mu1 + rng.normal(size=(60, 5)) @ mix
         x2 = mu2 + rng.normal(size=(60, 5)) @ mix
-        acc = accumulate_scatter(
-            [_FakeAligned(x1[:, None, :]), _FakeAligned(x2[:, None, :])]
-        )
-        transform = solve_transform(acc, out_dim=1, shrinkage=1e-9)
-        fisher = np.linalg.solve(acc.within, x1.mean(0) - x2.mean(0))
-        w = transform.weights[:, 0]
+        between, within = accumulate_scatter([x1[:, None, :], x2[:, None, :]])
+        weights, _, _ = solve_transform(between, within, out_dim=1, shrinkage=1e-9)
+        fisher = np.linalg.solve(within, x1.mean(0) - x2.mean(0))
+        w = weights[:, 0]
         cos = abs(fisher @ w) / (np.linalg.norm(fisher) * np.linalg.norm(w))
 
-        single = accumulate_scatter([_FakeAligned(rng.normal(size=(6, 3, 4)))])
-        sb_zero = np.array_equal(single.between, np.zeros((4, 4)))
-        one_each = accumulate_scatter(
-            [_FakeAligned(rng.normal(size=(1, 3, 4))) for _ in range(3)]
+        single_between, _ = accumulate_scatter([rng.normal(size=(6, 3, 4))])
+        sb_zero = np.array_equal(single_between, np.zeros((4, 4)))
+        _, one_each_within = accumulate_scatter(
+            [rng.normal(size=(1, 3, 4)) for _ in range(3)]
         )
-        sw_zero = np.array_equal(one_each.within, np.zeros((4, 4)))
+        sw_zero = np.array_equal(one_each_within, np.zeros((4, 4)))
 
         ok = cos >= 0.999 and sb_zero and sw_zero
         report("04 LDA correctness", ok,

@@ -79,3 +79,11 @@ class TestCli:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:")
         assert "\n" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--data", str(tmp_path / "nope.tsv"),
+                  "--out", str(tmp_path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

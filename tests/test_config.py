@@ -6,7 +6,10 @@ from signrec.dataio import LoadError
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
-        cfg = Config(motion_threshold=9.0, hmm_states=5, zero_idle=False)
+        # the bounds each range check must still accept
+        cfg = Config(motion_threshold=9.0, hmm_states=1, zero_idle=False, hist_bins=1,
+                     min_blob_area=0, max_coast=0, hmm_self_prob=0.999,
+                     variance_floor=1e-12)
         cfg.save(tmp_path / "c.txt")
         loaded = Config.load(tmp_path / "c.txt")
         assert loaded == cfg
@@ -22,8 +25,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             Config.load(tmp_path / "c.txt")
 
-    @pytest.mark.parametrize("line", ["zero_idle=flase", "zero_idle=yes", "hmm_states=seven",
-                                      "hmm_states=7.0", "motion_threshold=twelve"])
+    @pytest.mark.parametrize("line", [
+        "zero_idle=flase", "zero_idle=yes", "hmm_states=seven", "hmm_states=7.0",
+        "motion_threshold=twelve",
+        # parsable but out of range
+        "motion_threshold=nan", "skin_threshold=nan", "lda_shrinkage=inf",
+        "variance_floor=-inf", "hist_bins=0", "hmm_states=0", "hmm_states=-3",
+        "hmm_max_iter=0", "lda_resample_third=0", "jobs=0", "min_blob_area=-1",
+        "max_coast=-1", "hmm_self_prob=1.5", "hmm_self_prob=1.0", "hmm_self_prob=0.0",
+        "variance_floor=0.0", "variance_floor=-1e-4"])
     def test_unparsable_value_named(self, tmp_path, line):
         (tmp_path / "c.txt").write_text(f"# tuning\n{line}\n")
         key = line.split("=")[0]

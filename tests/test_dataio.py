@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -19,6 +20,7 @@ from signrec.dataio import (
     read_pgm8,
     read_pgm16,
     read_ppm,
+    save_record,
     save_sequence,
     shoulder_distance,
     write_pgm8,
@@ -386,12 +388,63 @@ def breaks_row(text):
     return any(c in BREAKS for c in text)
 
 
+def write_artefact(kind, tmp):
+    """Save one small artefact of `kind`; returns (record path, loader, its
+    array members, its metadata keys)."""
+    rng = np.random.default_rng(0)
+    if kind == "sample":
+        save_sample(FeatureSample(rng.normal(size=(5, 3)), "a", "s"), tmp / "f.npz", "k")
+        return tmp / "f.npz", load_sample, ("frames",), ("label", "signer", "key")
+    if kind == "transform":
+        LdaTransform(rng.normal(size=(4, 2)), np.ones(2), 15, 1e-3).save(tmp / "w.npz")
+        return (tmp / "w.npz", LdaTransform.load, ("weights", "eigenvalues"),
+                ("keep_frames", "shrinkage", "feature_spec"))
+    model = HmmModel("a", rng.normal(size=(3, 2)), np.ones((3, 2)), np.full(3, 0.6),
+                     np.full(3, 0.4))
+    ClassifierBank({"a": model}, ["a"]).save(tmp / "bank")
+    return (tmp / "bank" / "models.npz", lambda _: ClassifierBank.load(tmp / "bank"),
+            ("means", "variances", "stay", "leave"), ("vocabulary", "feature_spec"))
+
+
 class TestRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["sample", "transform", "bank"]),
+           fault=st.sampled_from(["drop member", "add member", "drop meta key",
+                                  "meta number"]),
+           pick=st.integers(0, 3), extra=st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+           number=st.one_of(st.integers(), st.floats(allow_nan=False)))
+    def test_malformed_records_named(self, kind, fault, pick, extra, number):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, load, members, keys = write_artefact(kind, Path(tmp))
+            with np.load(path) as data:
+                arrays = {name: data[name] for name in data.files}
+            meta = json.loads(arrays.pop("__meta__").item())
+            if fault == "drop member":
+                del arrays[members[pick % len(members)]]
+            elif fault == "add member":
+                arrays[extra + "_extra"] = np.zeros(2)
+            elif fault == "drop meta key":
+                del meta[keys[pick % len(keys)]]
+            else:
+                meta = number
+            save_record(path, meta, **arrays)
+            with pytest.raises(LoadError, match=path.name):
+                load(path)
+
+    @pytest.mark.parametrize("weights, eigenvalues", [
+        ((3,), (3,)), ((4, 2), (3,)), ((4, 2), (2, 1)), ((4, 2, 1), (2,))])
+    def test_transform_shapes_checked(self, tmp_path, weights, eigenvalues):
+        save_record(tmp_path / "w.npz",
+                    {"keep_frames": 15, "shrinkage": 1e-3, "feature_spec": ""},
+                    weights=np.ones(weights), eigenvalues=np.ones(eigenvalues))
+        with pytest.raises(LoadError, match="w.npz.*shapes"):
+            LdaTransform.load(tmp_path / "w.npz")
+
     def test_garbage_bytes_named(self, tmp_path):
         bad = tmp_path / "junk.npz"
         bad.write_bytes(b"these bytes are not a record")
         with pytest.raises(LoadError, match="junk.npz"):
-            load_record(bad)
+            load_record(bad, ("frames",))
 
     @settings(max_examples=40, deadline=None)
     @given(labels=st.lists(FIELDS, min_size=1, max_size=3, unique=True), spec=FIELDS)
@@ -433,9 +486,8 @@ class TestRecords:
             assert loaded.feature_spec == spec
             assert np.array_equal(loaded.weights, transform.weights)
 
-            sample = FeatureSample(rng.normal(size=(5, 3)), labels[0], labels[-1], spec)
-            save_sample(sample, tmp / "f.txt")
-            again = load_sample(tmp / "f.txt")
-            assert (again.sign_label, again.signer_id, again.selected) == (
-                labels[0], labels[-1], spec)
+            sample = FeatureSample(rng.normal(size=(5, 3)), labels[0], labels[-1])
+            save_sample(sample, tmp / "f.txt", key=spec)
+            again = load_sample(tmp / "f.txt", key=spec)
+            assert (again.sign_label, again.signer_id) == (labels[0], labels[-1])
             assert np.array_equal(again.frames, sample.frames)

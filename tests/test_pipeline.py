@@ -5,7 +5,7 @@ import pytest
 
 from signrec import pipeline
 from signrec.config import Config
-from signrec.dataio import LoadError
+from signrec.dataio import LoadError, load_record, save_record
 from signrec.features import save_sample
 from signrec.pipeline import extract_corpus, extract_sequence, general_skin_model
 from signrec.synth import SKIN_FILES, SynthSpec, generate_synthetic_corpus
@@ -149,6 +149,33 @@ class TestExtraction:
         extractions.clear()
         again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         assert len(extractions) == 1
+        assert same_features(again, fresh)
+
+    @pytest.mark.parametrize("meta", [{"label": "sign00", "signer": "signerA"},
+                                      7, ["key"]])
+    def test_entry_without_a_key_object_is_a_miss(self, tiny_corpus, tmp_path,
+                                                 extractions, meta):
+        root, _ = tiny_corpus
+        fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        entry = sorted((tmp_path / "c").glob("*.npz"))[0]
+        with np.load(entry) as data:
+            frames = data["frames"]
+        save_record(entry, meta, frames=frames)
+        extractions.clear()
+        again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        assert len(extractions) == 1
+        assert same_features(again, fresh)
+
+    def test_entry_with_a_selected_key_still_hits(self, tiny_corpus, tmp_path, extractions):
+        # records written before samples lost their selection mode carry it
+        root, _ = tiny_corpus
+        fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        for entry in (tmp_path / "c").glob("*.npz"):
+            meta, arrays = load_record(entry, ("frames",), ("key",))
+            save_record(entry, {**meta, "selected": "full"}, **arrays)
+        extractions.clear()
+        again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        assert extractions == []
         assert same_features(again, fresh)
 
     @pytest.mark.parametrize("jobs", [1, 2])

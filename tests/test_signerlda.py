@@ -181,16 +181,16 @@ class TestAlignAndResample:
         rng = np.random.default_rng(5)
         sample = rng.normal(size=(30, 6))
         xy = sample[:, :4]
-        out = align_and_resample([xy], [sample], "c", keep_frames=5)
+        out = align_and_resample([xy], [sample], keep_frames=5)
         expected = resample_linear(sample, 15)[5:10]
-        assert np.allclose(out.frames[0], expected)
+        assert np.allclose(out[0], expected)
 
     def test_identical_samples_identical_rows(self):
         rng = np.random.default_rng(6)
         sample = rng.normal(size=(24, 6))
         xy = sample[:, :4]
-        out = align_and_resample([xy, xy.copy()], [sample, sample.copy()], "c", 5)
-        assert np.array_equal(out.frames[0], out.frames[1])
+        out = align_and_resample([xy, xy.copy()], [sample, sample.copy()], 5)
+        assert np.array_equal(out[0], out[1])
 
     def test_time_warped_copies_collapse(self):
         # warped copies of one template: alignment removes most of the spread
@@ -213,12 +213,12 @@ class TestAlignAndResample:
             return np.mean(np.var(stack, axis=0))
 
         raw = np.stack([resample_linear(s, 30)[10:20] for s in samples])
-        aligned = align_and_resample([s for s in samples], samples, "c", 10)
-        assert spread(aligned.frames) <= 0.10 * spread(raw)
+        aligned = align_and_resample([s for s in samples], samples, 10)
+        assert spread(aligned) <= 0.10 * spread(raw)
 
     def test_short_sample_rejected(self):
         with pytest.raises(ValueError, match="3 frames"):
-            align_and_resample([np.zeros((2, 4))], [np.zeros((2, 6))], "c", 5)
+            align_and_resample([np.zeros((2, 4))], [np.zeros((2, 6))], 5)
 
     def test_warp_averages_query_frames(self):
         ref = np.array([[0.0], [10.0]])
@@ -251,54 +251,45 @@ def hand_scatter(sets_frames):
     return sb, sw
 
 
-class _FakeAligned:
-    def __init__(self, frames, label="c"):
-        self.frames = frames
-        self.label = label
-        self.reference_index = 0
-
-
 class TestScatter:
     def test_single_class_between_is_zero(self):
         rng = np.random.default_rng(8)
-        acc = accumulate_scatter([_FakeAligned(rng.normal(size=(4, 3, 5)))])
-        assert np.array_equal(acc.between, np.zeros((5, 5)))
+        between, _ = accumulate_scatter([rng.normal(size=(4, 3, 5))])
+        assert np.array_equal(between, np.zeros((5, 5)))
 
     def test_one_sample_per_class_within_is_zero(self):
         rng = np.random.default_rng(9)
-        sets = [_FakeAligned(rng.normal(size=(1, 3, 5))) for _ in range(4)]
-        acc = accumulate_scatter(sets)
-        assert np.array_equal(acc.within, np.zeros((5, 5)))
+        sets = [rng.normal(size=(1, 3, 5)) for _ in range(4)]
+        _, within = accumulate_scatter(sets)
+        assert np.array_equal(within, np.zeros((5, 5)))
 
     def test_matches_longhand_arithmetic(self):
         rng = np.random.default_rng(10)
         sets_frames = [rng.normal(size=(2, 1, 2)), rng.normal(size=(2, 1, 2))]
-        acc = accumulate_scatter([_FakeAligned(f) for f in sets_frames])
+        between, within = accumulate_scatter(sets_frames)
         sb, sw = hand_scatter(sets_frames)
-        assert np.max(np.abs(acc.between - sb)) <= 1e-12
-        assert np.max(np.abs(acc.within - sw)) <= 1e-12
+        assert np.max(np.abs(between - sb)) <= 1e-12
+        assert np.max(np.abs(within - sw)) <= 1e-12
 
     def test_matches_longhand_weighted_sizes(self):
         rng = np.random.default_rng(11)
         sets_frames = [rng.normal(size=(3, 4, 6)), rng.normal(size=(5, 4, 6)),
                        rng.normal(size=(2, 4, 6))]
-        acc = accumulate_scatter([_FakeAligned(f) for f in sets_frames])
+        between, within = accumulate_scatter(sets_frames)
         sb, sw = hand_scatter(sets_frames)
-        assert np.max(np.abs(acc.between - sb)) <= 1e-10
-        assert np.max(np.abs(acc.within - sw)) <= 1e-10
+        assert np.max(np.abs(between - sb)) <= 1e-10
+        assert np.max(np.abs(within - sw)) <= 1e-10
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(12)
-        sets = [_FakeAligned(rng.normal(size=(4, 5, 8))) for _ in range(3)]
-        acc = accumulate_scatter(sets)
-        assert np.array_equal(acc.between, acc.between.T)
-        assert np.array_equal(acc.within, acc.within.T)
+        sets = [rng.normal(size=(4, 5, 8)) for _ in range(3)]
+        between, within = accumulate_scatter(sets)
+        assert np.array_equal(between, between.T)
+        assert np.array_equal(within, within.T)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            accumulate_scatter(
-                [_FakeAligned(np.zeros((2, 3, 4))), _FakeAligned(np.zeros((2, 3, 5)))]
-            )
+            accumulate_scatter([np.zeros((2, 3, 4)), np.zeros((2, 3, 5))])
 
 
 class TestSolve:
@@ -312,57 +303,54 @@ class TestSolve:
             cov_sqrt = a @ a.T / d + np.eye(d)
             x1 = mu1 + rng.normal(size=(40, d)) @ cov_sqrt
             x2 = mu2 + rng.normal(size=(40, d)) @ cov_sqrt
-            sets = [_FakeAligned(x1[:, None, :]), _FakeAligned(x2[:, None, :])]
-            acc = accumulate_scatter(sets)
-            transform = solve_transform(acc, out_dim=1, shrinkage=1e-9)
+            between, within = accumulate_scatter([x1[:, None, :], x2[:, None, :]])
+            weights, _, _ = solve_transform(between, within, out_dim=1, shrinkage=1e-9)
             m1 = x1.mean(axis=0)
             m2 = x2.mean(axis=0)
-            fisher = np.linalg.solve(acc.within, m1 - m2)
-            w = transform.weights[:, 0]
+            fisher = np.linalg.solve(within, m1 - m2)
+            w = weights[:, 0]
             cos = abs(fisher @ w) / (np.linalg.norm(fisher) * np.linalg.norm(w))
             assert cos >= 0.999
 
     def test_zero_between_all_zero_eigenvalues(self):
         rng = np.random.default_rng(14)
-        acc = accumulate_scatter([_FakeAligned(rng.normal(size=(6, 2, 4)))])
-        transform = solve_transform(acc, out_dim=4)
-        assert np.max(np.abs(transform.eigenvalues)) <= 1e-10
+        scatter = accumulate_scatter([rng.normal(size=(6, 2, 4))])
+        _, eigenvalues, _ = solve_transform(*scatter, out_dim=4)
+        assert np.max(np.abs(eigenvalues)) <= 1e-10
 
     def test_residual_of_generalized_problem(self):
         rng = np.random.default_rng(15)
-        sets = [_FakeAligned(rng.normal(size=(6, 3, 7)) + c) for c in range(3)]
-        acc = accumulate_scatter(sets)
-        transform = solve_transform(acc, out_dim=4, shrinkage=1e-3)
-        ridge = transform.shrinkage * np.trace(acc.within) / 7 * np.eye(7)
+        sets = [rng.normal(size=(6, 3, 7)) + c for c in range(3)]
+        between, within = accumulate_scatter(sets)
+        weights, eigenvalues, used = solve_transform(between, within, out_dim=4,
+                                                     shrinkage=1e-3)
+        ridge = used * np.trace(within) / 7 * np.eye(7)
         for k in range(4):
-            w = transform.weights[:, k]
-            lam = transform.eigenvalues[k]
-            residual = acc.between @ w - lam * (acc.within + ridge) @ w
+            w = weights[:, k]
+            lam = eigenvalues[k]
+            residual = between @ w - lam * (within + ridge) @ w
             assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(w)
 
     def test_eigenvalues_descending_nonnegative(self):
         rng = np.random.default_rng(16)
-        sets = [_FakeAligned(rng.normal(size=(5, 2, 6)) + 2 * c) for c in range(4)]
-        acc = accumulate_scatter(sets)
-        transform = solve_transform(acc, out_dim=6)
-        values = transform.eigenvalues
+        sets = [rng.normal(size=(5, 2, 6)) + 2 * c for c in range(4)]
+        _, values, _ = solve_transform(*accumulate_scatter(sets), out_dim=6)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] >= -1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(17)
-        sets = [_FakeAligned(rng.normal(size=(5, 2, 6)) + c) for c in range(3)]
-        acc = accumulate_scatter(sets)
-        transform = solve_transform(acc, out_dim=3)
+        sets = [rng.normal(size=(5, 2, 6)) + c for c in range(3)]
+        weights, _, _ = solve_transform(*accumulate_scatter(sets), out_dim=3)
         for k in range(3):
-            w = transform.weights[:, k]
+            w = weights[:, k]
             assert w[np.argmax(np.abs(w))] > 0
 
     def test_too_many_dims_rejected(self):
         rng = np.random.default_rng(18)
-        acc = accumulate_scatter([_FakeAligned(rng.normal(size=(3, 2, 4)))])
+        scatter = accumulate_scatter([rng.normal(size=(3, 2, 4))])
         with pytest.raises(ValueError):
-            solve_transform(acc, out_dim=5)
+            solve_transform(*scatter, out_dim=5)
 
 
 class TestProject:
