@@ -85,13 +85,8 @@ def _cmd_train(args):
     cfg = _load_config(args)
     spec = FeatureSetSpec.parse(args.set)
     prepared = prepare_dataset(_extracted(args, cfg), spec, cfg)
-    by_class: dict[str, list] = {}
-    posxy: dict[str, list] = {}
-    for s in prepared:
-        by_class.setdefault(s.label, []).append(s.frames)
-        posxy.setdefault(s.label, []).append(s.posxy)
     out = Path(args.out)
-    transform, bank = train_recognizer(by_class, posxy, cfg, args.lda_dims, spec.name)
+    transform, bank = train_recognizer(prepared, cfg, args.lda_dims, spec.name)
     if transform is not None:
         transform.save(out / "transform.npz")
     bank.save(out / "bank")

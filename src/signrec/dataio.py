@@ -11,7 +11,10 @@ One directory per recorded sample:
 
 skeleton.txt, meta.txt and the manifest are UTF-8 text.
 
-A dataset is a tab-separated manifest: path, signer, label, handedness.
+A dataset is a tab-separated manifest: path, signer, label, handedness, each
+of the last three equal to the one in the entry's meta.txt. Beside it lie the
+`SKIN_FILES`, skin and non-skin pixel lists that bootstrap the color model:
+one "R G B" row of integers in 0..255 per line.
 
 Saved artefacts (features, HMMs, transforms) are npz records: `save_record`, `load_record`.
 """
@@ -39,6 +42,7 @@ JOINT_NAMES = (
 REQUIRED_JOINTS = ("neck", "torso", "shoulder_left", "shoulder_right", "hand_left",
                    "hand_right")
 HANDEDNESS = ("left", "right")
+SKIN_FILES = ("skin_pixels.txt", "nonskin_pixels.txt")
 
 _MIRROR_JOINT = {
     "shoulder_left": "shoulder_right",
@@ -66,11 +70,6 @@ class SkeletonPose:
     """Upper-body joints in image coordinates (px, px, mm)."""
 
     joints: dict[str, tuple[float, float, float]]
-
-    def require(self, name):
-        if name not in self.joints:
-            raise KeyError(f"skeleton pose has no joint {name!r}")
-        return self.joints[name]
 
 
 @dataclass
@@ -128,10 +127,6 @@ class DatasetManifest:
     @property
     def vocabulary(self):
         return sorted({e.sign_label for e in self.entries})
-
-    @property
-    def signers(self):
-        return sorted({e.signer_id for e in self.entries})
 
     def validate(self):
         paths = [e.path for e in self.entries]
@@ -207,10 +202,10 @@ def save_record(path, meta, **arrays):
         raise
 
 
-def load_record(path, arrays, meta=()):
-    """Read a record written by `save_record`; returns (meta, arrays). Array
-    members other than `arrays`, or a `__meta__` that is not a JSON object
-    with the keys `meta`, raise LoadError naming the file."""
+def load_record(path, arrays, meta):
+    """Read a `save_record` record; returns (meta, arrays). Members other than
+    `arrays`, or a `__meta__` that is not a JSON object holding each key of the
+    dict `meta` with a value of its mapped type, raise LoadError naming the file."""
     try:
         # a handle closed here: np.load leaves a file it opened from a path
         # open when the zip is truncated
@@ -221,12 +216,17 @@ def load_record(path, arrays, meta=()):
         raise LoadError(f"{path}: unreadable record ({exc})") from None
     if set(members) != set(arrays):
         raise LoadError(f"{path}: members {sorted(members)}, expected {list(arrays)}")
-    if not isinstance(stored, dict) or not stored.keys() >= set(meta):
+    if not isinstance(stored, dict) or not stored.keys() >= meta.keys():
         raise LoadError(f"{path}: {_META} is not a JSON object with keys {list(meta)}")
+    for key, kind in meta.items():
+        # exact types: JSON true is not an int here
+        if type(stored[key]) is not kind:
+            raise LoadError(f"{path}: {_META} key {key!r} holds {stored[key]!r}, "
+                            f"not a {kind.__name__}")
     return stored, members
 
 
-# --- PPM / PGM ------------------------------------------------------------
+# --- PPM / PGM and skin pixel lists ----------------------------------------
 
 def _read_pnm_header(data: bytes, path):
     """Parse a P5/P6 header, returning (magic, width, height, maxval, offset)."""
@@ -312,6 +312,31 @@ def write_pgm8(path, image):
     _write_pnm(path, image, *_PGM8)
 
 
+def write_pixel_list(path, rows):
+    """Write (R, G, B) rows, each value rounded to an integer, one per line."""
+    text = "\n".join(" ".join(str(int(round(v))) for v in row) for row in rows)
+    Path(path).write_text(text + "\n")
+
+
+def parse_pixel_list(text):
+    """A skin pixel list, one R G B row of integers in 0..255 per line, as an
+    (N, 3) uint8 array. Raises ValueError naming the first bad line."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            row = [int(v) for v in fields]
+        except ValueError:
+            row = []
+        if len(row) != 3 or not all(0 <= v <= 255 for v in row):
+            raise ValueError(f"line {number}: expected three integers in 0..255, "
+                             f"got {line.strip()!r}")
+        rows.append(row)
+    return np.array(rows, dtype=np.uint8).reshape(-1, 3)
+
+
 # --- skeleton / meta ------------------------------------------------------
 
 def _format_skeleton(poses):
@@ -370,6 +395,27 @@ def save_sequence(seq: FrameSequence, path):
     (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
 
 
+def read_meta(seq_dir):
+    """(signer, label, handedness, fps) of a recording's meta.txt, a missing
+    key read as "", "", "right", 30.0; a bad file raises LoadError naming it."""
+    meta_path = Path(seq_dir) / "meta.txt"
+    if not meta_path.exists():
+        raise LoadError(f"{meta_path}: missing")
+    meta = {}
+    for raw in read_text(meta_path).splitlines():
+        if "=" in raw:
+            key, value = raw.split("=", 1)
+            meta[key.strip()] = value.strip()
+    try:
+        fps = float(meta.get("fps", 30.0))
+    except ValueError:
+        raise LoadError(f"{meta_path}: non-numeric fps {meta['fps']!r}") from None
+    handedness = meta.get("handedness", "right")
+    if handedness not in HANDEDNESS:
+        raise LoadError(f"{meta_path}: handedness {handedness!r} is not one of {HANDEDNESS}")
+    return meta.get("signer", ""), meta.get("label", ""), handedness, fps
+
+
 def load_sequence(path) -> FrameSequence:
     root = Path(path)
     if not root.is_dir():
@@ -385,30 +431,14 @@ def load_sequence(path) -> FrameSequence:
     skel_path = root / "skeleton.txt"
     if not skel_path.exists():
         raise LoadError(f"{skel_path}: missing")
-    meta_path = root / "meta.txt"
-    if not meta_path.exists():
-        raise LoadError(f"{meta_path}: missing")
-
-    meta = {}
-    for raw in read_text(meta_path).splitlines():
-        if "=" in raw:
-            key, value = raw.split("=", 1)
-            meta[key.strip()] = value.strip()
-
-    try:
-        fps = float(meta.get("fps", 30.0))
-    except ValueError:
-        raise LoadError(f"{meta_path}: non-numeric fps {meta['fps']!r}") from None
-    handedness = meta.get("handedness", "right")
-    if handedness not in HANDEDNESS:
-        raise LoadError(f"{meta_path}: handedness {handedness!r} is not one of {HANDEDNESS}")
+    signer, label, handedness, fps = read_meta(root)
     seq = FrameSequence(
         color_frames=[read_ppm(p) for p in color_paths],
         depth_frames=[read_pgm16(p) for p in depth_paths],
         skeleton=_parse_skeleton(read_text(skel_path), skel_path),
         fps=fps,
-        signer_id=meta.get("signer", ""),
-        sign_label=meta.get("label") or None,
+        signer_id=signer,
+        sign_label=label or None,
         handedness=handedness,
     )
     if len(seq.skeleton) != len(seq.color_frames):
@@ -458,8 +488,8 @@ def shoulder_distance(seq: FrameSequence) -> float:
         raise ValueError("sequence has no skeleton poses")
     dists = []
     for pose in seq.skeleton[:count]:
-        lx, ly, _ = pose.require("shoulder_left")
-        rx, ry, _ = pose.require("shoulder_right")
+        lx, ly, _ = pose.joints["shoulder_left"]
+        rx, ry, _ = pose.joints["shoulder_right"]
         dists.append(math.hypot(lx - rx, ly - ry))
     span = float(np.median(dists))
     if span <= 1e-9:

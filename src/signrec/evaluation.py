@@ -131,15 +131,17 @@ def _train_kwargs(cfg: Config):
     )
 
 
-def train_recognizer(frames_by_class, posxy_by_class, cfg: Config, lda_dims,
-                     feature_spec):
+def train_recognizer(samples, cfg: Config, lda_dims, feature_spec):
     """Fit the signer-independent transform (None when `lda_dims` is 0) on
-    the given samples, then train the bank on them projected through it.
+    the prepared samples, then train the bank on them projected through it.
     Returns (transform, bank)."""
+    grouped = _by_class(samples)
+    frames_by_class = {label: [s.frames for s in group] for label, group in grouped.items()}
     transform = None
     if lda_dims > 0:
         transform = fit_transform(
-            frames_by_class, posxy_by_class,
+            frames_by_class,
+            {label: [s.posxy for s in group] for label, group in grouped.items()},
             out_dim=lda_dims,
             keep_frames=cfg.lda_resample_third,
             shrinkage=cfg.lda_shrinkage,
@@ -228,16 +230,10 @@ def _si_one_signer(args):
     """One held-out signer: fit the transform (if any) and the sign models on
     the training signers only, then score the held-out samples."""
     held_out, train, test, vocabulary, cfg, lda_dims, feature_spec_name = args
-    grouped = _by_class(train)
-    missing = [label for label in vocabulary if not grouped.get(label)]
-    if missing:
+    if {s.label for s in train} != set(vocabulary):
         return held_out, None
 
-    transform, bank = train_recognizer(
-        {label: [s.frames for s in grouped[label]] for label in vocabulary},
-        {label: [s.posxy for s in grouped[label]] for label in vocabulary},
-        cfg, lda_dims, feature_spec_name,
-    )
+    transform, bank = train_recognizer(train, cfg, lda_dims, feature_spec_name)
     tally = _Tally(vocabulary)
     for s in test:
         frames = project(s.frames, transform) if transform is not None else s.frames

@@ -103,10 +103,13 @@ def save_sample(sample: FeatureSample, path, key=""):
 
 def load_sample(path, key=None) -> FeatureSample:
     """Read a sample record; if `key` is given it must equal the stored one."""
-    meta, arrays = load_record(path, ("frames",), ("label", "signer", "key"))
+    meta, arrays = load_record(path, ("frames",), {"label": str, "signer": str, "key": str})
     if key is not None and meta["key"] != key:
         raise LoadError(f"{path}: stored under a different key")
-    return FeatureSample(arrays["frames"], meta["label"], meta["signer"])
+    frames = arrays["frames"]
+    if frames.ndim != 2 or frames.dtype != np.float64:
+        raise LoadError(f"{path}: frames of {frames.dtype} {frames.shape}, not 2-D float64")
+    return FeatureSample(frames, meta["label"], meta["signer"])
 
 
 # --- geometry helpers -------------------------------------------------------
@@ -133,28 +136,14 @@ def convex_hull(points):
 
 
 def _grid_row_extremes(grid):
-    """(x, y) of the leftmost and rightmost set cell of every row of a
-    boolean grid."""
+    """(x, y) of the leftmost and rightmost set cell of every row of a boolean
+    grid: at most 2H points with the same convex hull as all set cells."""
     rows = np.flatnonzero(grid.any(axis=1))
     filled = grid[rows]
     left = filled.argmax(axis=1).tolist()
     right = (grid.shape[1] - 1 - filled[:, ::-1].argmax(axis=1)).tolist()
     ys = rows.tolist()
     return list(zip(left, ys)) + list(zip(right, ys))
-
-
-def row_extremes(points):
-    """The leftmost and rightmost point of every row (equal y) of a point set.
-
-    Every point lies between its row's two extremes, so these at most 2H
-    points have the same convex hull as the whole set.
-    """
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    x0, y0 = pts.min(axis=0).tolist()
-    width, height = (pts.max(axis=0) - (x0, y0) + 1).tolist()
-    grid = np.zeros((height, width), dtype=bool)
-    grid[pts[:, 1] - y0, pts[:, 0] - x0] = True
-    return [(x + x0, y + y0) for x, y in _grid_row_extremes(grid)]
 
 
 def _hull_lattice_count(hull, distinct):
@@ -170,16 +159,6 @@ def _hull_lattice_count(hull, distinct):
         twice_area += x1 * y2 - x2 * y1
         boundary += math.gcd(x2 - x1, y2 - y1)
     return (twice_area + boundary + 2) // 2
-
-
-def hull_pixel_count(points):
-    """Number of integer pixel centers inside or on the convex hull, which is
-    built from the row extremes."""
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    if len(pts) == 0:
-        return 0
-    distinct = len({(int(p[0]), int(p[1])) for p in pts})
-    return _hull_lattice_count(convex_hull(row_extremes(pts)), distinct)
 
 
 # np.sum of an array without its Python-level wrapper
@@ -208,17 +187,15 @@ def geometric_features(mask, eccentricity_as_printed=True, points=None):
 
     The ellipse has the same normalized second central moments as the blob
     (pixel squares integrate to the +1/12 variance correction). Returns the
-    7-vector (a, p, s, c, M, m, cos(beta)) and a degeneracy flag; blobs of
-    fewer than 3 pixels come back zeroed. `points` is the mask's
-    `_mask_points`, when the caller has them already.
+    7-vector (a, p, s, c, M, m, cos(beta)), zeros for blobs of fewer than 3
+    pixels. `points` is the mask's `_mask_points`, when the caller has them.
     """
     mask = np.asarray(mask, dtype=bool)
     xs, ys = _mask_points(mask) if points is None else points
     a = xs.size
     if a < 3:
-        return np.zeros(7), True
+        return np.zeros(7)
     p = boundary_pixel_count(mask)
-    # the mask is the grid `row_extremes` would build from its points
     s = a / _hull_lattice_count(convex_hull(_grid_row_extremes(mask)), a)
 
     x = xs.astype(np.float64)
@@ -239,15 +216,15 @@ def geometric_features(mask, eccentricity_as_printed=True, points=None):
     else:
         c = math.sqrt(max(0.0, 1.0 - ratio**2))
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
-    return np.array([a, p, s, c, major, minor, math.cos(theta)]), False
+    return np.array([a, p, s, c, major, minor, math.cos(theta)])
 
 
 def hu_moments(mask, points=None):
-    """The seven Hu invariants from normalized central moments. `points` is
-    the mask's `_mask_points`, when the caller has them already."""
+    """The seven Hu invariants from normalized central moments, zeros for
+    blobs of fewer than 3 pixels. `points` is as in `geometric_features`."""
     xs, ys = _mask_points(mask) if points is None else points
     if xs.size < 3:
-        return np.zeros(7), True
+        return np.zeros(7)
     # canonical translation makes the invariants bit-exact under shifts
     x = (xs - xs.min()).astype(np.float64)
     y = (ys - ys.min()).astype(np.float64)
@@ -284,7 +261,7 @@ def hu_moments(mask, points=None):
     h7 = (3 * e21 - e03) * (e30 + e12) * (
         (e30 + e12) ** 2 - 3 * (e21 + e03) ** 2
     ) - (e30 - 3 * e12) * (e21 + e03) * (3 * (e30 + e12) ** 2 - (e21 + e03) ** 2)
-    return np.array([h1, h2, h3, h4, h5, h6, h7]), False
+    return np.array([h1, h2, h3, h4, h5, h6, h7])
 
 
 # Clockwise Moore neighborhood, starting west, as (row, column) steps.
@@ -360,10 +337,11 @@ def shape_context(mask):
     radial and 9 orientation bins; the 40 per-point histograms are averaged
     into one 45-dim descriptor so the frame dimension stays fixed. Each
     ordered pair (i, j), i != j, contributes the offset pts[j] - pts[i].
+    Under 3 boundary points or a zero median distance give zeros.
     """
     boundary = trace_boundary(mask)
     if len(boundary) < 3:
-        return np.zeros(SC_DIM), True
+        return np.zeros(SC_DIM)
     n = len(boundary)
     ys, xs = np.array([boundary[(k * n) // SC_POINTS] for k in range(SC_POINTS)],
                       dtype=np.float64).T
@@ -374,7 +352,7 @@ def shape_context(mask):
     dist = np.hypot(dx, dy)
     scale = median(dist)
     if scale <= 0:
-        return np.zeros(SC_DIM), True
+        return np.zeros(SC_DIM)
 
     # edges below the first inner edge fall in bin 0, past the last in bin 4
     rbin = np.searchsorted(inner_edges, dist / scale, side="right")
@@ -384,7 +362,7 @@ def shape_context(mask):
     rbin *= SC_ANGLE_BINS
     rbin += tbin
     # every pair lands in one bin, so the counts sum to _SC_PAIRS
-    return np.bincount(rbin, minlength=SC_DIM) / _SC_PAIRS, False
+    return np.bincount(rbin, minlength=SC_DIM) / _SC_PAIRS
 
 
 @functools.cache
@@ -441,10 +419,11 @@ def _gradient(patch):
 
 def hog(crop):
     """36-dim HOG of a hand crop: 2x2 cells of a 32x32 resized patch, 9
-    unsigned orientation bins, magnitude weighted, L2-normalized as one block."""
+    unsigned orientation bins, magnitude weighted, L2-normalized as one block
+    (zeros for a crop under 2 pixels a side or without gradient)."""
     crop = np.asarray(crop, dtype=np.float64)
     if crop.size == 0 or min(crop.shape) < 2:
-        return np.zeros(HOG_DIM), True
+        return np.zeros(HOG_DIM)
     gy, gx = _gradient(resize_bilinear(crop, HOG_SIZE, HOG_SIZE))
     mag = np.hypot(gx, gy)
     # the angle lies in [0, pi]: only an angle of exactly pi needs the cap
@@ -456,8 +435,8 @@ def hog(crop):
     vec = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=HOG_DIM)
     norm = math.sqrt(vec.dot(vec))    # np.linalg.norm of a vector
     if norm == 0:
-        return np.zeros(HOG_DIM), True
-    return vec / norm, False
+        return np.zeros(HOG_DIM)
+    return vec / norm
 
 
 # --- sample assembly ---------------------------------------------------------
@@ -469,8 +448,8 @@ def positional_features(track, pose, span, width, focal_per_width):
     image-plane pixel equivalent at torso depth before the same
     normalization, so the block is invariant to the signer's distance.
     """
-    nx, ny, _ = pose.require("neck")
-    _, _, torso_z = pose.require("torso")
+    nx, ny, _ = pose.joints["neck"]
+    _, _, torso_z = pose.joints["torso"]
     px, py = track.position
     vx, vy = track.velocity
     x = (px - nx) / span
@@ -486,19 +465,16 @@ def positional_features(track, pose, span, width, focal_per_width):
 
 def _shape_blocks(obs, rgb, span, cfg):
     points = _mask_points(obs.mask)
-    geo, geo_bad = geometric_features(obs.mask, cfg.eccentricity_as_printed, points)
-    if not geo_bad:
-        geo = geo.copy()
-        geo[0] /= span**2          # area
-        geo[1] /= span             # perimeter
-        geo[4] /= span             # major axis
-        geo[5] /= span             # minor axis
-    hu, _ = hu_moments(obs.mask, points)
-    sc, _ = shape_context(obs.mask)
+    geo = geometric_features(obs.mask, cfg.eccentricity_as_printed, points)
+    geo[0] /= span**2          # area
+    geo[1] /= span             # perimeter
+    geo[4] /= span             # major axis
+    geo[5] /= span             # minor axis
+    hu = hu_moments(obs.mask, points)
+    sc = shape_context(obs.mask)
     x, y, w, h = obs.bbox
     crop = to_gray(rgb[y : y + h, x : x + w]) * obs.mask
-    hg, _ = hog(crop)
-    return np.concatenate([geo, hu, sc, hg])
+    return np.concatenate([geo, hu, sc, hog(crop)])
 
 
 _SHAPE_WIDTH = 7 + 7 + SC_DIM + HOG_DIM
@@ -521,8 +497,8 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
             ("left", frame.left, frame.left_track),
         ):
             pos = positional_features(track, pose, span, width, cfg.focal_per_width)
-            jx, jy, _ = pose.require(f"hand_{hand}")
-            nx, ny, _ = pose.require("neck")
+            jx, jy, _ = pose.joints[f"hand_{hand}"]
+            nx, ny, _ = pose.joints["neck"]
             kinect = np.array([(jx - nx) / span, (jy - ny) / span])
             if obs is not None and not obs.shape_frozen:
                 shape = _shape_blocks(obs, rgb, span, cfg)

@@ -307,10 +307,12 @@ class ClassifierBank:
     @classmethod
     def load(cls, directory):
         """Read a bank written by `save`; a record with other members,
-        metadata keys or shapes raises LoadError naming the file."""
+        metadata or shapes raises LoadError naming the file."""
         path = Path(directory) / "models.npz"
-        meta, arrays = load_record(path, _MEMBERS, ("vocabulary", "feature_spec"))
+        meta, arrays = load_record(path, _MEMBERS, {"vocabulary": list, "feature_spec": str})
         vocabulary = meta["vocabulary"]
+        if not all(type(label) is str for label in vocabulary):
+            raise LoadError(f"{path}: vocabulary {vocabulary!r} is not a list of strings")
         shapes = [arrays[name].shape for name in _MEMBERS]
         full = shapes[0]
         if len(full) != 3 or full[0] != len(vocabulary) or shapes[1:] != [

@@ -16,10 +16,10 @@ import os
 from pathlib import Path
 
 from .config import Config, ExtractConfig
-from .dataio import DatasetManifest, LoadError, load_sequence, mirror_sequence
+from .dataio import (SKIN_FILES, DatasetManifest, LoadError, load_sequence, mirror_sequence,
+                     parse_pixel_list, read_meta)
 from .features import FeatureSample, assemble, load_sample, save_sample
 from .segmentation import SequenceSegmenter, SkinHistogram
-from .synth import SKIN_FILES, parse_pixel_list
 
 log = logging.getLogger(__name__)
 
@@ -102,11 +102,18 @@ def _cache_name(entry_path):
 def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     """Extract every manifest entry, reusing cached feature records.
 
-    Returns a list of (entry, FeatureSample) in manifest order.
+    Returns a list of (entry, FeatureSample) in manifest order. An entry that
+    disagrees with its meta.txt raises LoadError.
     """
     manifest_path = Path(manifest_path)
     manifest = DatasetManifest.load(manifest_path)
     root = manifest_path.parent
+    for entry in manifest.entries:
+        listed = (entry.signer_id, entry.sign_label, entry.handedness)
+        stored = read_meta(root / entry.path)[:3]
+        if stored != listed:
+            raise LoadError(f"{manifest_path}: entry {entry.path!r} lists {listed}, "
+                            f"but {root / entry.path / 'meta.txt'} holds {stored}")
     # read once: hashed into the cache keys, parsed only if something misses
     skin_lists = _read_skin_lists(root)
 

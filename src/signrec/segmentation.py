@@ -120,12 +120,6 @@ def _bin_counts(flat_bins, bins):
     return flat.reshape(bins, bins).astype(np.float64)
 
 
-def _pixel_counts(rgb_pixels, bins):
-    if len(rgb_pixels) == 0:
-        return np.zeros((bins, bins), dtype=np.float64)
-    return _bin_counts(rg_bins(rgb_pixels, bins), bins)
-
-
 @dataclass
 class SkinHistogram:
     """Skin and non-skin histograms over (r, g) chromaticity bins."""
@@ -136,11 +130,9 @@ class SkinHistogram:
 
     @classmethod
     def from_pixels(cls, skin_rgb, nonskin_rgb, bins=32):
-        return cls(
-            skin_counts=_pixel_counts(np.asarray(skin_rgb), bins),
-            nonskin_counts=_pixel_counts(np.asarray(nonskin_rgb), bins),
-            bins=bins,
-        )
+        """Histograms of two lists of 8-bit (R, G, B) pixels."""
+        return cls.from_bins(rg_bins(np.reshape(skin_rgb, (-1, 3)), bins),
+                             rg_bins(np.reshape(nonskin_rgb, (-1, 3)), bins), bins)
 
     @classmethod
     def from_bins(cls, skin_bins, nonskin_bins, bins):
@@ -162,17 +154,6 @@ class SkinHistogram:
         return (self.ratio_table() > threshold).ravel()[flat_bins]
 
 
-def skin_mask(rgb, model: SkinHistogram, threshold, region=None):
-    """Binary mask of pixels whose skin likelihood ratio exceeds threshold.
-
-    When given, evaluation is restricted to the body region mask.
-    """
-    mask = model.lookup(rg_bins(rgb, model.bins), threshold)
-    if region is not None:
-        mask &= region
-    return mask
-
-
 def update_adaptive_model(model: SkinHistogram, skin_bins, nonskin_bins, alpha) -> SkinHistogram:
     """Blend per-bin counts: (1 - alpha) * previous + alpha * current pixels.
 
@@ -180,11 +161,10 @@ def update_adaptive_model(model: SkinHistogram, skin_bins, nonskin_bins, alpha) 
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    new_skin = _bin_counts(skin_bins, model.bins)
-    new_non = _bin_counts(nonskin_bins, model.bins)
+    current = SkinHistogram.from_bins(skin_bins, nonskin_bins, model.bins)
     return SkinHistogram(
-        skin_counts=(1.0 - alpha) * model.skin_counts + alpha * new_skin,
-        nonskin_counts=(1.0 - alpha) * model.nonskin_counts + alpha * new_non,
+        skin_counts=(1.0 - alpha) * model.skin_counts + alpha * current.skin_counts,
+        nonskin_counts=(1.0 - alpha) * model.nonskin_counts + alpha * current.nonskin_counts,
         bins=model.bins,
     )
 

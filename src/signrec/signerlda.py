@@ -175,7 +175,7 @@ class LdaTransform:
         return self.weights.shape[0]
 
     def save(self, path):
-        meta = {"keep_frames": self.keep_frames, "shrinkage": self.shrinkage,
+        meta = {"keep_frames": self.keep_frames, "shrinkage": float(self.shrinkage),
                 "feature_spec": self.feature_spec}
         save_record(path, meta, weights=self.weights, eigenvalues=self.eigenvalues)
 
@@ -184,7 +184,7 @@ class LdaTransform:
         """Read a transform written by `save`; a record with other members,
         metadata or shapes raises LoadError naming the file."""
         meta, arrays = load_record(path, ("weights", "eigenvalues"),
-                                   ("keep_frames", "shrinkage", "feature_spec"))
+                                   {"keep_frames": int, "shrinkage": float, "feature_spec": str})
         weights, eigenvalues = arrays["weights"], arrays["eigenvalues"]
         if weights.ndim != 2 or eigenvalues.shape != weights.shape[1:]:
             raise LoadError(f"{path}: member shapes {weights.shape}, {eigenvalues.shape} "

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
+    SKIN_FILES,
     DatasetManifest,
     FrameSequence,
     ManifestEntry,
@@ -28,6 +29,7 @@ from .dataio import (
     read_pgm8,
     save_sequence,
     write_pgm8,
+    write_pixel_list,
 )
 
 GOLDEN = 0.618033988749895
@@ -39,9 +41,6 @@ BACKGROUND_BASE = np.array([28.0, 28.0, 32.0])
 TORSO_Z = 2000.0
 FACE_Z = 1950.0
 BACKGROUND_Z = 3200.0
-
-# labeled skin and non-skin RGB rows that bootstrap the color model
-SKIN_FILES = ("skin_pixels.txt", "nonskin_pixels.txt")
 
 
 @dataclass
@@ -462,34 +461,8 @@ def _emit_skin_corpus(out_dir: Path, rng):
     for base in ([200, 40, 40], [40, 180, 60], [230, 220, 40], [150, 60, 200]):
         for lum in np.linspace(0.7, 1.3, 12):
             nonskin.append(np.clip(np.array(base, dtype=float) * lum, 0, 255))
-
-    def write(path, rows):
-        text = "\n".join(
-            " ".join(str(int(round(v))) for v in row) for row in rows
-        )
-        path.write_text(text + "\n")
-
-    write(out_dir / SKIN_FILES[0], skin)
-    write(out_dir / SKIN_FILES[1], nonskin)
-
-
-def parse_pixel_list(text):
-    """A skin pixel list, one R G B row of integers in 0..255 per line, as an
-    (N, 3) uint8 array. Raises ValueError naming the first bad line."""
-    rows = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        try:
-            row = [int(v) for v in fields]
-        except ValueError:
-            row = []
-        if len(row) != 3 or not all(0 <= v <= 255 for v in row):
-            raise ValueError(f"line {number}: expected three integers in 0..255, "
-                             f"got {line.strip()!r}")
-        rows.append(row)
-    return np.array(rows, dtype=np.uint8).reshape(-1, 3)
+    write_pixel_list(out_dir / SKIN_FILES[0], skin)
+    write_pixel_list(out_dir / SKIN_FILES[1], nonskin)
 
 
 def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest:

@@ -98,7 +98,7 @@ def resize_bilinear(image, out_h, out_w):
 def shape_context(mask):
     boundary = trace_boundary(mask)
     if len(boundary) < 3:
-        return np.zeros(SC_DIM), True
+        return np.zeros(SC_DIM)
     n = len(boundary)
     picks = [(k * n) // SC_POINTS for k in range(SC_POINTS)]
     pts = np.array([(boundary[i][1], boundary[i][0]) for i in picks], dtype=np.float64)
@@ -108,20 +108,20 @@ def shape_context(mask):
     dist = np.hypot(diff[:, 0], diff[:, 1])
     med = np.median(dist)
     if med <= 0:
-        return np.zeros(SC_DIM), True
+        return np.zeros(SC_DIM)
     rbin = np.clip(np.searchsorted(edges, dist / med, side="right") - 1,
                    0, SC_RADIAL_BINS - 1)
     theta = np.arctan2(diff[:, 1], diff[:, 0])
     tbin = np.clip(((theta + np.pi) / (2 * np.pi / SC_ANGLE_BINS)).astype(np.intp),
                    0, SC_ANGLE_BINS - 1)
     hist = np.bincount(rbin * SC_ANGLE_BINS + tbin, minlength=SC_DIM).astype(np.float64)
-    return hist / hist.sum(), False
+    return hist / hist.sum()
 
 
 def hog(crop):
     crop = np.asarray(crop, dtype=np.float64)
     if crop.size == 0 or min(crop.shape) < 2:
-        return np.zeros(HOG_DIM), True
+        return np.zeros(HOG_DIM)
     patch = resize_bilinear(crop, HOG_SIZE, HOG_SIZE)
     gy, gx = np.gradient(patch)
     mag = np.hypot(gx, gy)
@@ -131,8 +131,8 @@ def hog(crop):
                       minlength=HOG_DIM)
     norm = np.linalg.norm(vec)
     if norm == 0:
-        return np.zeros(HOG_DIM), True
-    return vec / norm, False
+        return np.zeros(HOG_DIM)
+    return vec / norm
 
 
 def convex_hull(points):
@@ -189,7 +189,7 @@ def geometric_features(mask, eccentricity_as_printed=True, points=None):
     ys, xs = np.nonzero(m)
     a = xs.size
     if a < 3:
-        return np.zeros(7), True
+        return np.zeros(7)
     padded = np.pad(m, 1)
     inner = padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
     p = int((m & ~inner).sum())
@@ -211,14 +211,14 @@ def geometric_features(mask, eccentricity_as_printed=True, points=None):
     else:
         c = math.sqrt(max(0.0, 1.0 - ratio**2))
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
-    return np.array([a, p, s, c, major, minor, math.cos(theta)]), False
+    return np.array([a, p, s, c, major, minor, math.cos(theta)])
 
 
 def hu_moments(mask, points=None):
     # `points` is the shipped kernel's shortcut; the reference ignores it
     ys, xs = np.nonzero(np.asarray(mask, dtype=bool))
     if xs.size < 3:
-        return np.zeros(7), True
+        return np.zeros(7)
     x = (xs - xs.min()).astype(np.float64)
     y = (ys - ys.min()).astype(np.float64)
     n = x.size
@@ -251,7 +251,7 @@ def hu_moments(mask, points=None):
     h7 = (3 * e21 - e03) * (e30 + e12) * (
         (e30 + e12) ** 2 - 3 * (e21 + e03) ** 2
     ) - (e30 - 3 * e12) * (e21 + e03) * (3 * (e30 + e12) ** 2 - (e21 + e03) ** 2)
-    return np.array([h1, h2, h3, h4, h5, h6, h7]), False
+    return np.array([h1, h2, h3, h4, h5, h6, h7])
 
 
 def ellipse_mask(shape, center, axes, angle=0.0):

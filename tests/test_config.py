@@ -9,7 +9,7 @@ class TestConfig:
         # the bounds each range check must still accept
         cfg = Config(motion_threshold=9.0, hmm_states=1, zero_idle=False, hist_bins=1,
                      min_blob_area=0, max_coast=0, hmm_self_prob=0.999,
-                     variance_floor=1e-12)
+                     variance_floor=1e-12, skin_alpha=0.0, face_update_rate=1.0)
         cfg.save(tmp_path / "c.txt")
         loaded = Config.load(tmp_path / "c.txt")
         assert loaded == cfg
@@ -33,7 +33,8 @@ class TestConfig:
         "variance_floor=-inf", "hist_bins=0", "hmm_states=0", "hmm_states=-3",
         "hmm_max_iter=0", "lda_resample_third=0", "jobs=0", "min_blob_area=-1",
         "max_coast=-1", "hmm_self_prob=1.5", "hmm_self_prob=1.0", "hmm_self_prob=0.0",
-        "variance_floor=0.0", "variance_floor=-1e-4"])
+        "variance_floor=0.0", "variance_floor=-1e-4", "skin_alpha=1.5", "skin_alpha=-0.1",
+        "face_update_rate=2.0", "face_update_rate=-1.0"])
     def test_unparsable_value_named(self, tmp_path, line):
         (tmp_path / "c.txt").write_text(f"# tuning\n{line}\n")
         key = line.split("=")[0]

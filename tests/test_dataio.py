@@ -431,6 +431,26 @@ class TestRecords:
             with pytest.raises(LoadError, match=path.name):
                 load(path)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("bank", "vocabulary", 5), ("bank", "vocabulary", "a"), ("bank", "vocabulary", ["a", 1]),
+        ("bank", "feature_spec", None),
+        ("transform", "keep_frames", "x"), ("transform", "keep_frames", True),
+        ("transform", "shrinkage", None), ("transform", "feature_spec", 3),
+        ("sample", "label", 7), ("sample", "signer", None), ("sample", "key", 1.5)])
+    def test_metadata_types_checked(self, tmp_path, kind, key, value):
+        path, load, members, _ = write_artefact(kind, tmp_path)
+        meta, arrays = load_record(path, members, {})
+        save_record(path, {**meta, key: value}, **arrays)
+        with pytest.raises(LoadError, match=rf"{path.name}: .*{key}"):
+            load(path)
+
+    @pytest.mark.parametrize("frames", [np.zeros(5), np.zeros((5, 3), dtype="<U1"),
+                                        np.zeros((5, 3), dtype=np.float32), np.zeros((1, 5, 3))])
+    def test_sample_frames_checked(self, tmp_path, frames):
+        save_record(tmp_path / "f.npz", {"label": "a", "signer": "s", "key": "k"}, frames=frames)
+        with pytest.raises(LoadError, match="f.npz: frames"):
+            load_sample(tmp_path / "f.npz")
+
     @pytest.mark.parametrize("weights, eigenvalues", [
         ((3,), (3,)), ((4, 2), (3,)), ((4, 2), (2, 1)), ((4, 2, 1), (2,))])
     def test_transform_shapes_checked(self, tmp_path, weights, eigenvalues):
@@ -444,7 +464,7 @@ class TestRecords:
         bad = tmp_path / "junk.npz"
         bad.write_bytes(b"these bytes are not a record")
         with pytest.raises(LoadError, match="junk.npz"):
-            load_record(bad, ("frames",))
+            load_record(bad, ("frames",), {})
 
     @settings(max_examples=40, deadline=None)
     @given(labels=st.lists(FIELDS, min_size=1, max_size=3, unique=True), spec=FIELDS)

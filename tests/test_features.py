@@ -15,10 +15,8 @@ from signrec.features import (
     geometric_features,
     hog,
     hu_moments,
-    hull_pixel_count,
     load_sample,
     resize_bilinear,
-    row_extremes,
     save_sample,
     shape_context,
     trace_boundary,
@@ -49,9 +47,7 @@ class TestGeometric:
     def test_filled_square(self):
         mask = np.zeros((14, 14), dtype=bool)
         mask[2:12, 2:12] = True
-        vec, degenerate = geometric_features(mask)
-        a, p, s, c, major, minor, cosb = vec
-        assert not degenerate
+        a, p, s, c, major, minor, cosb = geometric_features(mask)
         assert a == 100
         assert p == 36
         assert s == pytest.approx(1.0)
@@ -61,7 +57,7 @@ class TestGeometric:
     def test_axis_aligned_rectangle(self):
         mask = np.zeros((16, 26), dtype=bool)
         mask[3:13, 3:23] = True          # 20 wide x 10 tall
-        vec, _ = geometric_features(mask)
+        vec = geometric_features(mask)
         _, _, _, c, major, minor, cosb = vec
         assert cosb == pytest.approx(1.0)
         assert major / minor == pytest.approx(2.0)
@@ -70,21 +66,20 @@ class TestGeometric:
     def test_eccentricity_standard_switch(self):
         mask = np.zeros((16, 26), dtype=bool)
         mask[3:13, 3:23] = True
-        vec, _ = geometric_features(mask, eccentricity_as_printed=False)
+        vec = geometric_features(mask, eccentricity_as_printed=False)
         ratio = vec[5] / vec[4]
         assert vec[3] == pytest.approx(math.sqrt(1 - ratio**2))
 
     def test_tiny_blob_degenerate(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True
-        vec, degenerate = geometric_features(mask)
-        assert degenerate and not vec.any()
+        assert not geometric_features(mask).any()
 
     def test_solidity_matches_brute_force_hull_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             mask = random_blob(rng)
-            vec, _ = geometric_features(mask)
+            vec = geometric_features(mask)
             ys, xs = np.nonzero(mask)
             pts = list(zip(xs.tolist(), ys.tolist()))
             oracle = _gift_wrap_hull_count(pts)
@@ -164,18 +159,25 @@ COLLINEAR_POINTS = st.builds(
 )
 
 
+def points_mask(points):
+    """The smallest boolean grid whose set cells are the points, shifted."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    lo = pts.min(axis=0)
+    width, height = pts.max(axis=0) - lo + 1
+    mask = np.zeros((height, width), dtype=bool)
+    mask[pts[:, 1] - lo[1], pts[:, 0] - lo[0]] = True
+    return mask
+
+
 class TestHull:
     @settings(max_examples=300)
     @given(points=st.one_of(RANDOM_POINTS, COLLINEAR_POINTS, FEW_POINTS))
     def test_pixel_count_equals_grid_count(self, points):
-        assert hull_pixel_count(points) == grid_hull_count(points)
-
-    @settings(max_examples=200)
-    @given(points=st.one_of(RANDOM_POINTS, COLLINEAR_POINTS))
-    def test_row_extremes_keep_the_hull(self, points):
-        extremes = row_extremes(points)
-        assert len(extremes) <= 2 * len({y for _, y in points})
-        assert convex_hull(extremes) == convex_hull(points)
+        # solidity: the blob's pixels over the pixel centers its hull covers
+        mask = points_mask(points)
+        a = int(mask.sum())
+        want = a / grid_hull_count(points) if a >= 3 else 0.0
+        assert geometric_features(mask)[2] == want
 
     def test_hull_of_square_is_four_corners(self):
         pts = [(x, y) for x in range(5) for y in range(5)]
@@ -183,8 +185,8 @@ class TestHull:
         assert sorted(hull) == [(0, 0), (0, 4), (4, 0), (4, 4)]
 
     def test_collinear_points(self):
-        pts = [(i, 2 * i) for i in range(6)]
-        assert hull_pixel_count(pts) == 6
+        # a line of pixels is its own hull
+        assert geometric_features(points_mask([(i, 2 * i) for i in range(6)]))[2] == 1.0
 
     def test_boundary_count_ring(self):
         mask = np.zeros((12, 12), dtype=bool)
@@ -223,9 +225,7 @@ class TestHuMoments:
         for _ in range(40):
             mask = random_blob(rng, size=int(rng.integers(6, 30)),
                                target=int(rng.integers(3, 30)))
-            vec, degenerate = hu_moments(mask)
-            assert not degenerate
-            assert np.array_equal(vec, product_hu_moments(mask))
+            assert np.array_equal(hu_moments(mask), product_hu_moments(mask))
 
     def test_translation_exact(self):
         rng = np.random.default_rng(3)
@@ -234,21 +234,21 @@ class TestHuMoments:
         big[10 : 10 + 30, 20 : 20 + 30] = blob
         moved = np.zeros((100, 100), dtype=bool)
         moved[10 - 12 + 30 : 10 - 12 + 60, 20 + 37 : 20 + 37 + 30] = blob  # (+37, -12)
-        h1, _ = hu_moments(big)
-        h2, _ = hu_moments(moved)
+        h1 = hu_moments(big)
+        h2 = hu_moments(moved)
         assert np.max(np.abs(h1 - h2)) <= 1e-12
 
     def test_rotation_90(self):
         rng = np.random.default_rng(4)
         blob = random_blob(rng, size=28)
-        h1, _ = hu_moments(blob)
-        h2, _ = hu_moments(np.rot90(blob))
+        h1 = hu_moments(blob)
+        h2 = hu_moments(np.rot90(blob))
         assert np.max(np.abs(h1 - h2)) <= 1e-9
 
     def test_scale_high_resolution(self):
         # rasterized disk at 1x and 2x: invariants agree to ~1e-3 relative
-        h1, _ = hu_moments(disk_mask(30))
-        h2, _ = hu_moments(disk_mask(60))
+        h1 = hu_moments(disk_mask(30))
+        h2 = hu_moments(disk_mask(60))
         scale = np.maximum(np.abs(h1), np.abs(h2))
         mask = scale > 1e-12
         assert np.max(np.abs(h1 - h2)[mask] / scale[mask]) <= 1e-3
@@ -256,8 +256,7 @@ class TestHuMoments:
     def test_degenerate(self):
         mask = np.zeros((4, 4), dtype=bool)
         mask[1, 1] = True
-        vec, degenerate = hu_moments(mask)
-        assert degenerate and not vec.any()
+        assert not hu_moments(mask).any()
 
 
 def checked_trace_boundary(mask):
@@ -345,21 +344,20 @@ class TestShapeContext:
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
-            vec, degenerate = shape_context(random_blob(rng))
-            assert not degenerate
+            vec = shape_context(random_blob(rng))
             assert vec.sum() == pytest.approx(1.0, abs=1e-12)
             assert (vec >= 0).all()
 
     def test_translation_invariant(self):
         blob = disk_mask(8, size=60, center=20)
-        vec1, _ = shape_context(blob)
+        vec1 = shape_context(blob)
         moved = np.roll(np.roll(blob, 17, axis=0), 9, axis=1)
-        vec2, _ = shape_context(moved)
+        vec2 = shape_context(moved)
         assert np.max(np.abs(vec1 - vec2)) <= 1e-9
 
     def test_scale_robust(self):
-        v1, _ = shape_context(disk_mask(20))
-        v2, _ = shape_context(disk_mask(30))
+        v1 = shape_context(disk_mask(20))
+        v2 = shape_context(disk_mask(30))
         assert np.max(np.abs(v1 - v2)) <= 1e-2
 
     @settings(max_examples=400)
@@ -397,13 +395,12 @@ def hog_reference(crop):
 
 class TestHog:
     def test_uniform_patch_zero(self):
-        vec, degenerate = hog(np.full((20, 20), 128.0))
-        assert degenerate and not vec.any()
+        assert not hog(np.full((20, 20), 128.0)).any()
 
     def test_vertical_edge_hits_horizontal_bin(self):
         crop = np.zeros((32, 32))
         crop[:, 16:] = 200.0
-        vec, _ = hog(crop)
+        vec = hog(crop)
         cells = vec.reshape(2, 2, 9)
         # gradient along x only: all mass in orientation bin 0
         assert cells[..., 0].sum() == pytest.approx(np.abs(vec).sum())
@@ -412,7 +409,7 @@ class TestHog:
         rng = np.random.default_rng(10)
         for _ in range(8):
             crop = rng.uniform(0, 255, (32, 32))
-            vec, _ = hog(crop)
+            vec = hog(crop)
             assert np.max(np.abs(vec - hog_reference(crop))) <= 1e-9
 
     def test_translation_of_pattern_in_fixed_crop(self):
@@ -420,8 +417,8 @@ class TestHog:
         base[10:20, 10:20] = 150.0
         moved = np.zeros((40, 40))
         moved[15:25, 18:28] = 150.0
-        v1, _ = hog(base[8:24, 8:24])
-        v2, _ = hog(moved[13:29, 16:32])
+        v1 = hog(base[8:24, 8:24])
+        v2 = hog(moved[13:29, 16:32])
         assert np.max(np.abs(v1 - v2)) <= 1e-9
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from signrec import pipeline
 from signrec.config import Config
-from signrec.dataio import LoadError, load_record, save_record
+from signrec.dataio import SKIN_FILES, LoadError, load_record, save_record
 from signrec.features import save_sample
 from signrec.pipeline import extract_corpus, extract_sequence, general_skin_model
-from signrec.synth import SKIN_FILES, SynthSpec, generate_synthetic_corpus
+from signrec.synth import SynthSpec, generate_synthetic_corpus
 
 
 @pytest.fixture
@@ -166,12 +166,46 @@ class TestExtraction:
         assert len(extractions) == 1
         assert same_features(again, fresh)
 
+    @pytest.mark.parametrize("fault", ["label 7", "<U1 frames"])
+    def test_entry_of_wrong_types_is_a_miss(self, tiny_corpus, tmp_path, extractions, fault):
+        root, _ = tiny_corpus
+        fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        entry = sorted((tmp_path / "c").glob("*.npz"))[0]
+        meta, arrays = load_record(entry, ("frames",), {})
+        if fault == "label 7":
+            meta["label"] = 7
+        else:
+            arrays["frames"] = arrays["frames"].astype("<U1")
+        save_record(entry, meta, **arrays)
+        extractions.clear()
+        again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        assert len(extractions) == 1
+        assert same_features(again, fresh)
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("column, value", [(1, "signerB"), (2, "sign01"), (3, "left")])
+    def test_manifest_must_agree_with_meta(self, tmp_path, column, value, cached):
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=12,
+                         width=96, height=72)
+        generate_synthetic_corpus(spec, 9, tmp_path / "corpus")
+        manifest = tmp_path / "corpus" / "manifest.tsv"
+        cache = tmp_path / "c" if cached else None
+        if cached:
+            extract_corpus(manifest, Config(), cache_dir=cache)
+        lines = manifest.read_text().splitlines()
+        fields = lines[0].split("\t")
+        fields[column] = value
+        manifest.write_text("\n".join(["\t".join(fields)] + lines[1:]) + "\n")
+        with pytest.raises(LoadError, match=rf"manifest.tsv: entry '{fields[0]}' lists .*, "
+                                            rf"but .*{fields[0]}/meta.txt holds"):
+            extract_corpus(manifest, Config(), cache_dir=cache)
+
     def test_entry_with_a_selected_key_still_hits(self, tiny_corpus, tmp_path, extractions):
         # records written before samples lost their selection mode carry it
         root, _ = tiny_corpus
         fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         for entry in (tmp_path / "c").glob("*.npz"):
-            meta, arrays = load_record(entry, ("frames",), ("key",))
+            meta, arrays = load_record(entry, ("frames",), {"key": str})
             save_record(entry, {**meta, "selected": "full"}, **arrays)
         extractions.clear()
         again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
@@ -256,7 +290,7 @@ class TestPipelineProperties:
 
     def test_skin_mask_precision_recall(self, tiny_corpus):
         from signrec.dataio import load_sequence
-        from signrec.segmentation import body_region, skin_mask
+        from signrec.segmentation import body_region, rg_bins
         from signrec.synth import Scene, SynthSpec, load_ground_truth, _ellipse_mask
 
         root, manifest = tiny_corpus
@@ -271,8 +305,8 @@ class TestPipelineProperties:
         depth = seq.depth_frames[0].astype(float)
         body = body_region(depth, seq.skeleton[0].joints["torso"][2],
                            cfg.body_depth_front, cfg.body_depth_back)
-        predicted = skin_mask(seq.color_frames[0], model, cfg.skin_threshold,
-                              region=body)
+        predicted = model.lookup(rg_bins(seq.color_frames[0], model.bins),
+                                 cfg.skin_threshold) & body
         tp = (predicted & truth).sum()
         precision = tp / max(predicted.sum(), 1)
         recall = tp / max(truth.sum(), 1)

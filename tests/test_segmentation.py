@@ -24,7 +24,6 @@ from signrec.segmentation import (
     resolve_face_occlusion,
     rg_bins,
     rg_normalize,
-    skin_mask,
     update_adaptive_model,
 )
 from signrec.synth import SynthSpec, generate_synthetic_corpus
@@ -64,22 +63,14 @@ class TestSkinMask:
         frame[0, 0] = [180, 100, 70]
         frame[1, 1] = [90, 50, 35]      # same chromaticity, same bin
         frame[2, 2] = [10, 10, 200]     # the non-skin color
-        mask = skin_mask(frame, model, threshold=1.0)
+        mask = model.lookup(rg_bins(frame, model.bins), threshold=1.0)
         assert mask[0, 0] and mask[1, 1]
         assert not mask[2, 2]
 
     def test_infinite_threshold_empty(self):
         model = model_from_color([180, 100, 70])
         frame = np.full((4, 4, 3), [180, 100, 70], dtype=np.uint8)
-        assert not skin_mask(frame, model, threshold=np.inf).any()
-
-    def test_region_restriction(self):
-        model = model_from_color([180, 100, 70])
-        frame = np.full((4, 4, 3), [180, 100, 70], dtype=np.uint8)
-        region = np.zeros((4, 4), dtype=bool)
-        region[0, :] = True
-        mask = skin_mask(frame, model, threshold=1.0, region=region)
-        assert mask[0].all() and not mask[1:].any()
+        assert not model.lookup(rg_bins(frame, model.bins), threshold=np.inf).any()
 
     def test_empty_skin_model_rejected(self):
         model = SkinHistogram(np.zeros((32, 32)), np.ones((32, 32)), 32)
@@ -105,7 +96,7 @@ def brute_force_skin(rgb, model, threshold):
 
 
 class TestFrameSkinMask:
-    def test_one_lookup_gives_whole_frame_and_body_masks(self):
+    def test_one_lookup_gives_whole_frame_mask(self):
         rng = np.random.default_rng(17)
         for bins in (8, 32):
             model = SkinHistogram.from_pixels(
@@ -114,13 +105,8 @@ class TestFrameSkinMask:
             for _ in range(4):
                 frame = rng.integers(0, 256, (9, 13, 3)).astype(np.uint8)
                 frame[rng.random((9, 13)) < 0.1] = 0          # black pixels
-                body = rng.random((9, 13)) < 0.5
                 skin_now = model.lookup(rg_bins(frame, bins), 1.0)
-                oracle = brute_force_skin(frame, model, 1.0)
-                assert np.array_equal(skin_now, oracle)
-                assert np.array_equal(skin_now, skin_mask(frame, model, 1.0))
-                assert np.array_equal(skin_now & body,
-                                      skin_mask(frame, model, 1.0, region=body))
+                assert np.array_equal(skin_now, brute_force_skin(frame, model, 1.0))
 
     def test_segmenter_rejects_model_with_other_bins(self):
         model = model_from_color([180, 100, 70], bins=16)
@@ -140,17 +126,14 @@ class TestAdaptiveUpdate:
         model = model_from_color([180, 100, 70])
         pixels = np.tile([10.0, 200.0, 30.0], (7, 1))
         updated = update_adaptive_model(model, rg_bins(pixels, 32), rg_bins(pixels, 32), 1.0)
-        from signrec.segmentation import _pixel_counts
-
-        assert np.array_equal(updated.skin_counts, _pixel_counts(pixels, 32))
+        assert np.array_equal(updated.skin_counts,
+                              SkinHistogram.from_pixels(pixels, pixels, 32).skin_counts)
 
     def test_converges_monotonically_per_bin(self):
         # blending the same data repeatedly approaches its histogram per bin
         model = model_from_color([180, 100, 70])
         pixels = np.tile([10.0, 200.0, 30.0], (50, 1))
-        from signrec.segmentation import _pixel_counts
-
-        target = _pixel_counts(pixels, 32)
+        target = SkinHistogram.from_pixels(pixels, pixels, 32).skin_counts
         gaps = []
         for _ in range(6):
             model = update_adaptive_model(model, rg_bins(pixels, 32), rg_bins(pixels, 32), 0.5)

@@ -4,15 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signrec.dataio import load_sequence, shoulder_distance
-from signrec.synth import (
-    SKIN_FILES,
-    Scene,
-    SynthSpec,
-    generate_synthetic_corpus,
-    load_ground_truth,
-    parse_pixel_list,
-)
+from signrec.dataio import SKIN_FILES, load_sequence, parse_pixel_list, shoulder_distance
+from signrec.synth import Scene, SynthSpec, generate_synthetic_corpus, load_ground_truth
 
 SMALL = dict(num_classes=3, num_signers=2, samples=2, frames=18, width=96, height=72)
 
