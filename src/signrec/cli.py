@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Verbs: synth, segment, extract, train, eval-sd, eval-si, report.
-Global flags: --config <file>, --seed <int>, --out <dir>, --jobs <n>.
+Verbs: synth, segment, extract, train, eval-sd, eval-si, report. Each takes
+--out <dir>; synth takes --seed <int>; the verbs that read a corpus take
+--data <manifest> and --config <file>, and all of those but segment take
+--jobs <n>.
 """
 
 from __future__ import annotations
@@ -19,24 +21,22 @@ from .pipeline import extract_corpus, extract_sequence, general_skin_model
 from .synth import SynthSpec, generate_synthetic_corpus
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not at least 1")
-    return value
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=_positive_int, default=None)
+def _int_at_least(low):
+    """An argparse type: an int that is at least `low`."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not at least {low}")
+        return value
+    parse.__name__ = "int"     # argparse names the type in "invalid int value"
+    return parse
 
 
 def _load_config(args) -> Config:
+    """The --config file's settings, or the defaults without one; a verb's
+    --jobs flag overrides `jobs`."""
     cfg = Config.load(args.config) if args.config else Config()
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
+    cfg.jobs = getattr(args, "jobs", None) or cfg.jobs
     return cfg
 
 
@@ -69,22 +69,25 @@ def _cmd_segment(args):
 
 
 def _extracted(args, cfg):
-    return extract_corpus(
-        args.data, cfg, cache_dir=Path(args.out) / "features", jobs=cfg.jobs
-    )
+    return extract_corpus(args.data, cfg, cache_dir=Path(args.out) / "features")
 
 
 def _cmd_extract(args):
-    cfg = _load_config(args)
-    extracted = _extracted(args, cfg)
+    extracted = _extracted(args, _load_config(args))
     print(f"extracted {len(extracted)} samples into {Path(args.out) / 'features'}")
     return 0
 
 
-def _cmd_train(args):
+def _prepared(args):
+    """(config, feature set, prepared samples): the prologue of the verbs
+    that train on the extracted corpus."""
     cfg = _load_config(args)
     spec = FeatureSetSpec.parse(args.set)
-    prepared = prepare_dataset(_extracted(args, cfg), spec, cfg)
+    return cfg, spec, prepare_dataset(_extracted(args, cfg), spec, cfg)
+
+
+def _cmd_train(args):
+    cfg, spec, prepared = _prepared(args)
     out = Path(args.out)
     transform, bank = train_recognizer(prepared, cfg, args.lda_dims, spec.name)
     if transform is not None:
@@ -95,23 +98,16 @@ def _cmd_train(args):
 
 
 def _cmd_eval_sd(args):
-    cfg = _load_config(args)
-    spec = FeatureSetSpec.parse(args.set)
-    prepared = prepare_dataset(_extracted(args, cfg), spec, cfg)
-    report = run_sd_loocv(prepared, cfg, feature_spec_name=spec.name, jobs=cfg.jobs)
+    cfg, spec, prepared = _prepared(args)
+    report = run_sd_loocv(prepared, cfg, feature_spec_name=spec.name)
     emit_report(report, args.out)
     print(f"SD-LOOCV mean accuracy {report.mean_accuracy:.4f} -> {args.out}")
     return 0
 
 
 def _cmd_eval_si(args):
-    cfg = _load_config(args)
-    spec = FeatureSetSpec.parse(args.set)
-    prepared = prepare_dataset(_extracted(args, cfg), spec, cfg)
-    report = run_si_loso(
-        prepared, cfg, lda_dims=args.lda_dims, feature_spec_name=spec.name,
-        jobs=cfg.jobs,
-    )
+    cfg, spec, prepared = _prepared(args)
+    report = run_si_loso(prepared, cfg, lda_dims=args.lda_dims, feature_spec_name=spec.name)
     emit_report(report, args.out)
     print(f"SI-LOSO mean accuracy {report.mean_accuracy:.4f} -> {args.out}")
     return 0
@@ -129,8 +125,21 @@ def build_parser():
                                      description="isolated sign recognition toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p)
+    def verb(name, func, summary, corpus=False, jobs=False):
+        """A verb's parser with --out, plus --data and --config for a verb
+        that reads a corpus, and --jobs for one that maps over it."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--out", required=True, help="output directory")
+        if corpus:
+            p.add_argument("--data", required=True, help="manifest path")
+            p.add_argument("--config", help="key=value configuration file")
+        if jobs:
+            p.add_argument("--jobs", type=_int_at_least(1), default=None)
+        return p
+
+    p = verb("synth", _cmd_synth, "generate a synthetic corpus")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--signers", type=int, default=4)
     p.add_argument("--samples", type=int, default=6)
@@ -141,43 +150,28 @@ def build_parser():
     p.add_argument("--traj-noise", type=float, default=0.5)
     p.add_argument("--left-handed", default="", help="comma-separated signer indices")
     p.add_argument("--depth-pairs", action="store_true")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("segment", help="dump per-frame masks for one sample")
-    _add_common(p)
-    p.add_argument("--data", required=True, help="manifest path")
+    p = verb("segment", _cmd_segment, "dump per-frame masks for one sample", corpus=True)
     p.add_argument("--sample", required=True, help="sequence directory name")
-    p.set_defaults(func=_cmd_segment)
 
-    p = sub.add_parser("extract", help="extract and cache feature samples")
-    _add_common(p)
-    p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_extract)
+    verb("extract", _cmd_extract, "extract and cache feature samples", corpus=True, jobs=True)
 
-    p = sub.add_parser("train", help="train a model bank on the whole corpus")
-    _add_common(p)
-    p.add_argument("--data", required=True)
+    p = verb("train", _cmd_train, "train a model bank on the whole corpus",
+             corpus=True, jobs=True)
     p.add_argument("--set", default="pos,S,HOG")
-    p.add_argument("--lda-dims", type=int, default=0)
-    p.set_defaults(func=_cmd_train)
+    p.add_argument("--lda-dims", type=_int_at_least(0), default=0)
 
-    p = sub.add_parser("eval-sd", help="signer-dependent leave-one-sample-out")
-    _add_common(p)
-    p.add_argument("--data", required=True)
+    p = verb("eval-sd", _cmd_eval_sd, "signer-dependent leave-one-sample-out",
+             corpus=True, jobs=True)
     p.add_argument("--set", default="pos,S,HOG")
-    p.set_defaults(func=_cmd_eval_sd)
 
-    p = sub.add_parser("eval-si", help="signer-independent leave-one-signer-out")
-    _add_common(p)
-    p.add_argument("--data", required=True)
+    p = verb("eval-si", _cmd_eval_si, "signer-independent leave-one-signer-out",
+             corpus=True, jobs=True)
     p.add_argument("--set", default="pos,S")
-    p.add_argument("--lda-dims", type=int, default=0)
-    p.set_defaults(func=_cmd_eval_si)
+    p.add_argument("--lda-dims", type=_int_at_least(0), default=0)
 
-    p = sub.add_parser("report", help="re-render report files from report.json")
-    _add_common(p)
+    p = verb("report", _cmd_report, "re-render report files from report.json")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_report)
     return parser
 
 

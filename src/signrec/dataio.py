@@ -17,6 +17,7 @@ of the last three equal to the one in the entry's meta.txt. Beside it lie the
 one "R G B" row of integers in 0..255 per line.
 
 Saved artefacts (features, HMMs, transforms) are npz records: `save_record`, `load_record`.
+Every array in a record is float64.
 """
 
 from __future__ import annotations
@@ -204,8 +205,9 @@ def save_record(path, meta, **arrays):
 
 def load_record(path, arrays, meta):
     """Read a `save_record` record; returns (meta, arrays). Members other than
-    `arrays`, or a `__meta__` that is not a JSON object holding each key of the
-    dict `meta` with a value of its mapped type, raise LoadError naming the file."""
+    `arrays`, a member that is not float64, or a `__meta__` that is not a JSON
+    object holding each key of the dict `meta` with a value of its mapped type,
+    raise LoadError naming the file."""
     try:
         # a handle closed here: np.load leaves a file it opened from a path
         # open when the zip is truncated
@@ -216,6 +218,9 @@ def load_record(path, arrays, meta):
         raise LoadError(f"{path}: unreadable record ({exc})") from None
     if set(members) != set(arrays):
         raise LoadError(f"{path}: members {sorted(members)}, expected {list(arrays)}")
+    for name, array in members.items():
+        if array.dtype != np.float64:
+            raise LoadError(f"{path}: {name} of {array.dtype}, not float64")
     if not isinstance(stored, dict) or not stored.keys() >= meta.keys():
         raise LoadError(f"{path}: {_META} is not a JSON object with keys {list(meta)}")
     for key, kind in meta.items():

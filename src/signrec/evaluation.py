@@ -74,11 +74,7 @@ def prepare_dataset(extracted, spec: FeatureSetSpec, cfg: Config):
     hand positions used for alignment."""
     prepared = []
     for entry, sample in extracted:
-        full = sample
-        if cfg.zero_idle:
-            full = zero_idle_hand(
-                full, cfg.idle_path_threshold, cfg.idle_speed_threshold
-            )
+        full = zero_idle_hand(sample, cfg) if cfg.zero_idle else sample
         prepared.append(
             _PreparedSample(
                 signer=entry.signer_id,
@@ -121,16 +117,6 @@ class _Tally:
                      / max(self.confusion.sum() + self.unscorable, 1))
 
 
-def _train_kwargs(cfg: Config):
-    return dict(
-        n_states=cfg.hmm_states,
-        self_prob=cfg.hmm_self_prob,
-        max_iter=cfg.hmm_max_iter,
-        tol=cfg.hmm_tol,
-        var_floor=cfg.variance_floor,
-    )
-
-
 def train_recognizer(samples, cfg: Config, lda_dims, feature_spec):
     """Fit the signer-independent transform (None when `lda_dims` is 0) on
     the prepared samples, then train the bank on them projected through it.
@@ -139,18 +125,11 @@ def train_recognizer(samples, cfg: Config, lda_dims, feature_spec):
     frames_by_class = {label: [s.frames for s in group] for label, group in grouped.items()}
     transform = None
     if lda_dims > 0:
-        transform = fit_transform(
-            frames_by_class,
-            {label: [s.posxy for s in group] for label, group in grouped.items()},
-            out_dim=lda_dims,
-            keep_frames=cfg.lda_resample_third,
-            shrinkage=cfg.lda_shrinkage,
-            shrinkage_max=cfg.lda_shrinkage_max,
-            feature_spec=feature_spec,
-        )
+        posxy_by_class = {label: [s.posxy for s in group] for label, group in grouped.items()}
+        transform = fit_transform(frames_by_class, posxy_by_class, lda_dims, cfg, feature_spec)
         frames_by_class = {label: [project(f, transform) for f in frames]
                            for label, frames in frames_by_class.items()}
-    bank = train_bank(frames_by_class, **_train_kwargs(cfg), feature_spec=feature_spec)
+    bank = train_bank(frames_by_class, cfg, feature_spec)
     return transform, bank
 
 
@@ -167,14 +146,12 @@ def _sd_one_signer(args):
         return signer, None
     tally = _Tally(vocabulary)
     full_bank = train_bank(
-        {label: [s.frames for s in grouped[label]] for label in vocabulary},
-        **_train_kwargs(cfg),
-    )
+        {label: [s.frames for s in grouped[label]] for label in vocabulary}, cfg)
     for label in vocabulary:
         group = grouped[label]
         for hold in range(len(group)):
             rest = [s.frames for k, s in enumerate(group) if k != hold]
-            loo_bank = train_bank({label: rest}, **_train_kwargs(cfg))
+            loo_bank = train_bank({label: rest}, cfg)
             models = dict(full_bank.models)
             models[label] = loo_bank.models[label]
             bank = type(full_bank)(models=models, vocabulary=vocabulary)

@@ -91,8 +91,7 @@ class FeatureSample:
 
     def posxy(self):
         """Normalized (x, y) of both hands, used for sequence alignment."""
-        cols = np.array([0, 1, HAND_DIM, HAND_DIM + 1], dtype=np.intp)
-        return self.frames[:, cols]
+        return self.frames[:, FeatureSetSpec(("posXY",)).columns()]
 
 
 def save_sample(sample: FeatureSample, path, key=""):
@@ -107,8 +106,8 @@ def load_sample(path, key=None) -> FeatureSample:
     if key is not None and meta["key"] != key:
         raise LoadError(f"{path}: stored under a different key")
     frames = arrays["frames"]
-    if frames.ndim != 2 or frames.dtype != np.float64:
-        raise LoadError(f"{path}: frames of {frames.dtype} {frames.shape}, not 2-D float64")
+    if frames.ndim != 2:
+        raise LoadError(f"{path}: frames of shape {frames.shape}, not 2-D")
     return FeatureSample(frames, meta["label"], meta["signer"])
 
 
@@ -500,7 +499,7 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
             jx, jy, _ = pose.joints[f"hand_{hand}"]
             nx, ny, _ = pose.joints["neck"]
             kinect = np.array([(jx - nx) / span, (jy - ny) / span])
-            if obs is not None and not obs.shape_frozen:
+            if obs is not None and obs.occlusion != "hand_over_hand":
                 shape = _shape_blocks(obs, rgb, span, cfg)
                 frozen[hand] = shape
             else:
@@ -534,17 +533,17 @@ def hand_travel(sample: FeatureSample, hand):
     return path, path / (len(xy) - 1)
 
 
-def zero_idle_hand(sample: FeatureSample, path_threshold=0.5,
-                   speed_threshold=0.02) -> FeatureSample:
+def zero_idle_hand(sample: FeatureSample, cfg) -> FeatureSample:
     """Zero every block of a hand that barely moves over the whole sample.
 
-    Idle means total travel below path_threshold shoulder widths and mean
-    speed below speed_threshold shoulder widths per frame. Idempotent.
+    Idle means total travel below `cfg.idle_path_threshold` shoulder widths
+    and mean speed below `cfg.idle_speed_threshold` shoulder widths per
+    frame. Idempotent.
     """
     frames = sample.frames.copy()
     for hand, base in (("right", 0), ("left", HAND_DIM)):
         path, speed = hand_travel(sample, hand)
-        if path < path_threshold and speed < speed_threshold:
+        if path < cfg.idle_path_threshold and speed < cfg.idle_speed_threshold:
             frames[:, base : base + HAND_DIM] = 0.0
     return FeatureSample(
         frames=frames,

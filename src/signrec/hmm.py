@@ -324,27 +324,21 @@ class ClassifierBank:
         return cls(models, vocabulary, meta["feature_spec"])
 
 
-def train_bank(samples_by_class, n_states=7, self_prob=0.6, max_iter=40,
-               tol=1e-4, var_floor=1e-4, feature_spec="") -> ClassifierBank:
-    """One model per class.  A sequence shorter than the chain has no path
+def train_bank(samples_by_class, cfg, feature_spec="") -> ClassifierBank:
+    """One model per class, shaped and fitted by the `hmm_*` settings and
+    `variance_floor` of `cfg`.  A sequence shorter than the chain has no path
     through it, so it is left out of training (and logged)."""
     vocabulary = sorted(samples_by_class)
     models = {}
     for label in vocabulary:
-        samples = [s for s in samples_by_class[label] if len(s) >= n_states]
+        samples = [s for s in samples_by_class[label] if len(s) >= cfg.hmm_states]
         if len(samples) < len(samples_by_class[label]):
             log.warning("class %s: %d sequences shorter than %d states left out",
-                        label, len(samples_by_class[label]) - len(samples), n_states)
-        model = init_model(
-            samples,
-            label=label,
-            n_states=n_states,
-            self_prob=self_prob,
-            var_floor=var_floor,
-        )
-        model, _ = baum_welch(
-            model, samples, max_iter=max_iter, tol=tol, var_floor=var_floor,
-        )
+                        label, len(samples_by_class[label]) - len(samples), cfg.hmm_states)
+        model = init_model(samples, label=label, n_states=cfg.hmm_states,
+                           self_prob=cfg.hmm_self_prob, var_floor=cfg.variance_floor)
+        model, _ = baum_welch(model, samples, max_iter=cfg.hmm_max_iter, tol=cfg.hmm_tol,
+                              var_floor=cfg.variance_floor)
         models[label] = model
     return ClassifierBank(models=models, vocabulary=vocabulary,
                           feature_spec=feature_spec)

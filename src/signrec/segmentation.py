@@ -194,8 +194,7 @@ class Blob:
     area: int
     centroid: tuple[float, float]
     depth: float = float("nan")       # median depth (mm), set on assignment
-    occlusion: str = "none"           # none | hand_over_hand | hand_over_face
-    shape_frozen: bool = False        # placed from a template: shape not read
+    occlusion: str = "none"   # none | hand_over_face | hand_over_hand (placed, shape not read)
 
     def median_depth(self, depth_frame):
         x, y, w, h = self.bbox
@@ -418,7 +417,6 @@ def place_hand(joint: Blob, template, fallback, shape, depth_frame) -> Blob:
         area=area,
         centroid=(cx, cy),
         occlusion="hand_over_hand",
-        shape_frozen=True,
     )
     blob.depth = blob.median_depth(depth_frame)
     return blob

@@ -20,7 +20,8 @@ from .dataio import LoadError, load_record, save_record
 
 
 def dtw_align(ref, query):
-    """Classic DTW with steps {(1,0),(0,1),(1,1)} and pinned endpoints.
+    """Classic DTW with steps {(1,0),(0,1),(1,1)} and pinned endpoints
+    between (n, D) and (m, D) frame arrays.
 
     Local cost is the squared Euclidean distance between frames. Returns
     (path, cost) where path is a list of (ref_index, query_index) pairs,
@@ -28,10 +29,6 @@ def dtw_align(ref, query):
     """
     ref = np.asarray(ref, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
-    if ref.ndim == 1:
-        ref = ref[:, None]
-    if query.ndim == 1:
-        query = query[:, None]
     n, m = len(ref), len(query)
     if n == 0 or m == 0:
         raise ValueError("cannot align empty sequences")
@@ -238,12 +235,13 @@ def project(frames, transform: LdaTransform):
     return frames @ transform.weights
 
 
-def fit_transform(samples_by_class, posxy_by_class, out_dim, keep_frames,
-                  shrinkage=1e-3, shrinkage_max=10.0, feature_spec="") -> LdaTransform:
-    """Fit the transform from per-class lists of (frames, posxy) arrays."""
-    aligned = [align_and_resample(posxy_by_class[label], samples_by_class[label],
-                                  keep_frames)
-               for label in sorted(samples_by_class)]
+def fit_transform(frames_by_class, posxy_by_class, out_dim, cfg,
+                  feature_spec="") -> LdaTransform:
+    """Fit the transform from per-class lists of (frames, posxy) arrays, with
+    the `lda_*` settings of `cfg`."""
+    keep = cfg.lda_resample_third
+    aligned = [align_and_resample(posxy_by_class[label], frames_by_class[label], keep)
+               for label in sorted(frames_by_class)]
     weights, eigenvalues, used = solve_transform(*accumulate_scatter(aligned), out_dim,
-                                                 shrinkage, shrinkage_max)
-    return LdaTransform(weights, eigenvalues, keep_frames, used, feature_spec)
+                                                 cfg.lda_shrinkage, cfg.lda_shrinkage_max)
+    return LdaTransform(weights, eigenvalues, keep, used, feature_spec)

@@ -304,7 +304,7 @@ def _placed_hand(template, centroid, shape, depth_frame):
     y0 = min(max(y0, 0), h - th)
     blob = Blob(mask=template.copy(), bbox=(x0, y0, tw, th), area=int(template.sum()),
                 centroid=(float(centroid[0]), float(centroid[1])),
-                occlusion="hand_over_hand", shape_frozen=True)
+                occlusion="hand_over_hand")
     blob.depth = blob.median_depth(depth_frame)
     return blob
 

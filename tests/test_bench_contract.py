@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from signrec import hmm, signerlda
+from signrec.config import Config
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,7 +53,7 @@ def test_traced_calls_record_their_counts(tracing):
     tracer = tracing.Tracer()
     with tracer.installed("check"):
         signerlda.dtw_align(samples["a"][0], samples["b"][0][:9])
-        bank = hmm.train_bank(samples, n_states=3, max_iter=2)
+        bank = hmm.train_bank(samples, Config(hmm_states=3, hmm_max_iter=2))
         bank.classify(samples["a"][0])
     spans = {}
     for span in tracer.spans:

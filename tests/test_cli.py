@@ -87,3 +87,24 @@ class TestCli:
                   "--out", str(tmp_path), "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["train", "eval-si"])
+    def test_negative_lda_dims_is_a_usage_error(self, tmp_path, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--data", str(tmp_path / "nope.tsv"), "--out", str(tmp_path),
+                  "--lda-dims", "-1"])
+        assert exc.value.code == 2
+        assert "--lda-dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-sd", "--data", "m.tsv", "--seed", "1"],
+        ["report", "--report", "r.json", "--jobs", "2"],
+        ["segment", "--data", "m.tsv", "--sample", "s", "--jobs", "2"],
+        ["synth", "--config", "c.txt"],
+    ], ids=["eval-sd-seed", "report-jobs", "segment-jobs", "synth-config"])
+    def test_flag_a_verb_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        flag = argv[-2]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

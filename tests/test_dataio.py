@@ -444,6 +444,16 @@ class TestRecords:
         with pytest.raises(LoadError, match=rf"{path.name}: .*{key}"):
             load(path)
 
+    @pytest.mark.parametrize("kind, member, dtype", [
+        ("bank", "means", "<U1"), ("bank", "stay", "float32"), ("transform", "weights", "<U1"),
+        ("transform", "weights", "float32"), ("sample", "frames", "int64")])
+    def test_member_dtypes_checked(self, tmp_path, kind, member, dtype):
+        path, load, members, _ = write_artefact(kind, tmp_path)
+        meta, arrays = load_record(path, members, {})
+        save_record(path, meta, **{**arrays, member: arrays[member].astype(dtype)})
+        with pytest.raises(LoadError, match=rf"{path.name}: {member} of {dtype}, not float64"):
+            load(path)
+
     @pytest.mark.parametrize("frames", [np.zeros(5), np.zeros((5, 3), dtype="<U1"),
                                         np.zeros((5, 3), dtype=np.float32), np.zeros((1, 5, 3))])
     def test_sample_frames_checked(self, tmp_path, frames):

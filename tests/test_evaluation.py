@@ -134,7 +134,7 @@ class TestSiLoso:
                 if s.signer == "signerB":
                     continue
                 grouped.setdefault(s.label, []).append(s.frames)
-            bank = train_bank(grouped, n_states=cfg.hmm_states)
+            bank = train_bank(grouped, cfg)
             bank.save(tmp)
             return b"".join(
                 sorted(p.read_bytes() for p in tmp.iterdir())

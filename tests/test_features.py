@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from signrec.config import Config
 from signrec.features import (
     HAND_DIM,
     FeatureSample,
@@ -506,7 +507,7 @@ class TestAssemblyHelpers:
         frames[:, HAND_DIM + 0] = 0.25            # left hand frozen
         frames[:, HAND_DIM + 1] = 0.80
         sample = build_sample(frames)
-        out = zero_idle_hand(sample)
+        out = zero_idle_hand(sample, Config())
         assert not out.frames[:, HAND_DIM:].any()
         assert out.frames[:, :HAND_DIM].any()
 
@@ -515,7 +516,7 @@ class TestAssemblyHelpers:
         frames[:, 0] = np.linspace(0, 3, 30)
         frames[:, HAND_DIM] = np.linspace(0, -2, 30)
         sample = build_sample(frames)
-        out = zero_idle_hand(sample)
+        out = zero_idle_hand(sample, Config())
         assert np.array_equal(out.frames, frames)
 
     def test_zero_idle_jitter_below_threshold(self):
@@ -525,14 +526,14 @@ class TestAssemblyHelpers:
         frames[:, HAND_DIM] = x
         frames[:, HAND_DIM + 1] = 0.8
         frames[:, 0] = np.linspace(0, 3, 30)
-        out = zero_idle_hand(build_sample(frames))
+        out = zero_idle_hand(build_sample(frames), Config())
         assert not out.frames[:, HAND_DIM:].any()
 
     def test_zero_idle_idempotent(self):
         frames = np.ones((30, 2 * HAND_DIM))
         frames[:, 0] = np.linspace(0, 3, 30)
-        once = zero_idle_hand(build_sample(frames))
-        twice = zero_idle_hand(once)
+        once = zero_idle_hand(build_sample(frames), Config())
+        twice = zero_idle_hand(once, Config())
         assert np.array_equal(once.frames, twice.frames)
 
     def test_sample_round_trip(self, tmp_path):

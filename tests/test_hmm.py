@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signrec.config import Config
 from signrec.dataio import LoadError, save_record
 from signrec.evaluation import prepare_dataset
 from signrec.features import FeatureSetSpec
@@ -462,7 +463,7 @@ class TestClassify:
             "up": [draw(np.array([3.0, 0.0])) for _ in range(5)],
             "down": [draw(np.array([-3.0, 0.0])) for _ in range(5)],
         }
-        bank = train_bank(by_class, n_states=4)
+        bank = train_bank(by_class, Config(hmm_states=4))
         for label, samples in by_class.items():
             for s in samples:
                 assert bank.classify(s)[0] == label

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from signrec.config import Config
 from signrec.signerlda import (
     LdaTransform,
     accumulate_scatter,
@@ -428,6 +429,6 @@ class TestTransformIO:
             frames = [rng.normal(size=(20 + 2 * k, 6)) + c for k in range(4)]
             by_class[f"c{c}"] = frames
             posxy[f"c{c}"] = [f[:, :4] for f in frames]
-        transform = fit_transform(by_class, posxy, out_dim=3, keep_frames=5)
+        transform = fit_transform(by_class, posxy, 3, Config(lda_resample_third=5))
         assert transform.weights.shape == (6, 3)
         assert transform.keep_frames == 5
