@@ -11,6 +11,13 @@ One directory per recorded sample:
 
 skeleton.txt, meta.txt and the manifest are UTF-8 text.
 
+`load_sequence` checks every frame file's header and raster length, and
+parses skeleton.txt and meta.txt, but decodes no raster: a frame is read
+from its file each time it is indexed (`LazyFrames`), so a consumer that
+walks the frames in order holds one at a time. A recording is written the
+same way, one `save_frame` call per frame, then `write_skeleton` and
+`write_meta`.
+
 A dataset is a tab-separated manifest: path, signer, label, handedness, each
 of the last three equal to the one in the entry's meta.txt. Beside it lie the
 `SKIN_FILES`, skin and non-skin pixel lists that bootstrap the color model:
@@ -26,6 +33,7 @@ import json
 import math
 import os
 import zipfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,10 +81,26 @@ class SkeletonPose:
     joints: dict[str, tuple[float, float, float]]
 
 
+class LazyFrames(Sequence):
+    """A read-only list whose item t is `make(source[t])`, made afresh on
+    every read: a frame decoded from its file, or one flipped from another
+    list. Nothing is kept, so a frame lives only while its reader holds it."""
+
+    def __init__(self, source, make):
+        self.source = source
+        self.make = make
+
+    def __len__(self):
+        return len(self.source)
+
+    def __getitem__(self, t):
+        return self.make(self.source[t])
+
+
 @dataclass
 class FrameSequence:
-    color_frames: list[np.ndarray]   # H x W x 3 uint8
-    depth_frames: list[np.ndarray]   # H x W uint16, millimeters
+    color_frames: Sequence[np.ndarray]   # H x W x 3 uint8: a list or LazyFrames
+    depth_frames: Sequence[np.ndarray]   # H x W uint16, millimeters
     skeleton: list[SkeletonPose]
     fps: float
     signer_id: str
@@ -91,26 +115,35 @@ class FrameSequence:
         return self.color_frames[0].shape[:2]
 
     def validate(self):
-        n = len(self.color_frames)
-        if n < 2:
-            raise ValueError(f"sequence needs at least 2 frames, got {n}")
-        if len(self.depth_frames) != n or len(self.skeleton) != n:
-            raise ValueError(
-                "length mismatch: %d color, %d depth, %d skeleton frames"
-                % (n, len(self.depth_frames), len(self.skeleton))
-            )
-        shape = self.color_frames[0].shape
-        for i, frame in enumerate(self.color_frames):
-            if frame.shape != shape:
-                raise ValueError(f"color frame {i} has shape {frame.shape}, expected {shape}")
-        for i, frame in enumerate(self.depth_frames):
-            if frame.shape != shape[:2]:
-                raise ValueError(f"depth frame {i} has shape {frame.shape}, expected {shape[:2]}")
-        for i, pose in enumerate(self.skeleton):
-            for name in REQUIRED_JOINTS:
-                if name not in pose.joints:
-                    raise ValueError(f"skeleton frame {i} is missing joint {name!r}")
+        _check_frames([f.shape for f in self.color_frames],
+                      [f.shape for f in self.depth_frames], self.skeleton)
         return self
+
+
+def _check_frames(color_shapes, depth_shapes, skeleton):
+    """Raise ValueError unless there are at least 2 frames, as many depth
+    frames and poses as color frames, every color frame has the first one's
+    shape and every depth frame its height and width, and every pose holds
+    the REQUIRED_JOINTS."""
+    n = len(color_shapes)
+    if n < 2:
+        raise ValueError(f"sequence needs at least 2 frames, got {n}")
+    if len(depth_shapes) != n or len(skeleton) != n:
+        raise ValueError(
+            "length mismatch: %d color, %d depth, %d skeleton frames"
+            % (n, len(depth_shapes), len(skeleton))
+        )
+    shape = color_shapes[0]
+    for i, got in enumerate(color_shapes):
+        if got != shape:
+            raise ValueError(f"color frame {i} has shape {got}, expected {shape}")
+    for i, got in enumerate(depth_shapes):
+        if got != shape[:2]:
+            raise ValueError(f"depth frame {i} has shape {got}, expected {shape[:2]}")
+    for i, pose in enumerate(skeleton):
+        for name in REQUIRED_JOINTS:
+            if name not in pose.joints:
+                raise ValueError(f"skeleton frame {i} is missing joint {name!r}")
 
 
 @dataclass
@@ -233,31 +266,33 @@ def load_record(path, arrays, meta):
 
 # --- PPM / PGM and skin pixel lists ----------------------------------------
 
-def _read_pnm_header(data: bytes, path):
-    """Parse a P5/P6 header, returning (magic, width, height, maxval, offset)."""
+def _read_pnm_header(fh, path):
+    """Parse a P5/P6 header from the start of the binary file `fh`, leaving
+    `fh` at the raster; returns (magic, width, height, maxval)."""
     tokens = []
-    pos = 0
+    c = fh.read(1)
     while len(tokens) < 4:
-        if pos >= len(data):
+        if not c:
             raise LoadError(f"{path}: truncated header")
-        c = data[pos : pos + 1]
         if c == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
+            while c and c != b"\n":
+                c = fh.read(1)
         elif c.isspace():
-            pos += 1
+            c = fh.read(1)
         else:
-            start = pos
-            while pos < len(data) and not data[pos : pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte separates header from raster
+            token = bytearray()
+            while c and not c.isspace():
+                token += c
+                c = fh.read(1)
+            tokens.append(bytes(token))
+    # the single whitespace byte read after the last field separates
+    # header from raster
     magic = tokens[0].decode("ascii", "replace")
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
         raise LoadError(f"{path}: non-numeric header fields") from None
-    return magic, width, height, maxval, pos
+    return magic, width, height, maxval
 
 
 # (magic, maxval, dtype as stored, channels) of the three raster formats
@@ -265,20 +300,37 @@ _PPM = ("P6", 255, np.dtype(np.uint8), 3)
 _PGM16 = ("P5", 65535, np.dtype(">u2"), 1)
 _PGM8 = ("P5", 255, np.dtype(np.uint8), 1)
 
+# a small read buffer: checking a header reads little beyond it
+_HEADER_BUFFER = 256
 
-def _read_pnm(path, magic, maxval, stored, channels):
-    data = Path(path).read_bytes()
-    got_magic, width, height, got_maxval, offset = _read_pnm_header(data, path)
+
+def _check_raster(fh, path, magic, maxval, stored, channels):
+    """Check the header of the PNM file `fh` against its format, and that a
+    whole raster follows; returns the image shape, with `fh` at the raster."""
+    got_magic, width, height, got_maxval = _read_pnm_header(fh, path)
     if got_magic != magic or got_maxval != maxval:
         raise LoadError(f"{path}: expected binary {magic} with maxval {maxval}, "
                         f"got {got_magic}/{got_maxval}")
     if width < 0 or height < 0:
         raise LoadError(f"{path}: negative image size {width}x{height}")
     expect = width * height * channels * stored.itemsize
-    raster = data[offset : offset + expect]
-    if len(raster) != expect:
-        raise LoadError(f"{path}: raster has {len(raster)} bytes, expected {expect}")
-    shape = (height, width, channels) if channels > 1 else (height, width)
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if have < expect:
+        raise LoadError(f"{path}: raster has {have} bytes, expected {expect}")
+    return (height, width, channels) if channels > 1 else (height, width)
+
+
+def _pnm_shape(path, *fmt):
+    """The image shape of a PNM file whose header and raster length check
+    out, read without decoding the raster."""
+    with open(path, "rb", buffering=_HEADER_BUFFER) as fh:
+        return _check_raster(fh, path, *fmt)
+
+
+def _read_pnm(path, magic, maxval, stored, channels):
+    with open(path, "rb", buffering=_HEADER_BUFFER) as fh:
+        shape = _check_raster(fh, path, magic, maxval, stored, channels)
+        raster = fh.read(math.prod(shape) * stored.itemsize)
     # astype copies out of the read-only bytes, into native byte order
     return np.frombuffer(raster, dtype=stored).reshape(shape).astype(stored.newbyteorder("="))
 
@@ -290,7 +342,7 @@ def _write_pnm(path, image, magic, maxval, stored, channels):
         raise ValueError(f"{path}: {image.shape} image for a {channels}-channel {magic}")
     with open(path, "wb") as fh:
         fh.write(b"%s\n%d %d\n%d\n" % (magic.encode(), w, h, maxval))
-        fh.write(image.tobytes())
+        fh.write(image)
 
 
 def read_ppm(path):
@@ -344,7 +396,8 @@ def parse_pixel_list(text):
 
 # --- skeleton / meta ------------------------------------------------------
 
-def _format_skeleton(poses):
+def write_skeleton(seq_dir, poses):
+    """Write skeleton.txt: one line of joints per pose, in JOINT_NAMES order."""
     lines = []
     for pose in poses:
         parts = []
@@ -354,7 +407,8 @@ def _format_skeleton(poses):
             x, y, z = (float(v) for v in pose.joints[name])
             parts.append(f"{name} {x!r} {y!r} {z!r} 1.0")
         lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    (Path(seq_dir) / "skeleton.txt").write_text(text, encoding="utf-8")
 
 
 def _parse_skeleton(text, path):
@@ -382,22 +436,31 @@ def _parse_skeleton(text, path):
     return poses
 
 
+def save_frame(seq_dir, t, rgb, depth):
+    """Write frame `t` of a recording: its color PPM and depth PGM."""
+    write_ppm(Path(seq_dir) / f"color_{t:06d}.ppm", rgb)
+    write_pgm16(Path(seq_dir) / f"depth_{t:06d}.pgm", depth)
+
+
+def write_meta(seq_dir, signer, label, handedness, fps):
+    """Write meta.txt, which `read_meta` reads; a label of None is written empty."""
+    meta = [
+        f"signer={signer}",
+        f"label={label if label is not None else ''}",
+        f"handedness={handedness}",
+        f"fps={fps!r}",
+    ]
+    (Path(seq_dir) / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+
+
 def save_sequence(seq: FrameSequence, path):
     seq.validate()
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(seq.color_frames):
-        write_ppm(out / f"color_{i:06d}.ppm", frame)
-    for i, frame in enumerate(seq.depth_frames):
-        write_pgm16(out / f"depth_{i:06d}.pgm", frame)
-    (out / "skeleton.txt").write_text(_format_skeleton(seq.skeleton), encoding="utf-8")
-    meta = [
-        f"signer={seq.signer_id}",
-        f"label={seq.sign_label if seq.sign_label is not None else ''}",
-        f"handedness={seq.handedness}",
-        f"fps={seq.fps!r}",
-    ]
-    (out / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    for t in range(len(seq)):
+        save_frame(out, t, seq.color_frames[t], seq.depth_frames[t])
+    write_skeleton(out, seq.skeleton)
+    write_meta(out, seq.signer_id, seq.sign_label, seq.handedness, seq.fps)
 
 
 def read_meta(seq_dir):
@@ -422,6 +485,9 @@ def read_meta(seq_dir):
 
 
 def load_sequence(path) -> FrameSequence:
+    """The recording in directory `path`, its frames decoded on read. Every
+    frame file's header and raster length, skeleton.txt and meta.txt are
+    checked here; a fault raises LoadError naming the file."""
     root = Path(path)
     if not root.is_dir():
         raise LoadError(f"{root}: not a directory")
@@ -437,24 +503,24 @@ def load_sequence(path) -> FrameSequence:
     if not skel_path.exists():
         raise LoadError(f"{skel_path}: missing")
     signer, label, handedness, fps = read_meta(root)
-    seq = FrameSequence(
-        color_frames=[read_ppm(p) for p in color_paths],
-        depth_frames=[read_pgm16(p) for p in depth_paths],
-        skeleton=_parse_skeleton(read_text(skel_path), skel_path),
+    color_shapes = [_pnm_shape(p, *_PPM) for p in color_paths]
+    depth_shapes = [_pnm_shape(p, *_PGM16) for p in depth_paths]
+    skeleton = _parse_skeleton(read_text(skel_path), skel_path)
+    if len(skeleton) != len(color_paths):
+        raise LoadError(f"{skel_path}: {len(skeleton)} poses for {len(color_paths)} frames")
+    try:
+        _check_frames(color_shapes, depth_shapes, skeleton)
+    except ValueError as exc:
+        raise LoadError(f"{root}: {exc}") from None
+    return FrameSequence(
+        color_frames=LazyFrames(color_paths, read_ppm),
+        depth_frames=LazyFrames(depth_paths, read_pgm16),
+        skeleton=skeleton,
         fps=fps,
         signer_id=signer,
         sign_label=label or None,
         handedness=handedness,
     )
-    if len(seq.skeleton) != len(seq.color_frames):
-        raise LoadError(
-            f"{skel_path}: {len(seq.skeleton)} poses for {len(seq.color_frames)} frames"
-        )
-    try:
-        seq.validate()
-    except ValueError as exc:
-        raise LoadError(f"{root}: {exc}") from None
-    return seq
 
 
 # --- geometric operations -------------------------------------------------
@@ -469,16 +535,24 @@ def mirror_pose(pose: SkeletonPose, width: int) -> SkeletonPose:
     return SkeletonPose(ordered)
 
 
+def _flip_frame(frame):
+    """`frame` flipped about the vertical axis, as a contiguous copy."""
+    return np.ascontiguousarray(frame[:, ::-1])
+
+
 def mirror_sequence(seq: FrameSequence) -> FrameSequence:
-    """Flip frames about the vertical axis and swap left/right joints."""
+    """The recording as the other hand would sign it: frames flipped about
+    the vertical axis on read, left/right joints swapped, the other
+    handedness."""
     width = seq.color_frames[0].shape[1]
     return FrameSequence(
-        color_frames=[np.ascontiguousarray(f[:, ::-1]) for f in seq.color_frames],
-        depth_frames=[np.ascontiguousarray(f[:, ::-1]) for f in seq.depth_frames],
+        color_frames=LazyFrames(seq.color_frames, _flip_frame),
+        depth_frames=LazyFrames(seq.depth_frames, _flip_frame),
         skeleton=[mirror_pose(p, width) for p in seq.skeleton],
         fps=seq.fps,
         signer_id=seq.signer_id,
         sign_label=seq.sign_label,
+        handedness="right" if seq.handedness == "left" else "left",
     )
 
 

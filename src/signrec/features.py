@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import LoadError, load_record, save_record
-from .segmentation import mean, median, read_only, to_gray
+from .segmentation import mean, median, read_only
 
 SC_POINTS = 40
 SC_RADIAL_BINS = 5
@@ -462,7 +462,7 @@ def positional_features(track, pose, span, width, focal_per_width):
     return np.array([x, y, z, vx / span, vy / span])
 
 
-def _shape_blocks(obs, rgb, span, cfg):
+def _shape_blocks(obs, span, cfg):
     points = _mask_points(obs.mask)
     geo = geometric_features(obs.mask, cfg.eccentricity_as_printed, points)
     geo[0] /= span**2          # area
@@ -471,9 +471,7 @@ def _shape_blocks(obs, rgb, span, cfg):
     geo[5] /= span             # minor axis
     hu = hu_moments(obs.mask, points)
     sc = shape_context(obs.mask)
-    x, y, w, h = obs.bbox
-    crop = to_gray(rgb[y : y + h, x : x + w]) * obs.mask
-    return np.concatenate([geo, hu, sc, hog(crop)])
+    return np.concatenate([geo, hu, sc, hog(obs.patch)])
 
 
 _SHAPE_WIDTH = 7 + 7 + SC_DIM + HOG_DIM
@@ -482,14 +480,14 @@ _SHAPE_WIDTH = 7 + 7 + SC_DIM + HOG_DIM
 def assemble(seq, seg_result, cfg) -> FeatureSample:
     """Per-frame feature matrix for one segmented sequence (full layout,
     right hand first). Shape blocks freeze during hand-over-hand occlusion
-    and across missed detections."""
+    and across missed detections. Reads the poses and labels of `seq`, and
+    each hand's mask and gray patch from `seg_result`, not the frames."""
     span = seg_result.span
-    width = seq.frame_shape[1]
+    width = seg_result.width
     rows = []
     frozen = {"left": np.zeros(_SHAPE_WIDTH), "right": np.zeros(_SHAPE_WIDTH)}
     for t, frame in enumerate(seg_result.frames):
         pose = seq.skeleton[t]
-        rgb = seq.color_frames[t]
         hands = []
         for hand, obs, track in (
             ("right", frame.right, frame.right_track),
@@ -500,7 +498,7 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
             nx, ny, _ = pose.joints["neck"]
             kinect = np.array([(jx - nx) / span, (jy - ny) / span])
             if obs is not None and obs.occlusion != "hand_over_hand":
-                shape = _shape_blocks(obs, rgb, span, cfg)
+                shape = _shape_blocks(obs, span, cfg)
                 frozen[hand] = shape
             else:
                 shape = frozen[hand]

@@ -1,7 +1,9 @@
 """End-to-end extraction: recordings in, per-frame feature samples out.
 
 Left-handed recordings are mirrored before processing so every sample is
-analyzed in a right-handed canonical frame. Extracted features are cached
+analyzed in a right-handed canonical frame. A recording is read one frame
+at a time: loading checks its files, and segmentation decodes (and
+mirrors) each frame as it reaches it. Extracted features are cached
 on disk, one record per sequence tagged with a hash of everything extraction
 reads, so repeated evaluations skip the expensive stages.
 """

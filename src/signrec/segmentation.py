@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +195,7 @@ class Blob:
     centroid: tuple[float, float]
     depth: float = float("nan")       # median depth (mm), set on assignment
     occlusion: str = "none"   # none | hand_over_face | hand_over_hand (placed, shape not read)
+    patch: np.ndarray | None = None   # gray pixels of the box times mask, set on assignment
 
     def median_depth(self, depth_frame):
         x, y, w, h = self.bbox
@@ -438,7 +439,8 @@ class FrameResult:
 @dataclass
 class SegmentationResult:
     span: float                       # shoulder span (px) the frames were read at
-    frames: list = field(default_factory=list)
+    width: int                        # frame width (px)
+    frames: list[FrameResult]
 
 
 def _face_box(pose, span, shape):
@@ -475,14 +477,15 @@ class SequenceSegmenter:
         self.candidates = None        # the last frame's candidate mask
 
     def run(self, seq, debug_dir=None) -> SegmentationResult:
-        result = SegmentationResult(span=dataio.shoulder_distance(seq))
-        self.reset(result.span)
+        """Segment every frame of `seq`, reading one frame at a time."""
+        self.reset(dataio.shoulder_distance(seq))
+        frames = []
         for t in range(len(seq)):
             frame = self.step(seq.color_frames[t], seq.depth_frames[t], seq.skeleton[t])
             if debug_dir is not None:
                 _dump_debug(debug_dir, t, self.gray, self.candidates, frame)
-            result.frames.append(frame)
-        return result
+            frames.append(frame)
+        return SegmentationResult(self.span, self.gray.shape[1], frames)
 
     def _seed(self, pose, hand, box):
         """A track started at the skeleton's hand joint."""
@@ -571,6 +574,10 @@ class SequenceSegmenter:
                     o.occlusion = "hand_over_face"
                 else:
                     self.templates[hand] = o.mask.copy()
+        for o in obs.values():
+            if o is not None:
+                x, y, w, h = o.bbox
+                o.patch = gray[y : y + h, x : x + w] * o.mask
 
         for hand in HANDS:
             track = predicted[hand]

@@ -9,6 +9,11 @@ Per-signer style is an affine warp of the trajectories about the neck plus
 a hand aspect-ratio bias. Ground-truth masks and trajectories are written
 beside every sequence, and a labeled skin/non-skin pixel list is emitted
 once per corpus for bootstrapping the color model.
+
+A sequence is written one frame at a time, as soon as the frame is drawn:
+its color PPM, depth PGM and ground-truth masks (flipped, and the masks
+swapped, for a left-handed signer), so no recording is held whole. The
+skeleton, meta.txt and trajectory follow its last frame.
 """
 
 from __future__ import annotations
@@ -22,14 +27,15 @@ import numpy as np
 from .dataio import (
     SKIN_FILES,
     DatasetManifest,
-    FrameSequence,
     ManifestEntry,
     SkeletonPose,
-    mirror_sequence,
+    mirror_pose,
     read_pgm8,
-    save_sequence,
+    save_frame,
+    write_meta,
     write_pgm8,
     write_pixel_list,
+    write_skeleton,
 )
 
 GOLDEN = 0.618033988749895
@@ -266,8 +272,11 @@ class GroundTruth:
 
 
 def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
-                     style: SignerStyle, signer_name, label):
+                     style: SignerStyle, seq_dir: Path, signer_name, label, handedness):
+    """Draw one sequence and write it to `seq_dir` frame by frame; a
+    left-handed signer's frames, masks, joints and trajectory are mirrored."""
     w, h = spec.width, spec.height
+    mirrored = handedness == "left"
     n_frames = spec.frames + int(rng.integers(-4, 5))
     n_frames = max(n_frames, 12)
     # pixel-space noise scales with resolution: same scene, finer sampling
@@ -308,9 +317,9 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
     radii = (base_radii[0] * (1.0 + style.aspect),
              base_radii[1] * (1.0 - style.aspect))
 
-    color_frames, depth_frames, poses = [], [], []
-    gt = GroundTruth()
+    poses = []
     traj_rows = []
+    seq_dir.mkdir(parents=True, exist_ok=True)
 
     ys_grid, xs_grid = np.mgrid[0:h, 0:w]
 
@@ -365,8 +374,14 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
                 if spec.depth_noise > 0 else 0.0
             depth[mask] = np.clip(hz + dn, 500.0, 60000.0)
 
-        color_frames.append(np.round(color).astype(np.uint8))
-        depth_frames.append(np.round(depth).astype(np.uint16))
+        color = np.round(color, out=color).astype(np.uint8)
+        depth = np.round(depth, out=depth).astype(np.uint16)
+        if mirrored:      # the writers copy these flipped views out
+            color, depth = color[:, ::-1], depth[:, ::-1]
+            masks = {"left": masks["right"][:, ::-1], "right": masks["left"][:, ::-1]}
+        save_frame(seq_dir, t, color, depth)
+        for hand in ("left", "right"):
+            write_pgm8(seq_dir / f"gt_{hand}_{t:06d}.pgm", masks[hand].astype(np.uint8) * 255)
 
         # body joints are the tracker's most stable outputs; hands are not
         joint_noise = rng.normal(0.0, 0.1 * w / 160.0, size=(5, 2))
@@ -388,46 +403,17 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
             "head": (scene.head[0] + joint_noise[4, 0], scene.head[1] + joint_noise[4, 1], FACE_Z),
         }
         poses.append(SkeletonPose(joints))
-
-        gt.right_masks.append(masks["right"])
-        gt.left_masks.append(masks["left"])
         traj_rows.append([rx, ry, rz, lx, ly, lz])
 
-    gt.trajectory = np.array(traj_rows)
-    seq = FrameSequence(
-        color_frames=color_frames,
-        depth_frames=depth_frames,
-        skeleton=poses,
-        fps=spec.fps,
-        signer_id=signer_name,
-        sign_label=label,
-    )
-    return seq, gt
-
-
-def _mirror_ground_truth(gt: GroundTruth) -> GroundTruth:
-    width = gt.right_masks[0].shape[1]
-    traj = gt.trajectory.copy()
-    flipped = traj.copy()
-    flipped[:, 0:3] = traj[:, 3:6]
-    flipped[:, 3:6] = traj[:, 0:3]
-    flipped[:, 0] = (width - 1) - flipped[:, 0]
-    flipped[:, 3] = (width - 1) - flipped[:, 3]
-    return GroundTruth(
-        right_masks=[m[:, ::-1].copy() for m in gt.left_masks],
-        left_masks=[m[:, ::-1].copy() for m in gt.right_masks],
-        trajectory=flipped,
-    )
-
-
-def _save_ground_truth(gt: GroundTruth, out_dir: Path):
-    for t, (lm, rm) in enumerate(zip(gt.left_masks, gt.right_masks)):
-        write_pgm8(out_dir / f"gt_left_{t:06d}.pgm", lm.astype(np.uint8) * 255)
-        write_pgm8(out_dir / f"gt_right_{t:06d}.pgm", rm.astype(np.uint8) * 255)
-    lines = [
-        " ".join(repr(float(v)) for v in row) for row in gt.trajectory
-    ]
-    (out_dir / "gt_traj.txt").write_text("\n".join(lines) + "\n")
+    traj = np.array(traj_rows)
+    if mirrored:
+        poses = [mirror_pose(p, w) for p in poses]
+        traj = traj[:, [3, 4, 5, 0, 1, 2]]
+        traj[:, [0, 3]] = (w - 1) - traj[:, [0, 3]]
+    write_skeleton(seq_dir, poses)
+    write_meta(seq_dir, signer_name, label, handedness, spec.fps)
+    lines = [" ".join(repr(float(v)) for v in row) for row in traj]
+    (seq_dir / "gt_traj.txt").write_text("\n".join(lines) + "\n")
 
 
 def load_ground_truth(seq_dir) -> GroundTruth:
@@ -480,28 +466,14 @@ def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest
         for si in range(spec.num_signers):
             signer = f"signer{chr(ord('A') + si)}"
             style = signer_style(spec, seed, si)
-            mirrored = si in tuple(spec.left_handed)
+            handedness = "left" if si in tuple(spec.left_handed) else "right"
             for ni in range(spec.samples):
                 rng = np.random.default_rng([seed, ci, si, ni])
-                seq, gt = _render_sequence(
-                    spec, scene, rng, right_fn, left_fn, style, signer, label
-                )
-                if mirrored:
-                    seq = mirror_sequence(seq)
-                    seq.handedness = "left"
-                    gt = _mirror_ground_truth(gt)
                 name = f"{label}_{signer}_{ni:02d}"
-                seq_dir = out / name
-                save_sequence(seq, seq_dir)
-                _save_ground_truth(gt, seq_dir)
-                entries.append(
-                    ManifestEntry(
-                        path=name,
-                        signer_id=signer,
-                        sign_label=label,
-                        handedness=seq.handedness,
-                    )
-                )
+                _render_sequence(spec, scene, rng, right_fn, left_fn, style, out / name,
+                                 signer, label, handedness)
+                entries.append(ManifestEntry(path=name, signer_id=signer, sign_label=label,
+                                             handedness=handedness))
     manifest = DatasetManifest(entries).validate()
     manifest.save(out / "manifest.tsv")
     return manifest

@@ -6,7 +6,9 @@ chromaticity, whole-frame labelling, `np.ix_` resizing, a boolean-masked
 pair matrix, `np.gradient`/`np.median`/`np.linalg.norm`, a full-frame
 ellipse grid and a `pathlib` cache key. `reference_segment` is the
 per-sequence segmentation loop as one function, before it became
-`SequenceSegmenter.step`. The shipped code must give bit-identical results.
+`SequenceSegmenter.step`; it cuts each hand's gray patch from the color
+frame, `to_gray(rgb crop) * mask`, as assembly did before the segmenter
+recorded it. The shipped code must give bit-identical results.
 """
 
 import math
@@ -393,6 +395,10 @@ def reference_segment(general_model, cfg, seq):
                     o.occlusion = "hand_over_face"
                 else:
                     templates[hand] = o.mask.copy()
+        for o in obs.values():
+            if o is not None:
+                x, y, w, h = o.bbox
+                o.patch = to_gray(rgb[y : y + h, x : x + w]) * o.mask
 
         for hand in ("left", "right"):
             track = predicted[hand]

@@ -99,6 +99,15 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match="color_000001"):
             load_sequence(tmp_path / "s")
 
+    @pytest.mark.parametrize("name", ["color_000001.ppm", "depth_000002.pgm"])
+    def test_truncated_raster_named(self, tmp_path, name):
+        """load_sequence checks every raster's length, decoding none."""
+        save_sequence(make_sequence(3), tmp_path / "s")
+        bad = tmp_path / "s" / name
+        bad.write_bytes(bad.read_bytes()[:-1])
+        with pytest.raises(LoadError, match=rf"{name}: raster has \d+ bytes, expected"):
+            load_sequence(tmp_path / "s")
+
     def test_skeleton_fifth_field_numeric_but_ignored(self, tmp_path):
         seq = make_sequence(3)
         save_sequence(seq, tmp_path / "s")
@@ -243,6 +252,12 @@ class TestMirror:
             assert np.array_equal(a, b)
         for pa, pb in zip(seq.skeleton, twice.skeleton):
             assert pa.joints == pb.joints
+
+    def test_gives_the_other_handedness(self):
+        seq = make_sequence(2)
+        assert seq.handedness == "right"
+        assert mirror_sequence(seq).handedness == "left"
+        assert mirror_sequence(mirror_sequence(seq)).handedness == "right"
 
     def test_edge_column_maps_to_other_edge(self):
         seq = make_sequence(2, w=640, h=480)

@@ -1,0 +1,63 @@
+"""Rendering and extraction hold one frame at a time.
+
+tracemalloc sees numpy's buffers, so its peak bounds what a run holds. A
+decoded recording is frames x H x W x 5 bytes (3 color bytes and one 16-bit
+depth reading per pixel); neither the renderer nor the extractor may come
+near holding one, whatever the recording's length.
+"""
+
+import tracemalloc
+
+import pytest
+
+from signrec.config import Config
+from signrec.dataio import load_sequence
+from signrec.pipeline import extract_sequence, general_skin_model
+from signrec.synth import SynthSpec, generate_synthetic_corpus
+
+# long recordings at the bench's resolution; the signer is left-handed, so
+# both the renderer and the extractor mirror every frame
+SPEC = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=96, width=160,
+                 height=120, left_handed=(0,))
+
+
+def peak_bytes(work):
+    """Bytes allocated at the peak of `work()` above what was held before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        work()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+def recording_bytes(seq):
+    h, w = seq.frame_shape
+    return len(seq) * h * w * 5
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The recording directories and the peak of rendering them."""
+    root = tmp_path_factory.mktemp("long_corpus")
+    peak = peak_bytes(lambda: generate_synthetic_corpus(SPEC, 5, root))
+    return sorted(p for p in root.iterdir() if p.is_dir()), peak
+
+
+def test_render_holds_less_than_a_recording(corpus):
+    recordings, peak = corpus
+    smallest = min(recording_bytes(load_sequence(p)) for p in recordings)
+    assert peak < smallest, (peak, smallest)
+
+
+def test_extraction_holds_less_than_a_recording(corpus):
+    recordings, _ = corpus
+    cfg = Config()
+    model = general_skin_model(recordings[0].parent, cfg)
+    seq = load_sequence(recordings[0])
+    assert seq.handedness == "left"
+    peak = peak_bytes(lambda: extract_sequence(recordings[0], model, cfg))
+    assert peak < recording_bytes(seq), (peak, recording_bytes(seq))
