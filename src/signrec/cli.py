@@ -138,18 +138,21 @@ def build_parser():
             p.add_argument("--jobs", type=_int_at_least(1), default=None)
         return p
 
+    # each synth flag defaults to the SynthSpec field it sets
+    spec = SynthSpec()
     p = verb("synth", _cmd_synth, "generate a synthetic corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--signers", type=int, default=4)
-    p.add_argument("--samples", type=int, default=6)
-    p.add_argument("--width", type=int, default=160)
-    p.add_argument("--height", type=int, default=120)
-    p.add_argument("--frames", type=int, default=36)
-    p.add_argument("--style", type=float, default=0.0)
-    p.add_argument("--traj-noise", type=float, default=0.5)
-    p.add_argument("--left-handed", default="", help="comma-separated signer indices")
-    p.add_argument("--depth-pairs", action="store_true")
+    p.add_argument("--classes", type=int, default=spec.num_classes)
+    p.add_argument("--signers", type=int, default=spec.num_signers)
+    p.add_argument("--samples", type=int, default=spec.samples)
+    p.add_argument("--width", type=int, default=spec.width)
+    p.add_argument("--height", type=int, default=spec.height)
+    p.add_argument("--frames", type=int, default=spec.frames)
+    p.add_argument("--style", type=float, default=spec.style_strength)
+    p.add_argument("--traj-noise", type=float, default=spec.traj_noise)
+    p.add_argument("--left-handed", default=",".join(map(str, spec.left_handed)),
+                   help="comma-separated signer indices")
+    p.add_argument("--depth-pairs", action="store_true", default=spec.depth_pairs)
 
     p = verb("segment", _cmd_segment, "dump per-frame masks for one sample", corpus=True)
     p.add_argument("--sample", required=True, help="sequence directory name")

@@ -19,11 +19,8 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from . import dataio, tracking
-
-_STRUCT3 = np.ones((3, 3), dtype=bool)
 
 
 # --- color ------------------------------------------------------------------
@@ -221,14 +218,92 @@ def _open3(mask):
     return _square3(_square3(mask, np.bitwise_and), np.bitwise_or)
 
 
+def _components(mask):
+    """8-connected components of a 2-D boolean mask: a list of (row slice,
+    column slice, patch), the patch being the component's pixels inside its
+    box, in raster order of each component's first pixel.
+
+    This is the numbering of scipy's `ndimage.label` with a 3x3 structure,
+    and the boxes of its `find_objects`. It is the run-based two-scan method
+    (Rosenfeld & Pfaltz 1966; He, Chao & Suzuki 2008): one nonzero over the
+    mask, flattened with a zero column on each side of every row, finds every
+    row's runs of set pixels; a run joins each run of the row above whose
+    columns come within one pixel of its own, in a union-find that keeps the
+    lower run index as root. Runs are in raster order, so a root is its
+    component's first run, and roots in order number the components.
+    """
+    # array methods rather than numpy's wrapper functions throughout: a frame
+    # has a few dozen runs, so call overhead is most of the cost
+    h, w = mask.shape
+    stride = w + 2
+    padded = np.zeros((h, stride), dtype=bool)
+    padded[:, 1:-1] = mask
+    flat = padded.ravel()
+    edges = (flat[1:] != flat[:-1]).nonzero()[0]
+    if edges.size == 0:
+        return []
+    # mask pixel (r, c) sits at flat r * stride + c + 1, and run i covers
+    # flat starts[i] + 1 .. stops[i]: starts[i] // stride is its row and
+    # starts[i] % stride its first column
+    starts, stops = edges[0::2], edges[1::2]
+    n = starts.size
+    # the runs of the row above that a run touches, as the index range
+    # [first, last): that row's runs, moved one row down, end at or after
+    # the run's start and start at or before its stop
+    first = (stops + stride).searchsorted(starts, "left")
+    last = (starts + stride).searchsorted(stops, "right")
+    # each run joins the first run it touches above, a lower index
+    parent = np.where(last > first, first, np.arange(n)).tolist()
+
+    def root(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    # a run touching several runs above joins their sets
+    for i in (last - first > 1).nonzero()[0].tolist():
+        for j in range(int(first[i]) + 1, int(last[i])):
+            a, b = root(j), root(i)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    # a parent precedes its child, so one pass in order resolves every root
+    for k in range(n):
+        parent[k] = parent[parent[k]]
+    roots = np.array(parent)
+    heads = roots == np.arange(n)                  # each component's first run
+    run_label = heads.cumsum()[roots]              # components numbered from 1
+    lengths = stops - starts
+    labels = np.zeros(flat.size, dtype=np.intp)
+    labels[flat] = run_label.repeat(lengths)
+    labels = labels.reshape(h, stride)[:, 1:-1]
+
+    # each component's box, over its runs grouped in raster order
+    order = run_label.argsort(kind="stable")
+    groups = heads[order].nonzero()[0]
+    run_row, col = np.divmod(starts[order], stride)
+    tops = run_row[groups].tolist()
+    bottoms = np.maximum.reduceat(run_row, groups).tolist()
+    lefts = np.minimum.reduceat(col, groups).tolist()
+    rights = np.maximum.reduceat(col + lengths[order], groups).tolist()
+    out = []
+    for k, (top, bottom, left, right) in enumerate(zip(tops, bottoms, lefts, rights), 1):
+        rows, cols = slice(top, bottom + 1), slice(left, right)
+        out.append((rows, cols, labels[rows, cols] == k))
+    return out
+
+
 def clean_mask(skin, motion=None, min_area=30):
     """AND the masks, open with a 3x3 square, and return the surviving blobs.
 
     Connected components use 8-connectivity; components below min_area are
-    dropped. Only the bounding box of the candidates is opened and labelled:
-    the opening cannot grow past it, and cropping keeps the raster order in
-    which components are numbered, so the blobs and their order are those of
-    the whole frame.
+    dropped. They come from `_components`, numbered as scipy's `ndimage.label`
+    numbers them, so that extraction does not load scipy, whose `ndimage`
+    adds about 27 MB to a process's resident memory.
+    Only the bounding box of the candidates is opened and labelled: the
+    opening cannot grow past it, and cropping keeps the raster order in which
+    components are numbered, so the blobs and their order are those of the
+    whole frame.
     """
     cand = np.asarray(skin, dtype=bool)
     if motion is not None:
@@ -239,17 +314,13 @@ def clean_mask(skin, motion=None, min_area=30):
     cols = np.flatnonzero(cand.any(axis=0))
     top, left = int(rows[0]), int(cols[0])
     crop = cand[top : int(rows[-1]) + 1, left : int(cols[-1]) + 1]
-    labels, _ = ndimage.label(_open3(crop), structure=_STRUCT3)
     blobs = []
-    for index, slc in enumerate(ndimage.find_objects(labels), start=1):
-        if slc is None:
-            continue
-        patch = labels[slc] == index
+    for box_rows, box_cols, patch in _components(_open3(crop)):
         area = int(np.count_nonzero(patch))
         if area < min_area:
             continue
         ys, xs = np.nonzero(patch)
-        x0, y0 = slc[1].start + left, slc[0].start + top
+        x0, y0 = box_cols.start + left, box_rows.start + top
         blobs.append(
             Blob(
                 mask=patch,

@@ -298,14 +298,14 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
     depth_static = np.full((h, w), BACKGROUND_Z)
 
     torso_mask = _ellipse_mask((h, w), (0.5 * w, 0.72 * h), (0.17 * w, 0.30 * h))
+    # the texture is drawn for the whole frame, which fixes the RNG stream,
+    # but shades only the pixels under the torso and the head
     tex = rng.uniform(-1.0, 1.0, size=(h, w, 1))
-    cloth = np.clip(CLOTH_BASE[None, None, :] * (1.0 + 0.10 * tex), 0, 255)
-    color_static[torso_mask] = cloth[torso_mask]
+    color_static[torso_mask] = np.clip(CLOTH_BASE * (1.0 + 0.10 * tex[torso_mask]), 0, 255)
     depth_static[torso_mask] = TORSO_Z + rng.uniform(-12, 12, size=(h, w))[torso_mask]
 
     head_mask = _ellipse_mask((h, w), scene.head, scene.head_axes)
-    face = np.clip(SKIN_BASE[None, None, :] * (1.0 + 0.12 * tex), 0, 255)
-    color_static[head_mask] = face[head_mask]
+    color_static[head_mask] = np.clip(SKIN_BASE * (1.0 + 0.12 * tex[head_mask]), 0, 255)
     depth_static[head_mask] = FACE_Z + rng.uniform(-10, 10, size=(h, w))[head_mask]
 
     hand_tiles = {

@@ -1,8 +1,11 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from signrec import cli
 from signrec.cli import main
+from signrec.synth import SynthSpec
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +74,18 @@ class TestCli:
         assert code == 0
         assert (out / "bank" / "models.npz").exists()
         assert (out / "transform.npz").exists()
+
+    def test_synth_defaults_are_synth_spec(self, tmp_path, monkeypatch):
+        """`synth` without optional flags renders SynthSpec() at seed 0."""
+        calls = []
+
+        def render(spec, seed, out):
+            calls.append((spec, seed))
+            return SimpleNamespace(entries=[])
+
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", render)
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        assert calls == [(SynthSpec(), 0)]
 
     def test_error_is_one_line_and_nonzero(self, tmp_path, capsys):
         code = main(["extract", "--data", str(tmp_path / "nope.tsv"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from reference_kernels import reference_segment
@@ -15,6 +17,7 @@ from signrec.segmentation import (
     FaceDepthModel,
     SequenceSegmenter,
     SkinHistogram,
+    _components,
     _open3,
     clean_mask,
     match_template,
@@ -244,6 +247,84 @@ class TestOpening:
                 scipy_opened = ndimage.binary_dilation(
                     ndimage.binary_erosion(mask, structure=square), structure=square)
                 assert np.array_equal(opened, scipy_opened)
+
+
+def ndimage_components(mask):
+    """The labeller's oracle: scipy's 8-connected labels and their boxes."""
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    return [(rows, cols, labels[rows, cols] == k)
+            for k, (rows, cols) in enumerate(ndimage.find_objects(labels), start=1)]
+
+
+def assert_same_components(mask):
+    got, want = _components(mask), ndimage_components(mask)
+    assert [(rows, cols) for rows, cols, _ in got] == [(rows, cols) for rows, cols, _ in want]
+    for (_, _, patch), (_, _, expected) in zip(got, want):
+        assert patch.dtype == bool and np.array_equal(patch, expected)
+    return got
+
+
+def drawn(*rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+class TestComponents:
+    @settings(max_examples=400)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=24)))
+    def test_equals_ndimage(self, mask):
+        assert_same_components(mask)
+
+    def test_random_densities_equal_ndimage(self):
+        rng = np.random.default_rng(17)
+        for density in (0.2, 0.4, 0.55, 0.7, 0.9):
+            for _ in range(40):
+                assert_same_components(rng.random(tuple(rng.integers(1, 40, 2))) < density)
+
+    def test_empty_and_full(self):
+        assert assert_same_components(np.zeros((5, 7), dtype=bool)) == []
+        [(rows, cols, patch)] = assert_same_components(np.ones((6, 4), dtype=bool))
+        assert (rows, cols) == (slice(0, 6), slice(0, 4)) and patch.all()
+
+    @pytest.mark.parametrize("shape", [(1, 15), (15, 1)])
+    def test_single_row_and_column(self, shape):
+        line = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 1], dtype=bool)
+        assert len(assert_same_components(line.reshape(shape))) == 5
+
+    def test_u_shape_joins_at_its_base(self):
+        mask = drawn("#...#",
+                     "#.#.#",
+                     "#...#",
+                     "#####")
+        components = assert_same_components(mask)
+        assert [c[:2] for c in components] == [(slice(0, 4), slice(0, 5)),
+                                               (slice(1, 2), slice(2, 3))]
+
+    def test_spiral_joins_rows_after_it_starts(self):
+        mask = drawn("#########",
+                     "........#",
+                     ".######.#",
+                     ".#....#.#",
+                     ".#.##.#.#",
+                     ".#.#..#.#",
+                     ".#.####.#",
+                     ".#......#",
+                     ".########")
+        assert len(assert_same_components(mask)) == 1
+        assert len(assert_same_components(mask.T)) == 1
+        assert len(assert_same_components(mask[::-1])) == 1
+
+    def test_diagonal_contact_connects(self):
+        checker = np.indices((6, 7)).sum(axis=0) % 2 == 0
+        assert len(assert_same_components(checker)) == 1
+        assert len(assert_same_components(~checker)) == 1
+        corners = drawn("##....",
+                        "##....",
+                        "..##..",
+                        "..##.#",
+                        "....#.",
+                        "#.....")
+        assert len(assert_same_components(corners)) == 2
+        assert len(assert_same_components(corners[:, ::-1])) == 2
 
 
 class TestCleanMask:
