@@ -22,7 +22,8 @@ _PARSERS = {"bool": _BOOLS.__getitem__, "int": int, "float": float}
 _RANGES = {
     **dict.fromkeys(("hist_bins", "hmm_states", "hmm_max_iter", "lda_resample_third",
                      "jobs"), (lambda v: v >= 1, "at least 1")),
-    **dict.fromkeys(("min_blob_area", "max_coast"), (lambda v: v >= 0, "at least 0")),
+    **dict.fromkeys(("min_blob_area", "max_coast", "lda_shrinkage"),
+                    (lambda v: v >= 0, "at least 0")),
     **dict.fromkeys(("skin_alpha", "face_update_rate"), (lambda v: 0 <= v <= 1, "in [0, 1]")),
     "hmm_self_prob": (lambda v: 0 < v < 1, "in (0, 1)"),
     "variance_floor": (lambda v: v > 0, "above 0"),

@@ -271,6 +271,10 @@ def _confusion_csv(report: EvalReport) -> str:
 
 
 def _confusion_svg(report: EvalReport, cell=14, margin=64) -> str:
+    # imported here: xml.sax.saxutils loads urllib, http and ssl, about 2 MB
+    # of resident memory that a protocol run, writing no report, need not pay
+    from xml.sax.saxutils import escape
+
     n = len(report.vocabulary)
     size = margin + n * cell + 8
     peak = max(int(report.confusion.max()), 1)
@@ -294,7 +298,7 @@ def _confusion_svg(report: EvalReport, cell=14, margin=64) -> str:
         y = margin + i * cell + cell - 4
         parts.append(
             f'<text x="{margin - 4}" y="{y}" font-size="8" text-anchor="end" '
-            f'font-family="monospace">{label}</text>'
+            f'font-family="monospace">{escape(label)}</text>'
         )
         x = margin + i * cell + cell // 2
         parts.append(

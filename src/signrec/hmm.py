@@ -49,32 +49,20 @@ _MEMBERS = ("means", "variances", "stay", "leave")
 
 def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> HmmModel:
     """Flat start: each sequence is cut into n_states equal segments and
-    state k pools the k-th segments of all sequences."""
+    state k pools the k-th segments of all sequences. A sequence shorter
+    than the chain raises ValueError; any other gives every segment a frame."""
     if not samples:
         raise ValueError("need at least one training sample")
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
-    dim = samples[0].shape[1]
-    pooled = [[] for _ in range(n_states)]
-    for seq in samples:
-        bounds = np.linspace(0, len(seq), n_states + 1).round().astype(int)
-        for k in range(n_states):
-            chunk = seq[bounds[k] : bounds[k + 1]]
-            if len(chunk):
-                pooled[k].append(chunk)
-    everything = np.concatenate(samples)
-    fallback_mean = everything.mean(axis=0)
-    fallback_var = everything.var(axis=0)
-    means = np.zeros((n_states, dim))
-    variances = np.zeros((n_states, dim))
-    for k in range(n_states):
-        if pooled[k]:
-            chunk = np.concatenate(pooled[k])
-            means[k] = chunk.mean(axis=0)
-            variances[k] = chunk.var(axis=0)
-        else:
-            means[k] = fallback_mean
-            variances[k] = fallback_var
-    variances = np.maximum(variances, var_floor)
+    shortest = min(len(s) for s in samples)
+    if shortest < n_states:
+        raise ValueError(f"a sequence of {shortest} frames is shorter than "
+                         f"the {n_states} states of the chain")
+    segments = [np.split(s, np.linspace(0, len(s), n_states + 1).round().astype(int)[1:-1])
+                for s in samples]
+    pooled = [np.concatenate(parts) for parts in zip(*segments)]
+    means = np.array([chunk.mean(axis=0) for chunk in pooled])
+    variances = np.maximum([chunk.var(axis=0) for chunk in pooled], var_floor)
     return HmmModel(
         label=label,
         means=means,
@@ -228,24 +216,16 @@ def _expected_counts(model: HmmModel, padded, lengths, squares):
 
 
 def _reestimate(model: HmmModel, counts, var_floor):
-    """M-step: a state with (numerically) no occupancy keeps its parameters,
-    and one with no stay or leave counts keeps its stay and leave."""
+    """M-step: the ratios of expected counts. Every path visits every state,
+    so in a batch the E-step can score each state's occupancy is at least the
+    batch size, and equals its stay plus leave counts: no ratio divides by 0."""
     occupancy, mean_num, sq_num, stay_num, advance_num, exit_num = counts
     leave_num = np.append(advance_num, exit_num)
     row_sum = stay_num + leave_num
-    occupied = occupancy > 1e-12
-    moved = occupied & (row_sum > 0)
-    # the rows that np.where discards may divide by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = mean_num / occupancy[:, None]
-        variances = np.maximum(sq_num / occupancy[:, None] - means**2, var_floor)
-        stay = stay_num / row_sum
-        leave = leave_num / row_sum
-    return HmmModel(label=model.label,
-                    means=np.where(occupied[:, None], means, model.means),
-                    variances=np.where(occupied[:, None], variances, model.variances),
-                    stay=np.where(moved, stay, model.stay),
-                    leave=np.where(moved, leave, model.leave))
+    means = mean_num / occupancy[:, None]
+    return HmmModel(label=model.label, means=means,
+                    variances=np.maximum(sq_num / occupancy[:, None] - means**2, var_floor),
+                    stay=stay_num / row_sum, leave=leave_num / row_sum)
 
 
 def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
@@ -253,8 +233,9 @@ def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
 
     All sequences share one padded E-step per iteration.  A stay or leave
     probability that starts at zero stays zero; variances are floored every
-    iteration; a state with (numerically) no occupancy keeps its previous
-    parameters. Returns (model, per-iteration total log-likelihoods).
+    iteration. A sequence the model cannot score (one shorter than the
+    chain) raises FloatingPointError. Returns (model, per-iteration total
+    log-likelihoods).
     """
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
     if not samples:

@@ -98,7 +98,8 @@ def _extract_one(args):
 
 
 def _cache_name(entry_path):
-    return entry_path.replace("/", "__") + ".npz"
+    """The entry's record name, `%` and `/` percent-encoded: one per path."""
+    return entry_path.replace("%", "%25").replace("/", "%2F") + ".npz"
 
 
 def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):

@@ -293,21 +293,20 @@ def _components(mask):
     return out
 
 
-def clean_mask(skin, motion=None, min_area=30):
-    """AND the masks, open with a 3x3 square, and return the surviving blobs.
+def clean_mask(cand, min_area=30):
+    """Open the candidate mask with a 3x3 square and return the surviving blobs.
 
-    Connected components use 8-connectivity; components below min_area are
-    dropped. They come from `_components`, numbered as scipy's `ndimage.label`
-    numbers them, so that extraction does not load scipy, whose `ndimage`
-    adds about 27 MB to a process's resident memory.
+    `cand` is the boolean mask `SequenceSegmenter.step` has built, skin, body
+    region and (after the first frame) motion already ANDed. Components use
+    8-connectivity; components below min_area are dropped. They come from
+    `_components`, numbered as scipy's `ndimage.label` numbers them, so that
+    extraction does not load scipy, whose `ndimage` adds about 27 MB to a
+    process's resident memory.
     Only the bounding box of the candidates is opened and labelled: the
     opening cannot grow past it, and cropping keeps the raster order in which
     components are numbered, so the blobs and their order are those of the
     whole frame.
     """
-    cand = np.asarray(skin, dtype=bool)
-    if motion is not None:
-        cand = cand & np.asarray(motion, dtype=bool)
     rows = np.flatnonzero(cand.any(axis=1))
     if rows.size == 0:
         return []

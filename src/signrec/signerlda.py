@@ -194,7 +194,8 @@ def solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0
     (weights, eigenvalues, shrinkage used).
 
     The within matrix is regularized by shrinkage * mean diagonal; if the
-    solver still fails the ridge grows tenfold up to shrinkage_max.
+    solver still fails the ridge grows tenfold up to shrinkage_max; past it,
+    or at once for a ridge of zero, which cannot grow, it raises ValueError.
 
     scipy is imported here, on the first call, as the package uses it
     nowhere else: importing `scipy.linalg` adds about 28 MB of resident
@@ -216,11 +217,11 @@ def solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0
             eigvals, eigvecs = scipy.linalg.eigh(between, regularized)
             break
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            gamma *= 10.0
-            if gamma > shrinkage_max:
+            if gamma <= 0 or gamma * 10.0 > shrinkage_max:
                 raise ValueError(
                     "within-sign scatter is singular even at maximum shrinkage"
                 ) from None
+            gamma *= 10.0
     order = np.argsort(eigvals)[::-1][:out_dim]
     values = eigvals[order]
     vectors = eigvecs[:, order].copy()

@@ -27,8 +27,6 @@ _F_BOX = np.array(
     [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
     dtype=float,
 )
-_H_MOTION = np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], dtype=float)
-_H_BOX = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
 # identity matrices by size: state (6, 4) and measurement (2)
 _EYE = {n: np.eye(n) for n in (2, 4, 6)}
 
@@ -79,11 +77,15 @@ def _kf_predict(x, P, F, q):
     return x, P
 
 
-def _kf_update(x, P, H, z, r):
-    S = H @ P @ H.T + _EYE[len(z)] * r
-    K = P @ H.T @ np.linalg.inv(S)
-    x = x + K @ (z - H @ x)
-    P = _symmetrize((_EYE[len(x)] - K @ H) @ P)
+def _kf_update(x, P, z, r):
+    """Fold in a measurement z of x[:2]. H = [I 0] only selects, so H P H^T,
+    P H^T and H x are P[:2, :2], P[:, :2] and x[:2], and I - K H is the
+    identity less K in its first two columns."""
+    K = P[:, :2] @ np.linalg.inv(P[:2, :2] + _EYE[2] * r)
+    x = x + K @ (z - x[:2])
+    ikh = _EYE[len(x)].copy()     # I - K H
+    ikh[:, :2] -= K
+    P = _symmetrize(ikh @ P)
     return x, P
 
 
@@ -105,9 +107,8 @@ def update(track: HandTrack, centroid, box, measurement_noise=4.0, depth=None) -
     box = np.asarray(box, dtype=float)
     if not (np.isfinite(centroid).all() and np.isfinite(box).all()):
         raise ValueError("non-finite measurement")
-    mx, mP = _kf_update(track.motion_state, track.motion_cov, _H_MOTION, centroid,
-                        measurement_noise)
-    bx, bP = _kf_update(track.box_state, track.box_cov, _H_BOX, box, measurement_noise)
+    mx, mP = _kf_update(track.motion_state, track.motion_cov, centroid, measurement_noise)
+    bx, bP = _kf_update(track.box_state, track.box_cov, box, measurement_noise)
     bx[:2] = np.maximum(bx[:2], 1.0)
     new_depth = track.last_depth if depth is None else float(depth)
     return HandTrack(mx, mP, bx, bP, 0, new_depth)

@@ -4,8 +4,9 @@ Each function here computes what a shipped kernel computes, the way it was
 written before that kernel was rewritten for speed: whole-frame float
 chromaticity, whole-frame labelling, `np.ix_` resizing, a boolean-masked
 pair matrix, `np.gradient`/`np.median`/`np.linalg.norm`, a full-frame
-ellipse grid and a `pathlib` cache key. `reference_segment` is the
-per-sequence segmentation loop as one function, before it became
+ellipse grid, a `pathlib` cache key and a Kalman update that multiplies by
+its measurement matrix. `reference_segment` is the per-sequence
+segmentation loop as one function, before it became
 `SequenceSegmenter.step`; it cuts each hand's gray patch from the color
 frame, `to_gray(rgb crop) * mask`, as assembly did before the segmenter
 recorded it. The shipped code must give bit-identical results.
@@ -265,6 +266,14 @@ def ellipse_mask(shape, center, axes, angle=0.0):
     u = c * dx + s * dy
     v = -s * dx + c * dy
     return (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
+
+
+def kf_update(x, P, H, z, r):
+    S = H @ P @ H.T + np.eye(len(z)) * r
+    K = P @ H.T @ np.linalg.inv(S)
+    x = x + K @ (z - H @ x)
+    P = (np.eye(len(x)) - K @ H) @ P
+    return x, (P + P.T) / 2.0
 
 
 def sequence_key(seq_dir, corpus_digest):

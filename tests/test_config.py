@@ -34,7 +34,7 @@ class TestConfig:
         "hmm_max_iter=0", "lda_resample_third=0", "jobs=0", "min_blob_area=-1",
         "max_coast=-1", "hmm_self_prob=1.5", "hmm_self_prob=1.0", "hmm_self_prob=0.0",
         "variance_floor=0.0", "variance_floor=-1e-4", "skin_alpha=1.5", "skin_alpha=-0.1",
-        "face_update_rate=2.0", "face_update_rate=-1.0"])
+        "face_update_rate=2.0", "face_update_rate=-1.0", "lda_shrinkage=-0.001"])
     def test_unparsable_value_named(self, tmp_path, line):
         (tmp_path / "c.txt").write_text(f"# tuning\n{line}\n")
         key = line.split("=")[0]

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -218,3 +219,11 @@ class TestEmitReport:
         # off-diagonal cells render as the empty shade
         assert svg.count("rgb(40,40,255)") == 2
         assert svg.count("rgb(245,245,245)") == 2
+
+    def test_svg_escapes_markup_in_labels(self, tmp_path):
+        report = self.make_report()
+        report.vocabulary = ["a<b", "c&d"]
+        emit_report(report, tmp_path)
+        root = ElementTree.parse(tmp_path / "confusion.svg").getroot()
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0::2] == ["a<b", "c&d"]

@@ -185,6 +185,17 @@ class TestInitModel:
         with pytest.raises(ValueError):
             init_model([], n_states=7)
 
+    def test_sequence_shorter_than_chain_rejected(self):
+        with pytest.raises(ValueError, match="6 frames is shorter than the 7 states"):
+            init_model([np.zeros((14, 2)), np.zeros((6, 2))], n_states=7)
+
+    def test_every_segment_holds_a_frame(self):
+        # on a ramp, non-empty consecutive segments have rising means
+        for n in range(1, 13):
+            for length in range(n, n + 60):
+                model = init_model([np.arange(float(length))[:, None]], n_states=n)
+                assert np.all(np.diff(model.means[:, 0]) > 0), (n, length)
+
 
 class TestForward:
     def test_single_frame_boundary(self):
@@ -376,6 +387,28 @@ class TestBaumWelch:
             np.testing.assert_allclose(getattr(trained, name),
                                        getattr(reference, name), rtol=1e-12,
                                        atol=1e-12)
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           extra=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+           no_repeat=st.lists(st.integers(0, 6), max_size=3))
+    @example(seed=0, n=1, extra=[0], no_repeat=[])
+    @example(seed=1, n=4, extra=[0, 0, 9], no_repeat=[0, 2])
+    def test_counts_cover_every_state(self, seed, n, extra, no_repeat):
+        """What `_reestimate`'s plain ratios rely on: every path of a
+        sequence the model can score visits every state, so each state's
+        occupancy is at least the batch size, and each visit ends in a stay,
+        an advance or the exit, so those counts sum to the occupancy."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, 2)
+        model.stay = rng.uniform(0.05, 0.95, size=n)
+        model.stay[[k for k in no_repeat if k < n - 1]] = 0.0   # state n keeps a stay
+        model.leave = 1.0 - model.stay
+        samples = [rng.normal(size=(n + e, 2)) for e in extra]
+        _, occupancy, _, _, stays, moves, exits = _expected_counts(model, *_pad(samples))
+        assert np.all(occupancy >= len(samples) * (1.0 - 1e-9))
+        np.testing.assert_allclose(stays + np.append(moves, exits), occupancy,
+                                   rtol=1e-9)
 
     def test_loglik_never_decreases(self):
         rng = np.random.default_rng(5)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference_kernels as ref
-from signrec import features, pipeline, segmentation, synth
+from signrec import features, pipeline, segmentation, synth, tracking
 from signrec.config import Config
 from signrec.dataio import load_record
 from signrec.features import (
@@ -69,13 +69,11 @@ class TestCroppedLabelling:
                 skin = rng.random(shape) < density
                 motion = rng.random(shape) < 0.8
                 for min_area in (1, 30):
-                    same_blobs(clean_mask(skin, motion, min_area),
+                    same_blobs(clean_mask(skin & motion, min_area),
                                ref.clean_mask(skin, motion, min_area))
 
     def test_empty_mask(self):
         assert clean_mask(np.zeros((12, 16), dtype=bool), min_area=1) == []
-        assert clean_mask(np.zeros((12, 16), dtype=bool),
-                          np.ones((12, 16), dtype=bool), min_area=1) == []
 
     def test_blobs_on_every_border(self):
         skin = np.zeros((30, 40), dtype=bool)
@@ -98,6 +96,24 @@ class TestCroppedLabelling:
     @given(masks)
     def test_property(self, mask):
         same_blobs(clean_mask(mask, min_area=1), ref.clean_mask(mask, min_area=1))
+
+
+class TestKalmanUpdate:
+    @pytest.mark.parametrize("n", [6, 4])
+    def test_random_spd_covariances_match_the_h_form(self, n):
+        rng = np.random.default_rng(n)
+        H = np.eye(2, n)
+        for _ in range(2000):
+            A = rng.normal(size=(n, n)) * rng.uniform(0.01, 100.0)
+            P = A @ A.T + 1e-3 * np.eye(n)
+            P = (P + P.T) / 2.0
+            x = 50.0 * rng.normal(size=n)
+            z = 50.0 * rng.normal(size=2)
+            r = rng.uniform(0.1, 10.0)
+            got = tracking._kf_update(x, P, z, r)
+            want = ref.kf_update(x, P, H, z, r)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestResizeTables:

@@ -226,6 +226,25 @@ class TestExtraction:
         assert [p.name for p in (tmp_path / "c").iterdir()] == [
             pipeline._cache_name(paths[0])]
 
+    def test_entries_that_differ_only_in_separators_keep_their_records(self, tmp_path,
+                                                                        extractions):
+        spec = SynthSpec(num_classes=3, num_signers=1, samples=1, frames=12,
+                         width=96, height=72)
+        root = tmp_path / "corpus"
+        manifest = generate_synthetic_corpus(spec, 4, root)
+        (root / "x").mkdir()
+        for entry, path in zip(manifest.entries, ("x/y", "x__y", "x%2Fy")):
+            (root / entry.path).rename(root / path)
+            entry.path = path
+        manifest.save(root / "manifest.tsv")
+        extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        assert len(extractions) == 3
+        for _ in range(2):
+            extractions.clear()
+            extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+            assert extractions == []
+        assert pipeline._cache_name("sign00_signerA_00") == "sign00_signerA_00.npz"
+
     def test_parallel_equals_serial(self, tiny_corpus, tmp_path):
         root, _ = tiny_corpus
         cfg = Config()

@@ -363,7 +363,7 @@ class TestCleanMask:
         motion = np.zeros((20, 20), dtype=bool)
         skin[2:12, 2:12] = True
         motion[6:16, 6:16] = True
-        blobs = clean_mask(skin, motion, min_area=1)
+        blobs = clean_mask(skin & motion, min_area=1)
         assert len(blobs) == 1
         full = np.zeros((20, 20), dtype=bool)
         x, y, w, h = blobs[0].bbox
@@ -377,7 +377,7 @@ class TestCleanMask:
         for _ in range(10):
             skin = rng.random((30, 30)) < 0.5
             motion = rng.random((30, 30)) < 0.7
-            blobs = clean_mask(skin, motion, min_area=1)
+            blobs = clean_mask(skin & motion, min_area=1)
             allowed = ndimage.binary_dilation(skin & motion, np.ones((3, 3)))
             for blob in blobs:
                 full = np.zeros((30, 30), dtype=bool)

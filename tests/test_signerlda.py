@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import signrec
 from signrec.config import Config
 from signrec.signerlda import (
     LdaTransform,
@@ -352,6 +358,25 @@ class TestSolve:
         scatter = accumulate_scatter([rng.normal(size=(3, 2, 4))])
         with pytest.raises(ValueError):
             solve_transform(*scatter, out_dim=5)
+
+    def test_singular_scatter_without_ridge_fails_at_once(self):
+        """A ridge of zero cannot grow, so a singular within-scatter raises
+        instead of retrying forever; run in a subprocess with a timeout so
+        that a retry loop fails the test rather than hanging the suite."""
+        script = (
+            "import numpy as np\n"
+            "from signrec.signerlda import solve_transform\n"
+            "within = np.diag([2.0, 1.0, 0.0])   # an all-zero (idle-hand) column\n"
+            "try:\n"
+            "    solve_transform(np.eye(3), within, 2, shrinkage=0.0)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+        src = str(Path(signrec.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, check=True, env=env)
+        assert "singular" in done.stdout
 
 
 class TestProject:
