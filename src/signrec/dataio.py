@@ -1,22 +1,31 @@
 """On-disk format for RGB-D sign recordings.
 
-One directory per recorded sample:
+One directory per recorded sample, with one stream file per image channel:
 
-    color_000000.ppm ...   binary PPM (P6), 8 bits per channel
-    depth_000000.pgm ...   binary PGM (P5), 16-bit big-endian, millimeters, 0 = no reading
-    skeleton.txt           one line per frame: for each joint "name x y z confidence";
-                           the confidence must be numeric but is not read; every
-                           frame has the REQUIRED_JOINTS
-    meta.txt               key=value lines: signer, label, handedness, fps
+    color.ppm       the frames as binary PPM (P6) images, 8 bits per channel,
+                    one after another
+    depth.pgm       the frames as binary PGM (P5) images, 16-bit big-endian,
+                    millimeters, 0 = no reading, one after another
+    skeleton.txt    one line per frame: for each joint "name x y z confidence";
+                    the confidence must be numeric but is not read; every
+                    frame has the REQUIRED_JOINTS
+    meta.txt        key=value lines: signer, label, handedness, fps
 
-skeleton.txt, meta.txt and the manifest are UTF-8 text.
+and, for a synthetic recording, its ground truth (see `synth`). In a stream,
+image t starts where image t-1 ends, and each image is byte for byte what
+a one-image PNM file would hold (netpbm allows a sequence of images in one
+file). Every image of a stream has image 0's size, and the two streams
+hold one image per frame. skeleton.txt, meta.txt and the manifest are
+UTF-8 text.
 
-`load_sequence` checks every frame file's header and raster length, and
-parses skeleton.txt and meta.txt, but decodes no raster: a frame is read
-from its file each time it is indexed (`LazyFrames`), so a consumer that
-walks the frames in order holds one at a time. A recording is written the
-same way, one `save_frame` call per frame, then `write_skeleton` and
-`write_meta`.
+`load_sequence` opens each stream once and walks its headers, checking
+each header and raster length and noting where each raster starts, and
+parses skeleton.txt and meta.txt, but decodes no raster: frame t is read
+from its offset each time it is indexed (`LazyFrames`), so a consumer that
+walks the frames in order holds one at a time. A fault names the file and
+the image index; bytes after the last whole image are a fault. A recording
+is written the same way, one `append_ppm` and one `append_pgm16` call per
+frame on the open streams, then `write_skeleton` and `write_meta`.
 
 A dataset is a tab-separated manifest: path, signer, label, handedness, each
 of the last three equal to the one in the entry's meta.txt. Beside it lie the
@@ -35,6 +44,7 @@ import os
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +62,8 @@ REQUIRED_JOINTS = ("neck", "torso", "shoulder_left", "shoulder_right", "hand_lef
                    "hand_right")
 HANDEDNESS = ("left", "right")
 SKIN_FILES = ("skin_pixels.txt", "nonskin_pixels.txt")
+COLOR_STREAM = "color.ppm"
+DEPTH_STREAM = "depth.pgm"
 
 _MIRROR_JOINT = {
     "shoulder_left": "shoulder_right",
@@ -83,7 +95,7 @@ class SkeletonPose:
 
 class LazyFrames(Sequence):
     """A read-only list whose item t is `make(source[t])`, made afresh on
-    every read: a frame decoded from its file, or one flipped from another
+    every read: a frame decoded from its stream, or one flipped from another
     list. Nothing is kept, so a frame lives only while its reader holds it."""
 
     def __init__(self, source, make):
@@ -266,14 +278,15 @@ def load_record(path, arrays, meta):
 
 # --- PPM / PGM and skin pixel lists ----------------------------------------
 
-def _read_pnm_header(fh, path):
-    """Parse a P5/P6 header from the start of the binary file `fh`, leaving
-    `fh` at the raster; returns (magic, width, height, maxval)."""
+def _read_pnm_header(fh, where):
+    """Parse a P5/P6 header at the current position of the binary file `fh`,
+    leaving `fh` at the raster; returns (magic, width, height, maxval).
+    `where` names the image in error messages."""
     tokens = []
     c = fh.read(1)
     while len(tokens) < 4:
         if not c:
-            raise LoadError(f"{path}: truncated header")
+            raise LoadError(f"{where}: truncated header")
         if c == b"#":
             while c and c != b"\n":
                 c = fh.read(1)
@@ -291,7 +304,7 @@ def _read_pnm_header(fh, path):
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
-        raise LoadError(f"{path}: non-numeric header fields") from None
+        raise LoadError(f"{where}: non-numeric header fields") from None
     return magic, width, height, maxval
 
 
@@ -304,69 +317,94 @@ _PGM8 = ("P5", 255, np.dtype(np.uint8), 1)
 _HEADER_BUFFER = 256
 
 
-def _check_raster(fh, path, magic, maxval, stored, channels):
-    """Check the header of the PNM file `fh` against its format, and that a
-    whole raster follows; returns the image shape, with `fh` at the raster."""
-    got_magic, width, height, got_maxval = _read_pnm_header(fh, path)
+def _check_raster(fh, where, magic, maxval, stored, channels):
+    """Check the PNM header at the current position of `fh` against its
+    format, and that a whole raster follows; returns the image shape, with
+    `fh` at the raster. `where` names the image in error messages."""
+    got_magic, width, height, got_maxval = _read_pnm_header(fh, where)
     if got_magic != magic or got_maxval != maxval:
-        raise LoadError(f"{path}: expected binary {magic} with maxval {maxval}, "
+        raise LoadError(f"{where}: expected binary {magic} with maxval {maxval}, "
                         f"got {got_magic}/{got_maxval}")
     if width < 0 or height < 0:
-        raise LoadError(f"{path}: negative image size {width}x{height}")
+        raise LoadError(f"{where}: negative image size {width}x{height}")
     expect = width * height * channels * stored.itemsize
     have = os.fstat(fh.fileno()).st_size - fh.tell()
     if have < expect:
-        raise LoadError(f"{path}: raster has {have} bytes, expected {expect}")
+        raise LoadError(f"{where}: raster has {have} bytes, expected {expect}")
     return (height, width, channels) if channels > 1 else (height, width)
 
 
-def _pnm_shape(path, *fmt):
-    """The image shape of a PNM file whose header and raster length check
-    out, read without decoding the raster."""
-    with open(path, "rb", buffering=_HEADER_BUFFER) as fh:
-        return _check_raster(fh, path, *fmt)
-
-
-def _read_pnm(path, magic, maxval, stored, channels):
-    with open(path, "rb", buffering=_HEADER_BUFFER) as fh:
-        shape = _check_raster(fh, path, magic, maxval, stored, channels)
-        raster = fh.read(math.prod(shape) * stored.itemsize)
+def _read_image(path, offsets, shape, stored, t):
+    """Image `t` of a stream whose rasters start at `offsets`, decoded."""
+    size = math.prod(shape) * stored.itemsize
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(offsets[t])
+        raster = fh.read(size)
+    if len(raster) != size:    # the file changed since it was checked
+        raise LoadError(f"{path}: image {t}: raster has {len(raster)} bytes, expected {size}")
     # astype copies out of the read-only bytes, into native byte order
     return np.frombuffer(raster, dtype=stored).reshape(shape).astype(stored.newbyteorder("="))
 
 
-def _write_pnm(path, image, magic, maxval, stored, channels):
+def _open_stream(path, magic, maxval, stored, channels):
+    """The images of the multi-image PNM file `path`, decoded on read, and
+    their shape.
+
+    Every header and raster length is checked here, and no raster is
+    decoded. A missing or empty file, a bad header, a short raster, an image
+    of another size than image 0, or bytes after the last whole image raise
+    LoadError naming the file and the image index."""
+    offsets = []
+    try:
+        fh = open(path, "rb", buffering=_HEADER_BUFFER)
+    except FileNotFoundError:
+        raise LoadError(f"{path}: missing") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        while not offsets or fh.tell() < size:
+            where = f"{path}: image {len(offsets)}"
+            got = _check_raster(fh, where, magic, maxval, stored, channels)
+            if not offsets:
+                shape = got
+            elif got != shape:
+                raise LoadError(f"{where} has shape {got}, image 0 {shape}")
+            offsets.append(fh.tell())
+            fh.seek(math.prod(shape) * stored.itemsize, os.SEEK_CUR)
+    frames = LazyFrames(range(len(offsets)), partial(_read_image, path, offsets, shape, stored))
+    return frames, shape
+
+
+def _append_pnm(fh, image, magic, maxval, stored, channels):
+    """Write `image` as one PNM image at the end of the binary file `fh`."""
     image = np.ascontiguousarray(image, dtype=stored)
     h, w = image.shape[:2]
     if image.size != h * w * channels:
-        raise ValueError(f"{path}: {image.shape} image for a {channels}-channel {magic}")
-    with open(path, "wb") as fh:
-        fh.write(b"%s\n%d %d\n%d\n" % (magic.encode(), w, h, maxval))
-        fh.write(image)
+        raise ValueError(f"{fh.name}: {image.shape} image for a {channels}-channel {magic}")
+    fh.write(b"%s\n%d %d\n%d\n" % (magic.encode(), w, h, maxval))
+    fh.write(image)
 
 
-def read_ppm(path):
-    return _read_pnm(path, *_PPM)
+def append_ppm(fh, image):
+    _append_pnm(fh, image, *_PPM)
 
 
-def write_ppm(path, image):
-    _write_pnm(path, image, *_PPM)
+def append_pgm16(fh, image):
+    _append_pnm(fh, image, *_PGM16)
 
 
-def read_pgm16(path):
-    return _read_pnm(path, *_PGM16)
+def append_pgm8(fh, image):
+    _append_pnm(fh, image, *_PGM8)
 
 
-def write_pgm16(path, image):
-    _write_pnm(path, image, *_PGM16)
-
-
-def read_pgm8(path):
-    return _read_pnm(path, *_PGM8)
+def read_pgm8_stream(path):
+    """The images of an 8-bit PGM stream, checked now and decoded on read."""
+    return _open_stream(path, *_PGM8)[0]
 
 
 def write_pgm8(path, image):
-    _write_pnm(path, image, *_PGM8)
+    """Write `image` as a one-image 8-bit PGM file."""
+    with open(path, "wb") as fh:
+        append_pgm8(fh, image)
 
 
 def write_pixel_list(path, rows):
@@ -436,12 +474,6 @@ def _parse_skeleton(text, path):
     return poses
 
 
-def save_frame(seq_dir, t, rgb, depth):
-    """Write frame `t` of a recording: its color PPM and depth PGM."""
-    write_ppm(Path(seq_dir) / f"color_{t:06d}.ppm", rgb)
-    write_pgm16(Path(seq_dir) / f"depth_{t:06d}.pgm", depth)
-
-
 def write_meta(seq_dir, signer, label, handedness, fps):
     """Write meta.txt, which `read_meta` reads; a label of None is written empty."""
     meta = [
@@ -457,8 +489,11 @@ def save_sequence(seq: FrameSequence, path):
     seq.validate()
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    for t in range(len(seq)):
-        save_frame(out, t, seq.color_frames[t], seq.depth_frames[t])
+    with (open(out / COLOR_STREAM, "wb") as color,
+          open(out / DEPTH_STREAM, "wb") as depth):
+        for rgb, d in zip(seq.color_frames, seq.depth_frames):
+            append_ppm(color, rgb)
+            append_pgm16(depth, d)
     write_skeleton(out, seq.skeleton)
     write_meta(out, seq.signer_id, seq.sign_label, seq.handedness, seq.fps)
 
@@ -486,35 +521,32 @@ def read_meta(seq_dir):
 
 def load_sequence(path) -> FrameSequence:
     """The recording in directory `path`, its frames decoded on read. Every
-    frame file's header and raster length, skeleton.txt and meta.txt are
-    checked here; a fault raises LoadError naming the file."""
+    image's header and raster length in the two streams, skeleton.txt and
+    meta.txt are checked here; a fault raises LoadError naming the file."""
     root = Path(path)
     if not root.is_dir():
         raise LoadError(f"{root}: not a directory")
-    color_paths = sorted(root.glob("color_*.ppm"))
-    depth_paths = sorted(root.glob("depth_*.pgm"))
-    if not color_paths:
-        raise LoadError(f"{root}: no color_*.ppm frames")
-    if len(color_paths) != len(depth_paths):
-        raise LoadError(
-            f"{root}: {len(color_paths)} color frames but {len(depth_paths)} depth frames"
-        )
+    color_path, depth_path = root / COLOR_STREAM, root / DEPTH_STREAM
+    color, color_shape = _open_stream(color_path, *_PPM)
+    depth, depth_shape = _open_stream(depth_path, *_PGM16)
+    if len(color) != len(depth):
+        (n, short), (m, other) = sorted([(len(color), color_path), (len(depth), depth_path)])
+        raise LoadError(f"{short}: no image {n}, though {other} holds {m} images")
+    if len(color) < 2:
+        raise LoadError(f"{color_path}: {len(color)} image, a sequence needs at least 2")
+    if depth_shape != color_shape[:2]:
+        raise LoadError(f"{depth_path}: image 0 has shape {depth_shape}, but the color "
+                        f"images {color_shape[:2]}")
     skel_path = root / "skeleton.txt"
     if not skel_path.exists():
         raise LoadError(f"{skel_path}: missing")
     signer, label, handedness, fps = read_meta(root)
-    color_shapes = [_pnm_shape(p, *_PPM) for p in color_paths]
-    depth_shapes = [_pnm_shape(p, *_PGM16) for p in depth_paths]
     skeleton = _parse_skeleton(read_text(skel_path), skel_path)
-    if len(skeleton) != len(color_paths):
-        raise LoadError(f"{skel_path}: {len(skeleton)} poses for {len(color_paths)} frames")
-    try:
-        _check_frames(color_shapes, depth_shapes, skeleton)
-    except ValueError as exc:
-        raise LoadError(f"{root}: {exc}") from None
+    if len(skeleton) != len(color):
+        raise LoadError(f"{skel_path}: {len(skeleton)} poses for {len(color)} frames")
     return FrameSequence(
-        color_frames=LazyFrames(color_paths, read_ppm),
-        depth_frames=LazyFrames(depth_paths, read_pgm16),
+        color_frames=color,
+        depth_frames=depth,
         skeleton=skeleton,
         fps=fps,
         signer_id=signer,

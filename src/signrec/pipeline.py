@@ -28,6 +28,9 @@ log = logging.getLogger(__name__)
 # Part of every cache key: bump it when cached samples change meaning.
 CACHE_FORMAT = 2
 
+# bytes read at a time when hashing a recording
+_HASH_CHUNK = 1 << 16
+
 
 def map_ordered(worker, tasks, jobs):
     """Run tasks, possibly in parallel, yielding results in task order as
@@ -81,14 +84,17 @@ def _corpus_digest(skin_lists, cfg: ExtractConfig):
 
 def _sequence_key(seq_dir, corpus_digest) -> str:
     """The corpus digest extended by the name and bytes of every recording
-    file (ground truth excluded), in name order."""
+    file (ground truth excluded), in name order. Files are read through one
+    `_HASH_CHUNK` buffer: a stream holds a whole recording."""
     digest = corpus_digest.copy()
+    buffer = memoryview(bytearray(_HASH_CHUNK))
     for name in sorted(os.listdir(seq_dir)):
         if name.startswith("gt_"):
             continue
         digest.update(name.encode())
-        with open(os.path.join(seq_dir, name), "rb") as f:
-            digest.update(f.read())
+        with open(os.path.join(seq_dir, name), "rb", buffering=0) as f:
+            while size := f.readinto(buffer):
+                digest.update(buffer[:size])
     return digest.hexdigest()
 
 

@@ -11,9 +11,12 @@ beside every sequence, and a labeled skin/non-skin pixel list is emitted
 once per corpus for bootstrapping the color model.
 
 A sequence is written one frame at a time, as soon as the frame is drawn:
-its color PPM, depth PGM and ground-truth masks (flipped, and the masks
-swapped, for a left-handed signer), so no recording is held whole. The
-skeleton, meta.txt and trajectory follow its last frame.
+its color and depth images and ground-truth masks (flipped, and the masks
+swapped, for a left-handed signer) are appended to four open streams,
+`color.ppm`, `depth.pgm`, `gt_left.pgm` and `gt_right.pgm` (see `dataio`),
+so no recording is held whole. The skeleton, meta.txt and the trajectory,
+`gt_traj.txt` (one "rx ry rz lx ly lz" row per frame), follow its last
+frame: seven files per recording.
 """
 
 from __future__ import annotations
@@ -25,15 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
+    COLOR_STREAM,
+    DEPTH_STREAM,
     SKIN_FILES,
     DatasetManifest,
+    LoadError,
     ManifestEntry,
     SkeletonPose,
+    append_pgm8,
+    append_pgm16,
+    append_ppm,
     mirror_pose,
-    read_pgm8,
-    save_frame,
+    read_pgm8_stream,
+    read_text,
     write_meta,
-    write_pgm8,
     write_pixel_list,
     write_skeleton,
 )
@@ -43,6 +51,10 @@ GOLDEN = 0.618033988749895
 SKIN_BASE = np.array([165.0, 105.0, 80.0])
 CLOTH_BASE = np.array([48.0, 62.0, 120.0])
 BACKGROUND_BASE = np.array([28.0, 28.0, 32.0])
+
+# ground-truth hand masks, one 8-bit PGM stream per hand
+GT_STREAMS = {"left": "gt_left.pgm", "right": "gt_right.pgm"}
+GT_TRAJECTORY = "gt_traj.txt"
 
 TORSO_Z = 2000.0
 FACE_Z = 1950.0
@@ -344,66 +356,74 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
         positions["right"].append((rx, ry, rz))
         positions["left"].append((lx, ly, lz))
 
-    for t in range(n_frames):
-        color = color_static.copy()
-        depth = depth_static.copy()
+    with (open(seq_dir / COLOR_STREAM, "wb") as color_out,
+          open(seq_dir / DEPTH_STREAM, "wb") as depth_out,
+          open(seq_dir / GT_STREAMS["left"], "wb") as left_out,
+          open(seq_dir / GT_STREAMS["right"], "wb") as right_out):
+        mask_out = {"left": left_out, "right": right_out}
+        for t in range(n_frames):
+            color = color_static.copy()
+            depth = depth_static.copy()
 
-        hands = sorted(
-            [("right", positions["right"][t]), ("left", positions["left"][t])],
-            key=lambda item: -item[1][2],   # far hand first, near hand overwrites
-        )
-        masks = {}
-        for hand, (hx, hy, hz) in hands:
-            if hand == "left" and left_fn is None:
-                angle = 0.0        # resting hand holds its pose
-            else:
-                prev = positions[hand][max(t - 1, 0)]
-                nxt = positions[hand][min(t + 1, n_frames - 1)]
-                angle = math.atan2(nxt[1] - prev[1], nxt[0] - prev[0])
-            mask = _ellipse_mask((h, w), (hx, hy), radii, angle)
-            masks[hand] = mask
-            if not mask.any():
-                continue
-            u = (xs_grid[mask] - int(round(hx))) % 64
-            v = (ys_grid[mask] - int(round(hy))) % 64
-            static_part = hand_tiles[hand][v, u]
-            alternating = (((xs_grid[mask] + ys_grid[mask] + t) % 2) * 2 - 1).astype(float)
-            lum = 1.0 + 0.15 * static_part + 0.22 * alternating
-            color[mask] = np.clip(SKIN_BASE[None, :] * lum[:, None], 0, 255)
-            dn = rng.uniform(-spec.depth_noise, spec.depth_noise, size=int(mask.sum())) \
-                if spec.depth_noise > 0 else 0.0
-            depth[mask] = np.clip(hz + dn, 500.0, 60000.0)
+            hands = sorted(
+                [("right", positions["right"][t]), ("left", positions["left"][t])],
+                key=lambda item: -item[1][2],   # far hand first, near hand overwrites
+            )
+            masks = {}
+            for hand, (hx, hy, hz) in hands:
+                if hand == "left" and left_fn is None:
+                    angle = 0.0        # resting hand holds its pose
+                else:
+                    prev = positions[hand][max(t - 1, 0)]
+                    nxt = positions[hand][min(t + 1, n_frames - 1)]
+                    angle = math.atan2(nxt[1] - prev[1], nxt[0] - prev[0])
+                mask = _ellipse_mask((h, w), (hx, hy), radii, angle)
+                masks[hand] = mask
+                if not mask.any():
+                    continue
+                u = (xs_grid[mask] - int(round(hx))) % 64
+                v = (ys_grid[mask] - int(round(hy))) % 64
+                static_part = hand_tiles[hand][v, u]
+                alternating = (((xs_grid[mask] + ys_grid[mask] + t) % 2) * 2 - 1).astype(float)
+                lum = 1.0 + 0.15 * static_part + 0.22 * alternating
+                color[mask] = np.clip(SKIN_BASE[None, :] * lum[:, None], 0, 255)
+                dn = rng.uniform(-spec.depth_noise, spec.depth_noise, size=int(mask.sum())) \
+                    if spec.depth_noise > 0 else 0.0
+                depth[mask] = np.clip(hz + dn, 500.0, 60000.0)
 
-        color = np.round(color, out=color).astype(np.uint8)
-        depth = np.round(depth, out=depth).astype(np.uint16)
-        if mirrored:      # the writers copy these flipped views out
-            color, depth = color[:, ::-1], depth[:, ::-1]
-            masks = {"left": masks["right"][:, ::-1], "right": masks["left"][:, ::-1]}
-        save_frame(seq_dir, t, color, depth)
-        for hand in ("left", "right"):
-            write_pgm8(seq_dir / f"gt_{hand}_{t:06d}.pgm", masks[hand].astype(np.uint8) * 255)
+            color = np.round(color, out=color).astype(np.uint8)
+            depth = np.round(depth, out=depth).astype(np.uint16)
+            if mirrored:      # the writers copy these flipped views out
+                color, depth = color[:, ::-1], depth[:, ::-1]
+                masks = {"left": masks["right"][:, ::-1], "right": masks["left"][:, ::-1]}
+            append_ppm(color_out, color)
+            append_pgm16(depth_out, depth)
+            for hand in ("left", "right"):
+                append_pgm8(mask_out[hand], masks[hand].astype(np.uint8) * 255)
 
-        # body joints are the tracker's most stable outputs; hands are not
-        joint_noise = rng.normal(0.0, 0.1 * w / 160.0, size=(5, 2))
-        hand_noise = rng.normal(0.0, skeleton_noise, size=(2, 2)) \
-            if skeleton_noise > 0 else np.zeros((2, 2))
-        hand_znoise = rng.normal(0.0, 15.0, size=2)
-        rx, ry, rz = positions["right"][t]
-        lx, ly, lz = positions["left"][t]
-        joints = {
-            "neck": (scene.neck[0] + joint_noise[0, 0], scene.neck[1] + joint_noise[0, 1], TORSO_Z),
-            "torso": (scene.torso_joint[0] + joint_noise[1, 0],
-                      scene.torso_joint[1] + joint_noise[1, 1], TORSO_Z),
-            "shoulder_left": (scene.neck[0] + scene.span / 2 + joint_noise[2, 0],
-                              scene.shoulder_y + joint_noise[2, 1], TORSO_Z),
-            "shoulder_right": (scene.neck[0] - scene.span / 2 + joint_noise[3, 0],
-                               scene.shoulder_y + joint_noise[3, 1], TORSO_Z),
-            "hand_right": (rx + hand_noise[0, 0], ry + hand_noise[0, 1], rz + hand_znoise[0]),
-            "hand_left": (lx + hand_noise[1, 0], ly + hand_noise[1, 1], lz + hand_znoise[1]),
-            "head": (scene.head[0] + joint_noise[4, 0], scene.head[1] + joint_noise[4, 1], FACE_Z),
-        }
-        poses.append(SkeletonPose(joints))
-        traj_rows.append([rx, ry, rz, lx, ly, lz])
+            # body joints are the tracker's most stable outputs; hands are not
+            joint_noise = rng.normal(0.0, 0.1 * w / 160.0, size=(5, 2))
+            hand_noise = rng.normal(0.0, skeleton_noise, size=(2, 2)) \
+                if skeleton_noise > 0 else np.zeros((2, 2))
+            hand_znoise = rng.normal(0.0, 15.0, size=2)
+            rx, ry, rz = positions["right"][t]
+            lx, ly, lz = positions["left"][t]
+            joints = {
+                "neck": (scene.neck[0] + joint_noise[0, 0], scene.neck[1] + joint_noise[0, 1],
+                         TORSO_Z),
+                "torso": (scene.torso_joint[0] + joint_noise[1, 0],
+                          scene.torso_joint[1] + joint_noise[1, 1], TORSO_Z),
+                "shoulder_left": (scene.neck[0] + scene.span / 2 + joint_noise[2, 0],
+                                  scene.shoulder_y + joint_noise[2, 1], TORSO_Z),
+                "shoulder_right": (scene.neck[0] - scene.span / 2 + joint_noise[3, 0],
+                                   scene.shoulder_y + joint_noise[3, 1], TORSO_Z),
+                "hand_right": (rx + hand_noise[0, 0], ry + hand_noise[0, 1], rz + hand_znoise[0]),
+                "hand_left": (lx + hand_noise[1, 0], ly + hand_noise[1, 1], lz + hand_znoise[1]),
+                "head": (scene.head[0] + joint_noise[4, 0], scene.head[1] + joint_noise[4, 1],
+                         FACE_Z),
+            }
+            poses.append(SkeletonPose(joints))
+            traj_rows.append([rx, ry, rz, lx, ly, lz])
 
     traj = np.array(traj_rows)
     if mirrored:
@@ -413,21 +433,29 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
     write_skeleton(seq_dir, poses)
     write_meta(seq_dir, signer_name, label, handedness, spec.fps)
     lines = [" ".join(repr(float(v)) for v in row) for row in traj]
-    (seq_dir / "gt_traj.txt").write_text("\n".join(lines) + "\n")
+    (seq_dir / GT_TRAJECTORY).write_text("\n".join(lines) + "\n")
 
 
 def load_ground_truth(seq_dir) -> GroundTruth:
+    """The masks and trajectory `_render_sequence` wrote to `seq_dir`; a
+    malformed file raises LoadError naming it (and the image or line)."""
     root = Path(seq_dir)
-    left = sorted(root.glob("gt_left_*.pgm"))
-    right = sorted(root.glob("gt_right_*.pgm"))
-    traj = np.array(
-        [[float(v) for v in line.split()]
-         for line in (root / "gt_traj.txt").read_text().splitlines() if line.strip()]
-    )
+    traj_path = root / GT_TRAJECTORY
+    rows = []
+    for lineno, line in enumerate(read_text(traj_path).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split()]
+        except ValueError:
+            raise LoadError(f"{traj_path}:{lineno}: non-numeric value") from None
+        if len(row) != 6:
+            raise LoadError(f"{traj_path}:{lineno}: {len(row)} values, expected 6")
+        rows.append(row)
     return GroundTruth(
-        right_masks=[read_pgm8(p) > 0 for p in right],
-        left_masks=[read_pgm8(p) > 0 for p in left],
-        trajectory=traj,
+        right_masks=[m > 0 for m in read_pgm8_stream(root / GT_STREAMS["right"])],
+        left_masks=[m > 0 for m in read_pgm8_stream(root / GT_STREAMS["left"])],
+        trajectory=np.array(rows),
     )
 
 

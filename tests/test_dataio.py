@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,24 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from signrec import dataio
 from signrec.dataio import (
     DatasetManifest,
     FrameSequence,
     LoadError,
     ManifestEntry,
     SkeletonPose,
+    append_pgm8,
+    append_pgm16,
+    append_ppm,
     load_record,
     load_sequence,
     mirror_sequence,
-    read_pgm8,
-    read_pgm16,
-    read_ppm,
+    read_pgm8_stream,
     save_record,
     save_sequence,
     shoulder_distance,
-    write_pgm8,
-    write_pgm16,
-    write_ppm,
 )
 from signrec.features import FeatureSample, load_sample, save_sample
 from signrec.hmm import ClassifierBank, HmmModel
@@ -77,11 +77,24 @@ class TestRoundTrip:
             for name in pa.joints:
                 assert pa.joints[name] == pytest.approx(pb.joints[name], abs=0)
 
+    def test_streams_are_one_pnm_image_per_frame(self, tmp_path):
+        seq = make_sequence(3)
+        save_sequence(seq, tmp_path / "s")
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "color.ppm", "depth.pgm", "meta.txt", "skeleton.txt"]
+        assert (tmp_path / "s" / "color.ppm").read_bytes() == b"".join(
+            b"P6\n64 48\n255\n" + f.tobytes() for f in seq.color_frames)
+        assert (tmp_path / "s" / "depth.pgm").read_bytes() == b"".join(
+            b"P5\n64 48\n65535\n" + f.astype(">u2").tobytes() for f in seq.depth_frames)
+
     def test_length_mismatch_rejected(self, tmp_path):
         seq = make_sequence(3)
         save_sequence(seq, tmp_path / "s")
-        (tmp_path / "s" / "depth_000002.pgm").unlink()
-        with pytest.raises(LoadError, match="depth"):
+        depth = tmp_path / "s" / "depth.pgm"
+        data = depth.read_bytes()
+        depth.write_bytes(data[: 2 * len(data) // 3])
+        with pytest.raises(LoadError, match=r"depth.pgm: no image 2, though .*color.ppm "
+                                            r"holds 3 images"):
             load_sequence(tmp_path / "s")
 
     def test_missing_skeleton_named(self, tmp_path):
@@ -94,19 +107,68 @@ class TestRoundTrip:
     def test_malformed_header_named(self, tmp_path):
         seq = make_sequence(3)
         save_sequence(seq, tmp_path / "s")
-        bad = tmp_path / "s" / "color_000001.ppm"
-        bad.write_bytes(b"P3\n2 2\n255\n" + bytes(12))
-        with pytest.raises(LoadError, match="color_000001"):
+        bad = tmp_path / "s" / "color.ppm"
+        data = bytearray(bad.read_bytes())
+        data[len(data) // 3 : len(data) // 3 + 2] = b"P3"
+        bad.write_bytes(data)
+        with pytest.raises(LoadError, match="color.ppm: image 1: expected binary P6"):
             load_sequence(tmp_path / "s")
 
-    @pytest.mark.parametrize("name", ["color_000001.ppm", "depth_000002.pgm"])
+    @pytest.mark.parametrize("name", ["color.ppm", "depth.pgm"])
     def test_truncated_raster_named(self, tmp_path, name):
         """load_sequence checks every raster's length, decoding none."""
         save_sequence(make_sequence(3), tmp_path / "s")
         bad = tmp_path / "s" / name
         bad.write_bytes(bad.read_bytes()[:-1])
-        with pytest.raises(LoadError, match=rf"{name}: raster has \d+ bytes, expected"):
+        with pytest.raises(LoadError, match=rf"{name}: image 2: raster has \d+ bytes, expected"):
             load_sequence(tmp_path / "s")
+
+    @pytest.mark.parametrize("name, fault, message", [
+        ("color.ppm", lambda a, b, c: a + b.replace(b"64 48", b"6x 48") + c,
+         r"color.ppm: image 1: non-numeric header fields"),
+        ("depth.pgm", lambda a, b, c: a + b + c + a[:-7],
+         r"depth.pgm: image 3: raster has 6137 bytes, expected 6144"),
+        ("color.ppm", lambda a, b, c: a + b + c + a[:5],
+         r"color.ppm: image 3: truncated header"),
+        ("depth.pgm", lambda a, b, c: a + b + c + b"\n",
+         r"depth.pgm: image 3: truncated header"),
+        ("color.ppm", lambda a, b, c: b"", r"color.ppm: image 0: truncated header"),
+        ("color.ppm", lambda a, b, c: a + b + c + a,
+         r"depth.pgm: no image 3, though .*color.ppm holds 4 images"),
+        ("depth.pgm", lambda a, b, c: a + b.replace(b"64 48", b"32 96") + c,
+         r"depth.pgm: image 1 has shape \(96, 32\), image 0 \(48, 64\)"),
+        ("depth.pgm", lambda *images: b"".join(images).replace(b"64 48", b"32 96"),
+         r"depth.pgm: image 0 has shape \(96, 32\), but the color images \(48, 64\)"),
+    ], ids=["bad header", "truncated last raster", "partial trailing header",
+            "trailing byte", "empty stream", "count mismatch", "size differs",
+            "depth size"])
+    def test_stream_fault_named(self, tmp_path, name, fault, message):
+        """`fault` makes the stream from the bytes of its three images; the
+        error names the stream and the image."""
+        save_sequence(make_sequence(3), tmp_path / "s")
+        path = tmp_path / "s" / name
+        data = path.read_bytes()
+        size = len(data) // 3
+        path.write_bytes(fault(*(data[i : i + size] for i in range(0, len(data), size))))
+        with pytest.raises(LoadError, match=message):
+            load_sequence(tmp_path / "s")
+
+    def test_missing_stream_named(self, tmp_path):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        (tmp_path / "s" / "color.ppm").unlink()
+        with pytest.raises(LoadError, match="s/color.ppm: missing"):
+            load_sequence(tmp_path / "s")
+
+    def test_stream_cut_after_load_named(self, tmp_path):
+        """A frame is read from its offset when indexed, and its length checked."""
+        save_sequence(make_sequence(3), tmp_path / "s")
+        seq = load_sequence(tmp_path / "s")
+        path = tmp_path / "s" / "color.ppm"
+        path.write_bytes(path.read_bytes()[:-10])
+        assert seq.color_frames[1].shape == (48, 64, 3)
+        with pytest.raises(LoadError, match=r"color.ppm: image 2: raster has 9206 bytes, "
+                                            r"expected 9216"):
+            seq.color_frames[2]
 
     def test_skeleton_fifth_field_numeric_but_ignored(self, tmp_path):
         seq = make_sequence(3)
@@ -161,11 +223,13 @@ class TestRoundTrip:
             load_sequence(tmp_path / "s")
 
 
-# reader, writer and a valid image of each raster format
+# stream reader, appender and a valid image of each raster format
 PNM = {
-    "ppm": (read_ppm, write_ppm, np.arange(18).reshape(2, 3, 3)),
-    "pgm16": (read_pgm16, write_pgm16, np.arange(6).reshape(2, 3) * 9000),
-    "pgm8": (read_pgm8, write_pgm8, np.arange(6).reshape(2, 3)),
+    "ppm": (lambda path: dataio._open_stream(path, *dataio._PPM)[0], append_ppm,
+            np.arange(18).reshape(2, 3, 3)),
+    "pgm16": (lambda path: dataio._open_stream(path, *dataio._PGM16)[0], append_pgm16,
+              np.arange(6).reshape(2, 3) * 9000),
+    "pgm8": (read_pgm8_stream, append_pgm8, np.arange(6).reshape(2, 3)),
 }
 HEADERS = st.builds(
     lambda magic, w, h, maxval, raster: b"%s\n%d %d\n%d\n" % (magic, w, h, maxval) + raster,
@@ -173,53 +237,77 @@ HEADERS = st.builds(
     st.sampled_from([255, 65535, 0]), st.binary(max_size=80))
 
 
+def write_stream(path, append, images):
+    with open(path, "wb") as fh:
+        for image in images:
+            append(fh, image)
+
+
 class TestPnm:
-    """Frames are outside input: bad bytes raise LoadError naming the file."""
+    """Streams are outside input: bad bytes raise LoadError naming the file
+    and the image."""
 
     @settings(max_examples=60, deadline=None)
-    @given(kind=st.sampled_from(sorted(PNM)), cut=st.integers(0, 10**6))
-    def test_truncated_file_named(self, kind, cut):
-        read, write, image = PNM[kind]
+    @given(kind=st.sampled_from(sorted(PNM)), count=st.integers(1, 3),
+           cut=st.integers(0, 10**6))
+    def test_truncated_file_named(self, kind, count, cut):
+        read, append, image = PNM[kind]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "frame_000007.pnm"
-            write(path, image)
-            assert np.array_equal(read(path), image)
+            path = Path(tmp) / "frames_7.pnm"
+            write_stream(path, append, [image] * count)
+            assert [f.tolist() for f in read(path)] == [image.tolist()] * count
             data = path.read_bytes()
-            path.write_bytes(data[: cut % len(data)])
-            with pytest.raises(LoadError, match="frame_000007"):
-                read(path)
+            size = len(data) // count
+            cut %= len(data)
+            path.write_bytes(data[:cut])
+            if cut and cut % size == 0:     # whole images: a shorter stream
+                assert len(read(path)) == cut // size
+            else:
+                with pytest.raises(LoadError, match=rf"frames_7.pnm: image {cut // size}: "):
+                    read(path)
 
     @settings(max_examples=200, deadline=None)
-    @given(kind=st.sampled_from(sorted(PNM)),
+    @given(kind=st.sampled_from(sorted(PNM)), count=st.integers(0, 2),
            data=st.one_of(st.binary(max_size=60), HEADERS))
-    @example(kind="pgm8", data=b"P5\n-2 -3\n255\n" + bytes(6))
-    @example(kind="ppm", data=b"P6\n2 1\n255\n" + bytes(5))
-    def test_garbage_named(self, kind, data):
-        read = PNM[kind][0]
+    @example(kind="pgm8", count=0, data=b"P5\n-2 -3\n255\n" + bytes(6))
+    @example(kind="ppm", count=1, data=b"P6\n2 1\n255\n" + bytes(5))
+    @example(kind="pgm16", count=2, data=b"P5\n3 2\n65535\n" + bytes(12))
+    def test_garbage_named(self, kind, count, data):
+        """`data` after `count` whole images: the fault, if any, is in it."""
+        read, append, image = PNM[kind]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "frame_000007.pnm"
-            path.write_bytes(data)
+            path = Path(tmp) / "frames_7.pnm"
+            write_stream(path, append, [image] * count)
+            with open(path, "ab") as fh:
+                fh.write(data)
             try:
-                read(path)      # the bytes may happen to be a valid file
+                frames = read(path)     # the bytes may happen to be valid images
             except LoadError as exc:
-                assert "frame_000007" in str(exc)
+                named = re.match(r".*frames_7.pnm: image (\d+)", str(exc))
+                assert named and int(named[1]) >= count, str(exc)
+            else:
+                shapes = {f.shape for f in frames}
+                assert len(frames) >= count and len(shapes) == 1
+                assert count == 0 or shapes == {image.shape}
 
 
 class TestRecordingText:
-    """skeleton.txt and meta.txt are outside input: truncated or garbage bytes
-    raise LoadError naming the file."""
+    """The files of a recording are outside input: truncated or garbled
+    bytes raise LoadError naming the file."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(name=st.sampled_from(["skeleton.txt", "meta.txt"]), keep=st.integers(0, 2000),
-           garbage=st.binary(max_size=40),
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(["skeleton.txt", "meta.txt", "color.ppm", "depth.pgm"]),
+           keep=st.integers(0, 2000), garbage=st.binary(max_size=40),
            token=st.sampled_from([None, "nan", "inf", "-inf", "NaN", "-Infinity", "1e999"]),
-           at=st.integers(0, 10**4))
-    @example(name="skeleton.txt", keep=2000, garbage=b"\xff\xfe", token=None, at=0)
-    @example(name="meta.txt", keep=2000, garbage=b"\xff\xfe", token=None, at=0)
-    @example(name="skeleton.txt", keep=2000, garbage=b"", token="nan", at=0)
-    def test_truncated_or_garbage_named(self, name, keep, garbage, token, at):
+           at=st.integers(0, 10**4), flip=st.integers(0, 255))
+    @example(name="skeleton.txt", keep=2000, garbage=b"\xff\xfe", token=None, at=0, flip=0)
+    @example(name="meta.txt", keep=2000, garbage=b"\xff\xfe", token=None, at=0, flip=0)
+    @example(name="skeleton.txt", keep=2000, garbage=b"", token="nan", at=0, flip=0)
+    @example(name="depth.pgm", keep=2000, garbage=b"", token=None, at=3, flip=ord("2") ^ ord("8"))
+    def test_truncated_or_garbage_named(self, name, keep, garbage, token, at, flip):
         """`token` replaces one coordinate of skeleton.txt (coordinate `at`,
-        counted over the file) before the cut."""
+        counted over the file), then byte `at` is XORed with `flip`, then
+        the file is cut after `keep` bytes and `garbage` appended."""
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp) / "s"
             save_sequence(make_sequence(3, w=8, h=6), root)
@@ -232,6 +320,8 @@ class TestRecordingText:
                 row, i = slots[at % len(slots)]
                 lines[row][i] = token
                 data = "\n".join(" ".join(fields) for fields in lines).encode()
+            data = bytearray(data)
+            data[at % len(data)] ^= flip
             path.write_bytes(data[:keep] + garbage)
             try:
                 seq = load_sequence(root)     # the bytes may still be a valid file
@@ -240,6 +330,8 @@ class TestRecordingText:
             else:
                 assert all(math.isfinite(v) for pose in seq.skeleton
                            for joint in pose.joints.values() for v in joint)
+                assert all(f.shape == (6, 8, 3) for f in seq.color_frames)
+                assert all(f.shape == (6, 8) for f in seq.depth_frames)
 
 
 class TestMirror:

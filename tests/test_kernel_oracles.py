@@ -210,9 +210,9 @@ class TestRenderAndKey:
     def test_sequence_key_matches_pathlib(self, tmp_path):
         seq = tmp_path / "seq"
         seq.mkdir()
-        files = {"meta.txt": b"fps 30\n", "color_000000.ppm": b"P6 1 1 255\n\x01\x02\x03",
-                 "gt_traj.txt": b"1 2 3\n", "depth_000000.pgm": b"P5 1 1 65535\n\x00\x10",
-                 "skeleton.txt": b"0 neck 1 2 3\n", "gt_right_000000.pgm": b"x",
+        files = {"meta.txt": b"fps 30\n", "color.ppm": b"P6 1 1 255\n\x01\x02\x03",
+                 "gt_traj.txt": b"1 2 3\n", "depth.pgm": b"P5 1 1 65535\n\x00\x10",
+                 "skeleton.txt": b"0 neck 1 2 3\n", "gt_right.pgm": b"x",
                  "Zeta.txt": b"", "a_b.txt": b"ab", "10.txt": b"ten", "9.txt": b"nine"}
         for name, data in files.items():
             (seq / name).write_bytes(data)

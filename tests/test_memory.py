@@ -1,4 +1,5 @@
-"""Rendering and extraction hold one frame at a time.
+"""Rendering and extraction hold one frame at a time, and hashing a
+recording holds a small part of one.
 
 tracemalloc sees numpy's buffers, so its peak bounds what a run holds. A
 decoded recording is frames x H x W x 5 bytes (3 color bytes and one 16-bit
@@ -13,13 +14,14 @@ ran before it.
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import pytest
 
 from signrec.config import Config
 from signrec.dataio import load_sequence
-from signrec.pipeline import extract_sequence, general_skin_model
+from signrec.pipeline import _sequence_key, extract_sequence, general_skin_model
 from signrec.synth import SynthSpec, generate_synthetic_corpus
 
 # long recordings at the bench's resolution; the signer is left-handed, so
@@ -71,3 +73,14 @@ def test_extraction_holds_less_than_a_recording(corpus):
     extract_sequence(recordings[0], model, cfg)
     peak = peak_bytes(lambda: extract_sequence(recordings[0], model, cfg))
     assert peak < recording_bytes(seq), (peak, recording_bytes(seq))
+
+
+def test_sequence_key_holds_a_tenth_of_a_stream(corpus):
+    """A stream holds a whole recording, so the cache key reads it in chunks."""
+    recordings, _ = corpus
+    digest = hashlib.sha256(b"corpus")
+    key = _sequence_key(recordings[0], digest)
+    peak = peak_bytes(lambda: _sequence_key(recordings[0], digest))
+    stream = (recordings[0] / "color.ppm").stat().st_size
+    assert peak < stream / 10, (peak, stream)
+    assert _sequence_key(recordings[0], digest) == key

@@ -218,9 +218,10 @@ class TestExtraction:
                          width=96, height=72)
         manifest = generate_synthetic_corpus(spec, 9, tmp_path / "corpus")
         paths = [e.path for e in manifest.entries]
-        bad = tmp_path / "corpus" / paths[1] / "color_000003.ppm"
-        bad.write_bytes(bad.read_bytes()[:-50])
-        with pytest.raises(LoadError, match="color_000003.ppm"):
+        bad = tmp_path / "corpus" / paths[1] / "color.ppm"
+        image = len(b"P6\n96 72\n255\n") + 96 * 72 * 3
+        bad.write_bytes(bad.read_bytes()[: 4 * image - 50])
+        with pytest.raises(LoadError, match="color.ppm: image 3"):
             extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config(),
                            cache_dir=tmp_path / "c", jobs=jobs)
         assert [p.name for p in (tmp_path / "c").iterdir()] == [

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signrec.dataio import SKIN_FILES, load_sequence, parse_pixel_list, shoulder_distance
+from signrec.dataio import (SKIN_FILES, LoadError, load_sequence, parse_pixel_list,
+                            shoulder_distance)
 from signrec.synth import Scene, SynthSpec, generate_synthetic_corpus, load_ground_truth
 
 SMALL = dict(num_classes=3, num_signers=2, samples=2, frames=18, width=96, height=72)
@@ -87,6 +88,30 @@ class TestContents:
         r_non = nonskin[:, 0] / np.maximum(nonskin.sum(axis=1), 1)
         assert r_skin.min() > 0.4
         assert np.median(r_non) < 0.4
+
+    def test_seven_files_per_recording(self, tmp_path):
+        manifest = generate_synthetic_corpus(SynthSpec(**SMALL, left_handed=(1,)), 3, tmp_path)
+        for entry in manifest.entries:
+            assert sorted(p.name for p in (tmp_path / entry.path).iterdir()) == [
+                "color.ppm", "depth.pgm", "gt_left.pgm", "gt_right.pgm", "gt_traj.txt",
+                "meta.txt", "skeleton.txt"]
+            seq = load_sequence(tmp_path / entry.path)
+            gt = load_ground_truth(tmp_path / entry.path)
+            assert len(gt.left_masks) == len(gt.right_masks) == len(seq)
+            assert gt.trajectory.shape == (len(seq), 6)
+
+    @pytest.mark.parametrize("row, message", [
+        (b"1 2 x 4 5 6", "non-numeric value"), (b"1 2 3", "3 values, expected 6"),
+        (b"1 2 3 4 5 \xff", "not UTF-8")])
+    def test_bad_trajectory_row_named(self, tmp_path, row, message):
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=12, width=32,
+                         height=24)
+        root = tmp_path / generate_synthetic_corpus(spec, 1, tmp_path).entries[0].path
+        lines = (root / "gt_traj.txt").read_bytes().splitlines()
+        lines[3] = row
+        (root / "gt_traj.txt").write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(LoadError, match=f"gt_traj.txt(:4)?: {message}"):
+            load_ground_truth(root)
 
     def test_ground_truth_depth_ahead_of_torso(self, tmp_path):
         spec = SynthSpec(**SMALL)
