@@ -14,10 +14,12 @@ import sys
 from pathlib import Path
 
 from .config import Config
+from .dataio import read_text
 from .evaluation import (EvalReport, emit_report, prepare_dataset, run_sd_loocv,
                          run_si_loso, train_recognizer)
 from .features import FeatureSetSpec
-from .pipeline import extract_corpus, extract_sequence, general_skin_model
+from .pipeline import extract_corpus, general_skin_model, load_right_handed
+from .segmentation import SequenceSegmenter
 from .synth import SynthSpec, generate_synthetic_corpus
 
 
@@ -40,19 +42,17 @@ def _load_config(args) -> Config:
     return cfg
 
 
+# the synth flags that set one SynthSpec field, taking its type and default
+_SYNTH_FLAGS = (("--classes", "num_classes"), ("--signers", "num_signers"),
+                ("--samples", "samples"), ("--width", "width"), ("--height", "height"),
+                ("--frames", "frames"), ("--style", "style_strength"),
+                ("--traj-noise", "traj_noise"))
+
+
 def _cmd_synth(args):
-    spec = SynthSpec(
-        num_classes=args.classes,
-        num_signers=args.signers,
-        samples=args.samples,
-        width=args.width,
-        height=args.height,
-        frames=args.frames,
-        style_strength=args.style,
-        traj_noise=args.traj_noise,
-        left_handed=tuple(int(v) for v in args.left_handed.split(",") if v != ""),
-        depth_pairs=args.depth_pairs,
-    )
+    left_handed = tuple(int(v) for v in args.left_handed.split(",") if v != "")
+    spec = SynthSpec(**{field: getattr(args, field) for _, field in _SYNTH_FLAGS},
+                     left_handed=left_handed, depth_pairs=args.depth_pairs)
     manifest = generate_synthetic_corpus(spec, args.seed, args.out)
     print(f"wrote {len(manifest.entries)} sequences to {args.out}")
     return 0
@@ -60,11 +60,10 @@ def _cmd_synth(args):
 
 def _cmd_segment(args):
     cfg = _load_config(args)
-    manifest_path = Path(args.data)
-    model = general_skin_model(manifest_path.parent, cfg)
-    extract_sequence(manifest_path.parent / args.sample, model, cfg,
-                     debug_dir=Path(args.out) / args.sample)
-    print(f"wrote per-frame masks to {Path(args.out) / args.sample}")
+    root, out = Path(args.data).parent, Path(args.out) / args.sample
+    SequenceSegmenter(general_skin_model(root, cfg), cfg).dump(
+        load_right_handed(root / args.sample), out)
+    print(f"wrote frames.pgm, candidates.pgm and hands.pgm to {out}")
     return 0
 
 
@@ -114,7 +113,7 @@ def _cmd_eval_si(args):
 
 
 def _cmd_report(args):
-    report = EvalReport.from_json(Path(args.report).read_text(), args.report)
+    report = EvalReport.from_json(read_text(args.report), args.report)
     emit_report(report, args.out)
     print(f"re-rendered report into {args.out}")
     return 0
@@ -142,19 +141,14 @@ def build_parser():
     spec = SynthSpec()
     p = verb("synth", _cmd_synth, "generate a synthetic corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=spec.num_classes)
-    p.add_argument("--signers", type=int, default=spec.num_signers)
-    p.add_argument("--samples", type=int, default=spec.samples)
-    p.add_argument("--width", type=int, default=spec.width)
-    p.add_argument("--height", type=int, default=spec.height)
-    p.add_argument("--frames", type=int, default=spec.frames)
-    p.add_argument("--style", type=float, default=spec.style_strength)
-    p.add_argument("--traj-noise", type=float, default=spec.traj_noise)
+    for flag, field in _SYNTH_FLAGS:
+        value = getattr(spec, field)
+        p.add_argument(flag, dest=field, type=type(value), default=value)
     p.add_argument("--left-handed", default=",".join(map(str, spec.left_handed)),
                    help="comma-separated signer indices")
     p.add_argument("--depth-pairs", action="store_true", default=spec.depth_pairs)
 
-    p = verb("segment", _cmd_segment, "dump per-frame masks for one sample", corpus=True)
+    p = verb("segment", _cmd_segment, "dump one sample's gray frames and masks", corpus=True)
     p.add_argument("--sample", required=True, help="sequence directory name")
 
     verb("extract", _cmd_extract, "extract and cache feature samples", corpus=True, jobs=True)

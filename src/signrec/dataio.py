@@ -11,12 +11,12 @@ One directory per recorded sample, with one stream file per image channel:
                     frame has the REQUIRED_JOINTS
     meta.txt        key=value lines: signer, label, handedness, fps
 
-and, for a synthetic recording, its ground truth (see `synth`). In a stream,
-image t starts where image t-1 ends, and each image is byte for byte what
-a one-image PNM file would hold (netpbm allows a sequence of images in one
-file). Every image of a stream has image 0's size, and the two streams
-hold one image per frame. skeleton.txt, meta.txt and the manifest are
-UTF-8 text.
+These four are the `RECORDING_FILES`; other files beside them, such as a
+synthetic recording's ground truth (see `synth`), are not read. In a stream,
+image t starts where image t-1 ends, and each image is byte for byte what a
+one-image PNM file would hold (netpbm allows a sequence of images in one
+file). Every image of a stream has image 0's size, and the two streams hold
+one image per frame. skeleton.txt, meta.txt and the manifest are UTF-8 text.
 
 `load_sequence` opens each stream once and walks its headers, checking
 each header and raster length and noting where each raster starts, and
@@ -43,7 +43,7 @@ import math
 import os
 import zipfile
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -64,6 +64,10 @@ HANDEDNESS = ("left", "right")
 SKIN_FILES = ("skin_pixels.txt", "nonskin_pixels.txt")
 COLOR_STREAM = "color.ppm"
 DEPTH_STREAM = "depth.pgm"
+SKELETON_FILE = "skeleton.txt"
+META_FILE = "meta.txt"
+# the files of a recording, in name order: all that `load_sequence` reads
+RECORDING_FILES = (COLOR_STREAM, DEPTH_STREAM, META_FILE, SKELETON_FILE)
 
 _MIRROR_JOINT = {
     "shoulder_left": "shoulder_right",
@@ -78,9 +82,12 @@ class LoadError(Exception):
 
 
 def read_text(path):
-    """The contents of a UTF-8 text file; other bytes raise LoadError naming it."""
+    """The contents of a UTF-8 text file; a missing file or other bytes raise
+    LoadError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise LoadError(f"{path}: missing") from None
     except UnicodeDecodeError as exc:
         raise LoadError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                         f"{exc.start})") from None
@@ -127,35 +134,29 @@ class FrameSequence:
         return self.color_frames[0].shape[:2]
 
     def validate(self):
-        _check_frames([f.shape for f in self.color_frames],
-                      [f.shape for f in self.depth_frames], self.skeleton)
+        """Raise ValueError unless there are at least 2 frames, as many depth
+        frames and poses as color frames, every color frame has the first
+        one's shape and every depth frame its height and width, and every
+        pose holds the REQUIRED_JOINTS."""
+        n = len(self.color_frames)
+        if n < 2:
+            raise ValueError(f"sequence needs at least 2 frames, got {n}")
+        if len(self.depth_frames) != n or len(self.skeleton) != n:
+            raise ValueError("length mismatch: %d color, %d depth, %d skeleton frames"
+                             % (n, len(self.depth_frames), len(self.skeleton)))
+        shape = self.color_frames[0].shape
+        for i, frame in enumerate(self.color_frames):
+            if frame.shape != shape:
+                raise ValueError(f"color frame {i} has shape {frame.shape}, expected {shape}")
+        for i, frame in enumerate(self.depth_frames):
+            if frame.shape != shape[:2]:
+                raise ValueError(f"depth frame {i} has shape {frame.shape}, "
+                                 f"expected {shape[:2]}")
+        for i, pose in enumerate(self.skeleton):
+            for name in REQUIRED_JOINTS:
+                if name not in pose.joints:
+                    raise ValueError(f"skeleton frame {i} is missing joint {name!r}")
         return self
-
-
-def _check_frames(color_shapes, depth_shapes, skeleton):
-    """Raise ValueError unless there are at least 2 frames, as many depth
-    frames and poses as color frames, every color frame has the first one's
-    shape and every depth frame its height and width, and every pose holds
-    the REQUIRED_JOINTS."""
-    n = len(color_shapes)
-    if n < 2:
-        raise ValueError(f"sequence needs at least 2 frames, got {n}")
-    if len(depth_shapes) != n or len(skeleton) != n:
-        raise ValueError(
-            "length mismatch: %d color, %d depth, %d skeleton frames"
-            % (n, len(depth_shapes), len(skeleton))
-        )
-    shape = color_shapes[0]
-    for i, got in enumerate(color_shapes):
-        if got != shape:
-            raise ValueError(f"color frame {i} has shape {got}, expected {shape}")
-    for i, got in enumerate(depth_shapes):
-        if got != shape[:2]:
-            raise ValueError(f"depth frame {i} has shape {got}, expected {shape[:2]}")
-    for i, pose in enumerate(skeleton):
-        for name in REQUIRED_JOINTS:
-            if name not in pose.joints:
-                raise ValueError(f"skeleton frame {i} is missing joint {name!r}")
 
 
 @dataclass
@@ -401,12 +402,6 @@ def read_pgm8_stream(path):
     return _open_stream(path, *_PGM8)[0]
 
 
-def write_pgm8(path, image):
-    """Write `image` as a one-image 8-bit PGM file."""
-    with open(path, "wb") as fh:
-        append_pgm8(fh, image)
-
-
 def write_pixel_list(path, rows):
     """Write (R, G, B) rows, each value rounded to an integer, one per line."""
     text = "\n".join(" ".join(str(int(round(v))) for v in row) for row in rows)
@@ -446,7 +441,7 @@ def write_skeleton(seq_dir, poses):
             parts.append(f"{name} {x!r} {y!r} {z!r} 1.0")
         lines.append(" ".join(parts))
     text = "\n".join(lines) + "\n"
-    (Path(seq_dir) / "skeleton.txt").write_text(text, encoding="utf-8")
+    (Path(seq_dir) / SKELETON_FILE).write_text(text, encoding="utf-8")
 
 
 def _parse_skeleton(text, path):
@@ -482,7 +477,7 @@ def write_meta(seq_dir, signer, label, handedness, fps):
         f"handedness={handedness}",
         f"fps={fps!r}",
     ]
-    (Path(seq_dir) / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
+    (Path(seq_dir) / META_FILE).write_text("\n".join(meta) + "\n", encoding="utf-8")
 
 
 def save_sequence(seq: FrameSequence, path):
@@ -501,9 +496,7 @@ def save_sequence(seq: FrameSequence, path):
 def read_meta(seq_dir):
     """(signer, label, handedness, fps) of a recording's meta.txt, a missing
     key read as "", "", "right", 30.0; a bad file raises LoadError naming it."""
-    meta_path = Path(seq_dir) / "meta.txt"
-    if not meta_path.exists():
-        raise LoadError(f"{meta_path}: missing")
+    meta_path = Path(seq_dir) / META_FILE
     meta = {}
     for raw in read_text(meta_path).splitlines():
         if "=" in raw:
@@ -537,11 +530,9 @@ def load_sequence(path) -> FrameSequence:
     if depth_shape != color_shape[:2]:
         raise LoadError(f"{depth_path}: image 0 has shape {depth_shape}, but the color "
                         f"images {color_shape[:2]}")
-    skel_path = root / "skeleton.txt"
-    if not skel_path.exists():
-        raise LoadError(f"{skel_path}: missing")
-    signer, label, handedness, fps = read_meta(root)
+    skel_path = root / SKELETON_FILE
     skeleton = _parse_skeleton(read_text(skel_path), skel_path)
+    signer, label, handedness, fps = read_meta(root)
     if len(skeleton) != len(color):
         raise LoadError(f"{skel_path}: {len(skeleton)} poses for {len(color)} frames")
     return FrameSequence(
@@ -577,13 +568,11 @@ def mirror_sequence(seq: FrameSequence) -> FrameSequence:
     the vertical axis on read, left/right joints swapped, the other
     handedness."""
     width = seq.color_frames[0].shape[1]
-    return FrameSequence(
+    return replace(
+        seq,
         color_frames=LazyFrames(seq.color_frames, _flip_frame),
         depth_frames=LazyFrames(seq.depth_frames, _flip_frame),
         skeleton=[mirror_pose(p, width) for p in seq.skeleton],
-        fps=seq.fps,
-        signer_id=seq.signer_id,
-        sign_label=seq.sign_label,
         handedness="right" if seq.handedness == "left" else "left",
     )
 

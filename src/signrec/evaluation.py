@@ -51,13 +51,19 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text, path):
-        """Parse `to_json` output read from `path` (named in errors)."""
-        data = json.loads(text)
+        """Parse `to_json` output read from `path`; anything else raises
+        LoadError naming `path`."""
         try:
+            data = json.loads(text)
             values = {f.name: data[f.name] for f in dataclasses.fields(cls)}
+            confusion = values["confusion"] = np.array(values["confusion"], dtype=np.int64)
+            n = len(values["vocabulary"])
         except KeyError as exc:
             raise LoadError(f"{path}: missing key {exc.args[0]!r}") from None
-        values["confusion"] = np.array(values["confusion"], dtype=np.int64)
+        except (ValueError, TypeError) as exc:   # not JSON, not an object, ragged rows
+            raise LoadError(f"{path}: not a report ({type(exc).__name__}: {exc})") from None
+        if confusion.shape != (n, n):
+            raise LoadError(f"{path}: confusion of shape {confusion.shape} for {n} labels")
         return cls(**values)
 
 

@@ -5,7 +5,8 @@ analyzed in a right-handed canonical frame. A recording is read one frame
 at a time: loading checks its files, and segmentation decodes (and
 mirrors) each frame as it reaches it. Extracted features are cached
 on disk, one record per sequence tagged with a hash of everything extraction
-reads, so repeated evaluations skip the expensive stages.
+reads: the settings, the skin pixel lists and the recording's four files,
+`dataio.RECORDING_FILES` (color.ppm, depth.pgm, meta.txt, skeleton.txt).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import os
 from pathlib import Path
 
 from .config import Config, ExtractConfig
-from .dataio import (SKIN_FILES, DatasetManifest, LoadError, load_sequence, mirror_sequence,
-                     parse_pixel_list, read_meta)
+from .dataio import (META_FILE, RECORDING_FILES, SKIN_FILES, DatasetManifest, LoadError,
+                     load_sequence, mirror_sequence, parse_pixel_list, read_meta)
 from .features import FeatureSample, assemble, load_sample, save_sample
 from .segmentation import SequenceSegmenter, SkinHistogram
 
@@ -61,13 +62,15 @@ def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
     return _skin_model(corpus_dir, _read_skin_lists(corpus_dir), cfg)
 
 
-def extract_sequence(seq_dir, general_model, cfg: Config, debug_dir=None) -> FeatureSample:
+def load_right_handed(seq_dir):
+    """The recording in `seq_dir`, mirrored if it is left-handed."""
     seq = load_sequence(seq_dir)
-    if seq.handedness == "left":
-        seq = mirror_sequence(seq)
-    segmenter = SequenceSegmenter(general_model, cfg)
-    result = segmenter.run(seq, debug_dir=debug_dir)
-    return assemble(seq, result, cfg)
+    return mirror_sequence(seq) if seq.handedness == "left" else seq
+
+
+def extract_sequence(seq_dir, general_model, cfg: Config) -> FeatureSample:
+    seq = load_right_handed(seq_dir)
+    return assemble(seq, SequenceSegmenter(general_model, cfg).run(seq), cfg)
 
 
 def _corpus_digest(skin_lists, cfg: ExtractConfig):
@@ -83,18 +86,19 @@ def _corpus_digest(skin_lists, cfg: ExtractConfig):
 
 
 def _sequence_key(seq_dir, corpus_digest) -> str:
-    """The corpus digest extended by the name and bytes of every recording
-    file (ground truth excluded), in name order. Files are read through one
+    """The corpus digest extended by the name and bytes of each of the
+    `RECORDING_FILES`, in name order. Files are read through one
     `_HASH_CHUNK` buffer: a stream holds a whole recording."""
     digest = corpus_digest.copy()
     buffer = memoryview(bytearray(_HASH_CHUNK))
-    for name in sorted(os.listdir(seq_dir)):
-        if name.startswith("gt_"):
-            continue
+    for name in RECORDING_FILES:
         digest.update(name.encode())
-        with open(os.path.join(seq_dir, name), "rb", buffering=0) as f:
-            while size := f.readinto(buffer):
-                digest.update(buffer[:size])
+        try:
+            with open(os.path.join(seq_dir, name), "rb", buffering=0) as f:
+                while size := f.readinto(buffer):
+                    digest.update(buffer[:size])
+        except FileNotFoundError:
+            raise LoadError(f"{os.path.join(seq_dir, name)}: missing") from None
     return digest.hexdigest()
 
 
@@ -122,7 +126,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
         stored = read_meta(root / entry.path)[:3]
         if stored != listed:
             raise LoadError(f"{manifest_path}: entry {entry.path!r} lists {listed}, "
-                            f"but {root / entry.path / 'meta.txt'} holds {stored}")
+                            f"but {root / entry.path / META_FILE} holds {stored}")
     # read once: hashed into the cache keys, parsed only if something misses
     skin_lists = _read_skin_lists(root)
 

@@ -546,16 +546,36 @@ class SequenceSegmenter:
         self.gray = None              # the last frame, for the motion mask
         self.candidates = None        # the last frame's candidate mask
 
-    def run(self, seq, debug_dir=None) -> SegmentationResult:
-        """Segment every frame of `seq`, reading one frame at a time."""
+    def frames(self, seq):
+        """Segment the frames of `seq` in order, reading one at a time, and
+        yield each one's FrameResult."""
         self.reset(dataio.shoulder_distance(seq))
-        frames = []
         for t in range(len(seq)):
-            frame = self.step(seq.color_frames[t], seq.depth_frames[t], seq.skeleton[t])
-            if debug_dir is not None:
-                _dump_debug(debug_dir, t, self.gray, self.candidates, frame)
-            frames.append(frame)
+            yield self.step(seq.color_frames[t], seq.depth_frames[t], seq.skeleton[t])
+
+    def run(self, seq) -> SegmentationResult:
+        """Segment every frame of `seq`."""
+        frames = list(self.frames(seq))
         return SegmentationResult(self.span, self.gray.shape[1], frames)
+
+    def dump(self, seq, out_dir):
+        """Segment `seq`, appending each frame's gray image, candidate mask
+        (255) and hand masks (128 left, 255 right) to the 8-bit PGM streams
+        frames.pgm, candidates.pgm and hands.pgm in `out_dir`."""
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        with (open(out / "frames.pgm", "wb") as grays,
+              open(out / "candidates.pgm", "wb") as candidates,
+              open(out / "hands.pgm", "wb") as hands):
+            for frame in self.frames(seq):
+                dataio.append_pgm8(grays, np.clip(self.gray, 0, 255).astype(np.uint8))
+                dataio.append_pgm8(candidates, self.candidates.astype(np.uint8) * 255)
+                labels = np.zeros(self.gray.shape, dtype=np.uint8)
+                for value, o in ((128, frame.left), (255, frame.right)):
+                    if o is not None:
+                        x, y, w, h = o.bbox
+                        labels[y : y + h, x : x + w][o.mask] = value
+                dataio.append_pgm8(hands, labels)
 
     def _seed(self, pose, hand, box):
         """A track started at the skeleton's hand joint."""
@@ -682,16 +702,3 @@ class SequenceSegmenter:
         return FrameResult(obs["left"], obs["right"], self.tracks["left"],
                            self.tracks["right"])
 
-
-def _dump_debug(debug_dir, t, gray, cand, frame: FrameResult):
-    out = Path(debug_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.write_pgm8(out / f"frame_{t:06d}.pgm", np.clip(gray, 0, 255).astype(np.uint8))
-    dataio.write_pgm8(out / f"candidates_{t:06d}.pgm", cand.astype(np.uint8) * 255)
-    hands = np.zeros(gray.shape, dtype=np.uint8)
-    for value, o in ((128, frame.left), (255, frame.right)):
-        if o is None:
-            continue
-        x, y, w, h = o.bbox
-        hands[y : y + h, x : x + w][o.mask] = value
-    dataio.write_pgm8(out / f"hands_{t:06d}.pgm", hands)

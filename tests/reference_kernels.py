@@ -277,6 +277,7 @@ def kf_update(x, P, H, z, r):
 
 
 def sequence_key(seq_dir, corpus_digest):
+    """The key of earlier versions: every file but the ground truth, by name."""
     digest = corpus_digest.copy()
     for path in sorted(Path(seq_dir).iterdir()):
         if path.name.startswith("gt_"):

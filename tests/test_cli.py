@@ -1,11 +1,21 @@
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from signrec import cli
+from signrec import cli, features, pipeline
 from signrec.cli import main
+from signrec.dataio import load_sequence, mirror_sequence, read_pgm8_stream
+from signrec.segmentation import to_gray
 from signrec.synth import SynthSpec
+
+DUMP_STREAMS = ["candidates.pgm", "frames.pgm", "hands.pgm"]
+
+
+def no_assemble(*args, **kwargs):
+    raise AssertionError("segment computed descriptors")
 
 
 @pytest.fixture(scope="module")
@@ -25,14 +35,44 @@ class TestCli:
         assert (cli_corpus / "manifest.tsv").exists()
         assert (cli_corpus / "skin_pixels.txt").exists()
 
-    def test_segment_writes_masks(self, cli_corpus, tmp_path):
+    def test_segment_writes_masks(self, cli_corpus, tmp_path, monkeypatch):
+        """Three 8-bit PGM streams of one image per frame, and no descriptors."""
+        monkeypatch.setattr(pipeline, "assemble", no_assemble)
+        monkeypatch.setattr(features, "assemble", no_assemble)
         code = main([
             "segment", "--data", str(cli_corpus / "manifest.tsv"),
             "--sample", "sign00_signerA_00", "--out", str(tmp_path),
         ])
         assert code == 0
-        masks = list((tmp_path / "sign00_signerA_00").glob("hands_*.pgm"))
-        assert masks
+        out = tmp_path / "sign00_signerA_00"
+        assert sorted(p.name for p in out.iterdir()) == DUMP_STREAMS
+        streams = {name: read_pgm8_stream(out / name) for name in DUMP_STREAMS}
+        frames = len(load_sequence(cli_corpus / "sign00_signerA_00"))
+        assert {len(images) for images in streams.values()} == {frames}
+        hands = np.stack(list(streams["hands.pgm"]))
+        candidates = np.stack(list(streams["candidates.pgm"]))
+        assert set(np.unique(hands)) <= {0, 128, 255} and (hands == 255).any()
+        assert set(np.unique(candidates)) <= {0, 255} and (candidates == 255).any()
+
+    def test_segment_dumps_left_handed_sample_mirrored(self, tmp_path):
+        """A left-handed recording is dumped in its mirrored, right-handed frame."""
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--out", str(corpus), "--classes", "2", "--signers", "1",
+                     "--samples", "1", "--width", "64", "--height", "48", "--frames", "12",
+                     "--left-handed", "0"]) == 0
+        assert main(["segment", "--data", str(corpus / "manifest.tsv"),
+                     "--sample", "sign00_signerA_00", "--out", str(tmp_path / "dump")]) == 0
+        out = tmp_path / "dump" / "sign00_signerA_00"
+        assert sorted(p.name for p in out.iterdir()) == DUMP_STREAMS
+        seq = load_sequence(corpus / "sign00_signerA_00")
+        assert seq.handedness == "left"
+        mirrored = mirror_sequence(seq)
+        grays = read_pgm8_stream(out / "frames.pgm")
+        assert len(grays) == len(seq)
+        for t, gray in enumerate(grays):
+            expect = np.clip(to_gray(mirrored.color_frames[t]), 0, 255).astype(np.uint8)
+            assert np.array_equal(gray, expect)
+        assert any((hands == 255).any() for hands in read_pgm8_stream(out / "hands.pgm"))
 
     def test_extract_then_eval_sd(self, cli_corpus, tmp_path):
         out = tmp_path / "run"
@@ -86,6 +126,33 @@ class TestCli:
         monkeypatch.setattr(cli, "generate_synthetic_corpus", render)
         assert main(["synth", "--out", str(tmp_path)]) == 0
         assert calls == [(SynthSpec(), 0)]
+
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--classes", "num_classes", 3), ("--signers", "num_signers", 2),
+        ("--samples", "samples", 5), ("--width", "width", 96), ("--height", "height", 72),
+        ("--frames", "frames", 20), ("--style", "style_strength", 1.25),
+        ("--traj-noise", "traj_noise", 0.75),
+    ])
+    def test_synth_flag_sets_its_field(self, tmp_path, monkeypatch, flag, field, value):
+        calls = []
+        monkeypatch.setattr(cli, "generate_synthetic_corpus",
+                            lambda spec, seed, out: calls.append(spec)
+                            or SimpleNamespace(entries=[]))
+        assert main(["synth", "--out", str(tmp_path), flag, str(value)]) == 0
+        assert calls == [dataclasses.replace(SynthSpec(), **{field: value})]
+        assert type(getattr(calls[0], field)) is type(value)
+
+    @pytest.mark.parametrize("data, message", [
+        (None, "report.json: missing"),
+        (b'{"protocol": "SD-\xff"}', "report.json: not UTF-8 text"),
+        (b'{"protocol": ', "report.json: not a report (JSONDecodeError"),
+    ], ids=["missing", "not UTF-8", "cut JSON"])
+    def test_report_names_a_bad_report_file(self, tmp_path, capsys, data, message):
+        if data is not None:
+            (tmp_path / "report.json").write_bytes(data)
+        assert main(["report", "--report", str(tmp_path / "report.json"),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: LoadError: {tmp_path}/{message}")
 
     def test_error_is_one_line_and_nonzero(self, tmp_path, capsys):
         code = main(["extract", "--data", str(tmp_path / "nope.tsv"),

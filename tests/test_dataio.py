@@ -170,6 +170,44 @@ class TestRoundTrip:
                                             r"expected 9216"):
             seq.color_frames[2]
 
+    @pytest.mark.parametrize("fault, message", [
+        (lambda seq: seq.color_frames.pop(), "at least 2 frames, got 1"),
+        (lambda seq: seq.depth_frames.pop(), "length mismatch: 3 color, 2 depth, 3 skeleton"),
+        (lambda seq: seq.color_frames.__setitem__(1, seq.color_frames[1][:, :32]),
+         r"color frame 1 has shape \(48, 32, 3\), expected \(48, 64, 3\)"),
+        (lambda seq: seq.depth_frames.__setitem__(2, seq.depth_frames[2][:24]),
+         r"depth frame 2 has shape \(24, 64\), expected \(48, 64\)"),
+        (lambda seq: seq.skeleton[1].joints.pop("torso"),
+         "skeleton frame 1 is missing joint 'torso'"),
+    ], ids=["one frame", "count mismatch", "color shape", "depth shape", "missing joint"])
+    def test_invalid_sequence_not_saved(self, tmp_path, fault, message):
+        seq = make_sequence(2 if "2 frames" in message else 3)
+        fault(seq)
+        with pytest.raises(ValueError, match=message):
+            save_sequence(seq, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
+    def test_load_of_a_file_rejected(self, tmp_path):
+        (tmp_path / "s").write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+        with pytest.raises(LoadError, match=r"s: not a directory"):
+            load_sequence(tmp_path / "s")
+
+    def test_one_image_recording_rejected(self, tmp_path):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        for name in ("color.ppm", "depth.pgm"):
+            path = tmp_path / "s" / name
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 3])
+        with pytest.raises(LoadError, match=r"color.ppm: 1 image, a sequence needs at least 2"):
+            load_sequence(tmp_path / "s")
+
+    def test_missing_meta_named(self, tmp_path):
+        save_sequence(make_sequence(3), tmp_path / "s")
+        (tmp_path / "s" / "meta.txt").unlink()
+        with pytest.raises(LoadError, match=r"s/meta.txt: missing"):
+            dataio.read_meta(tmp_path / "s")
+        with pytest.raises(LoadError, match=r"s/meta.txt: missing"):
+            load_sequence(tmp_path / "s")
+
     def test_skeleton_fifth_field_numeric_but_ignored(self, tmp_path):
         seq = make_sequence(3)
         save_sequence(seq, tmp_path / "s")
@@ -246,6 +284,16 @@ def write_stream(path, append, images):
 class TestPnm:
     """Streams are outside input: bad bytes raise LoadError naming the file
     and the image."""
+
+    @pytest.mark.parametrize("append, image, message", [
+        (append_ppm, np.zeros((2, 3)), "(2, 3) image for a 3-channel P6"),
+        (append_pgm16, np.zeros((2, 3, 3)), "(2, 3, 3) image for a 1-channel P5"),
+    ], ids=["2-D ppm", "3-D pgm"])
+    def test_image_of_other_channel_count_rejected(self, tmp_path, append, image, message):
+        with open(tmp_path / "x.pnm", "wb") as fh, pytest.raises(
+                ValueError, match=re.escape(f"x.pnm: {message}")):
+            append(fh, image)
+        assert (tmp_path / "x.pnm").read_bytes() == b""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(sorted(PNM)), count=st.integers(1, 3),

@@ -211,6 +211,18 @@ class TestEmitReport:
         with pytest.raises(LoadError, match=r"report\.json: missing key 'unscorable'"):
             EvalReport.from_json(path.read_text(), path)
 
+    @pytest.mark.parametrize("fault, message", [
+        (lambda text: text[: len(text) // 2], r"not a report \(JSONDecodeError: "),
+        (lambda text: "[" + text + "]", r"not a report \(TypeError: "),
+        (lambda text: json.dumps({**json.loads(text), "confusion": [[5]]}),
+         r"confusion of shape \(1, 1\) for 2 labels"),
+    ], ids=["broken JSON", "top-level list", "1x1 confusion for 2 labels"])
+    def test_malformed_report_names_file(self, tmp_path, fault, message):
+        path = tmp_path / "report.json"
+        path.write_text(fault(self.make_report().to_json()))
+        with pytest.raises(LoadError, match=rf"report\.json: {message}"):
+            EvalReport.from_json(path.read_text(), path)
+
     def test_perfect_classifier_diagonal_heatmap(self, tmp_path):
         report = self.make_report()
         report.confusion = np.diag([6, 6]).astype(np.int64)

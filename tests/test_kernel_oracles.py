@@ -208,12 +208,13 @@ class TestRenderAndKey:
             assert np.array_equal(got, ref.ellipse_mask((h, w), center, axes, angle))
 
     def test_sequence_key_matches_pathlib(self, tmp_path):
+        """On a recording and its ground truth, the key is the one earlier
+        versions gave; files beside them change only the earlier key."""
         seq = tmp_path / "seq"
         seq.mkdir()
         files = {"meta.txt": b"fps 30\n", "color.ppm": b"P6 1 1 255\n\x01\x02\x03",
                  "gt_traj.txt": b"1 2 3\n", "depth.pgm": b"P5 1 1 65535\n\x00\x10",
-                 "skeleton.txt": b"0 neck 1 2 3\n", "gt_right.pgm": b"x",
-                 "Zeta.txt": b"", "a_b.txt": b"ab", "10.txt": b"ten", "9.txt": b"nine"}
+                 "skeleton.txt": b"0 neck 1 2 3\n", "gt_right.pgm": b"x"}
         for name, data in files.items():
             (seq / name).write_bytes(data)
         digest = hashlib.sha256(b"corpus")
@@ -221,7 +222,10 @@ class TestRenderAndKey:
         assert key == ref.sequence_key(seq, digest)
         assert key == pipeline._sequence_key(str(seq), digest)
         (seq / "gt_traj.txt").write_bytes(b"changed")
-        assert pipeline._sequence_key(seq, digest) == key
+        for name, data in {"Zeta.txt": b"", "a_b.txt": b"ab", "10.txt": b"ten",
+                           "frames.pgm": b"P5 1 1 255\n\x00"}.items():
+            (seq / name).write_bytes(data)
+        assert pipeline._sequence_key(seq, digest) == key != ref.sequence_key(seq, digest)
         (seq / "meta.txt").write_bytes(b"fps 25\n")
         assert pipeline._sequence_key(seq, digest) != key
 

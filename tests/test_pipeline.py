@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from signrec import pipeline
+from signrec import cli, pipeline
 from signrec.config import Config
 from signrec.dataio import SKIN_FILES, LoadError, load_record, save_record
 from signrec.features import save_sample
@@ -211,6 +211,40 @@ class TestExtraction:
         again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         assert extractions == []
         assert same_features(again, fresh)
+
+    def test_cache_key_follows_the_recording_files(self, tmp_path, extractions):
+        """One changed byte in any of the four recording files re-extracts;
+        ground truth, a stray file and a `segment` dump do not."""
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=12,
+                         width=64, height=48)
+        root = tmp_path / "corpus"
+        manifest = generate_synthetic_corpus(spec, 5, root)
+        name = manifest.entries[0].path
+        seq = root / name
+        path = root / "manifest.tsv"
+        extract_corpus(path, Config(), cache_dir=tmp_path / "c")
+
+        for file in ("color.ppm", "depth.pgm", "meta.txt", "skeleton.txt"):
+            # the second-to-last byte: a raster byte, or the last digit of
+            # the fps or of the last joint's confidence
+            data = bytearray((seq / file).read_bytes())
+            data[-2] ^= 1
+            (seq / file).write_bytes(data)
+            extractions.clear()
+            extract_corpus(path, Config(), cache_dir=tmp_path / "c")
+            assert extractions == [str(seq)], file
+        gt = seq / "gt_left.pgm"
+        gt.write_bytes(gt.read_bytes()[:-1] + bytes([gt.read_bytes()[-1] ^ 1]))
+        (seq / "notes.txt").write_text("stray\n")
+        assert cli.main(["segment", "--data", str(path), "--sample", name,
+                         "--out", str(root)]) == 0
+        assert (seq / "hands.pgm").exists()
+        extractions.clear()
+        extract_corpus(path, Config(), cache_dir=tmp_path / "c")
+        assert extractions == []
+        (seq / "color.ppm").unlink()
+        with pytest.raises(LoadError, match=rf"{name}/color.ppm: missing"):
+            extract_corpus(path, Config(), cache_dir=tmp_path / "c")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_entries_before_a_bad_recording_stay_cached(self, tmp_path, jobs):
