@@ -24,8 +24,7 @@ parses skeleton.txt and meta.txt, but decodes no raster: frame t is read
 from its offset each time it is indexed (`LazyFrames`), so a consumer that
 walks the frames in order holds one at a time. A fault names the file and
 the image index; bytes after the last whole image are a fault. A recording
-is written the same way, one `append_ppm` and one `append_pgm16` call per
-frame on the open streams, then `write_skeleton` and `write_meta`.
+is written the same way, a frame at a time, by `recording_writer`.
 
 A dataset is a tab-separated manifest: path, signer, label, handedness, each
 of the last three equal to the one in the entry's meta.txt. Beside it lie the
@@ -43,6 +42,7 @@ import math
 import os
 import zipfile
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -480,17 +480,31 @@ def write_meta(seq_dir, signer, label, handedness, fps):
     (Path(seq_dir) / META_FILE).write_text("\n".join(meta) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def recording_writer(path, signer, label, handedness, fps):
+    """Write a recording to directory `path` one frame at a time. The context
+    yields `append(color, depth, pose)`, which adds the frame's images to the
+    two open streams; skeleton.txt and meta.txt are written after the last."""
+    root = Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    poses = []
+    with (open(root / COLOR_STREAM, "wb") as color_out,
+          open(root / DEPTH_STREAM, "wb") as depth_out):
+        def append(color, depth, pose):
+            append_ppm(color_out, color)
+            append_pgm16(depth_out, depth)
+            poses.append(pose)
+        yield append
+    write_skeleton(root, poses)
+    write_meta(root, signer, label, handedness, fps)
+
+
 def save_sequence(seq: FrameSequence, path):
     seq.validate()
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    with (open(out / COLOR_STREAM, "wb") as color,
-          open(out / DEPTH_STREAM, "wb") as depth):
-        for rgb, d in zip(seq.color_frames, seq.depth_frames):
-            append_ppm(color, rgb)
-            append_pgm16(depth, d)
-    write_skeleton(out, seq.skeleton)
-    write_meta(out, seq.signer_id, seq.sign_label, seq.handedness, seq.fps)
+    with recording_writer(path, seq.signer_id, seq.sign_label, seq.handedness,
+                          seq.fps) as append:
+        for frame in zip(seq.color_frames, seq.depth_frames, seq.skeleton):
+            append(*frame)
 
 
 def read_meta(seq_dir):

@@ -11,12 +11,17 @@ beside every sequence, and a labeled skin/non-skin pixel list is emitted
 once per corpus for bootstrapping the color model.
 
 A sequence is written one frame at a time, as soon as the frame is drawn:
-its color and depth images and ground-truth masks (flipped, and the masks
-swapped, for a left-handed signer) are appended to four open streams,
-`color.ppm`, `depth.pgm`, `gt_left.pgm` and `gt_right.pgm` (see `dataio`),
-so no recording is held whole. The skeleton, meta.txt and the trajectory,
-`gt_traj.txt` (one "rx ry rz lx ly lz" row per frame), follow its last
-frame: seven files per recording.
+its color and depth images go to a `dataio.recording_writer` and its
+ground-truth masks to `gt_left.pgm` and `gt_right.pgm` (flipped, and the
+masks swapped, for a left-handed signer), so no recording is held whole.
+The skeleton, meta.txt and the trajectory, `gt_traj.txt` (one "rx ry rz lx
+ly lz" row per frame), follow its last frame: seven files per recording.
+
+Only the hands move. The static scene is rounded once per sequence to 8-bit
+color and 16-bit depth, and each frame writes into a copy of it the rounded
+pixels of each hand's ellipse box, the near hand last. Rounding is per pixel
+and every random draw keeps its order and size, so the bytes are those of
+whole float frames rounded: a corpus depends on (spec, seed) alone.
 """
 
 from __future__ import annotations
@@ -28,22 +33,17 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import (
-    COLOR_STREAM,
-    DEPTH_STREAM,
     SKIN_FILES,
     DatasetManifest,
     LoadError,
     ManifestEntry,
     SkeletonPose,
     append_pgm8,
-    append_pgm16,
-    append_ppm,
     mirror_pose,
     read_pgm8_stream,
     read_text,
-    write_meta,
+    recording_writer,
     write_pixel_list,
-    write_skeleton,
 )
 
 GOLDEN = 0.618033988749895
@@ -86,6 +86,17 @@ class SynthSpec:
             raise ValueError("need at least one signer and one sample per class")
         if self.frames < 12:
             raise ValueError("sequences need at least 12 frames")
+        for name, ok, rule in (
+                ("width", self.width >= 1, "at least 1"),
+                ("height", self.height >= 1, "at least 1"),
+                ("traj_noise", self.traj_noise >= 0, "at least 0"),
+                ("depth_noise", self.depth_noise >= 0, "at least 0"),
+                ("skeleton_noise", self.skeleton_noise >= 0, "at least 0"),
+                ("fps", self.fps > 0, "positive"),
+                ("left_handed", all(i in range(self.num_signers) for i in self.left_handed),
+                 f"signer indices 0..{self.num_signers - 1}")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
 
@@ -251,29 +262,26 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
 
 
 def _ellipse_mask(shape, center, axes, angle=0.0):
-    """Pixels of a frame inside a rotated ellipse.
+    """The pixels of a frame inside a rotated ellipse: (box, inside), a pair
+    of slices that cuts a box out of the frame and the box's boolean mask.
 
     No point of the ellipse lies farther from its center than the larger
-    semi-axis, so the test runs only over that square plus a 1-px margin
-    (clipped to the frame); every other pixel is outside.
+    semi-axis, so the box is that square plus a 1-px margin, clipped to the
+    frame (and empty off it); every pixel outside the box is outside.
     """
     h, w = shape
-    out = np.zeros((h, w), dtype=bool)
     reach = max(axes) + 1.0
     x0 = max(0, math.floor(center[0] - reach))
-    x1 = min(w, math.ceil(center[0] + reach) + 1)
+    x1 = max(x0, min(w, math.ceil(center[0] + reach) + 1))
     y0 = max(0, math.floor(center[1] - reach))
-    y1 = min(h, math.ceil(center[1] + reach) + 1)
-    if x0 >= x1 or y0 >= y1:
-        return out
+    y1 = max(y0, min(h, math.ceil(center[1] + reach) + 1))
     ys, xs = np.mgrid[y0:y1, x0:x1]
     dx = xs - center[0]
     dy = ys - center[1]
     c, s = math.cos(angle), math.sin(angle)
     u = c * dx + s * dy
     v = -s * dx + c * dy
-    out[y0:y1, x0:x1] = (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
-    return out
+    return (slice(y0, y1), slice(x0, x1)), (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
 
 
 @dataclass
@@ -309,16 +317,18 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
     color_static = np.clip(BACKGROUND_BASE[None, None, :] + static_noise, 0, 255)
     depth_static = np.full((h, w), BACKGROUND_Z)
 
-    torso_mask = _ellipse_mask((h, w), (0.5 * w, 0.72 * h), (0.17 * w, 0.30 * h))
-    # the texture is drawn for the whole frame, which fixes the RNG stream,
-    # but shades only the pixels under the torso and the head
+    # the texture and depth noise are drawn for the whole frame, which fixes
+    # the RNG stream, but shade only the pixels under the torso and the head
     tex = rng.uniform(-1.0, 1.0, size=(h, w, 1))
-    color_static[torso_mask] = np.clip(CLOTH_BASE * (1.0 + 0.10 * tex[torso_mask]), 0, 255)
-    depth_static[torso_mask] = TORSO_Z + rng.uniform(-12, 12, size=(h, w))[torso_mask]
-
-    head_mask = _ellipse_mask((h, w), scene.head, scene.head_axes)
-    color_static[head_mask] = np.clip(SKIN_BASE * (1.0 + 0.12 * tex[head_mask]), 0, 255)
-    depth_static[head_mask] = FACE_Z + rng.uniform(-10, 10, size=(h, w))[head_mask]
+    for center, axes, base, shade, z, spread in (
+            ((0.5 * w, 0.72 * h), (0.17 * w, 0.30 * h), CLOTH_BASE, 0.10, TORSO_Z, 12),
+            (scene.head, scene.head_axes, SKIN_BASE, 0.12, FACE_Z, 10)):
+        box, inside = _ellipse_mask((h, w), center, axes)
+        color_static[box][inside] = np.clip(base * (1.0 + shade * tex[box][inside]), 0, 255)
+        depth_static[box][inside] = z + rng.uniform(-spread, spread, size=(h, w))[box][inside]
+    # rounded once: each frame copies these and writes its hands' rounded pixels
+    color_static = np.round(color_static).astype(np.uint8)
+    depth_static = np.round(depth_static).astype(np.uint16)
 
     hand_tiles = {
         "right": rng.uniform(-1.0, 1.0, size=(64, 64)),
@@ -329,12 +339,7 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
     radii = (base_radii[0] * (1.0 + style.aspect),
              base_radii[1] * (1.0 - style.aspect))
 
-    poses = []
     traj_rows = []
-    seq_dir.mkdir(parents=True, exist_ok=True)
-
-    ys_grid, xs_grid = np.mgrid[0:h, 0:w]
-
     positions = {"right": [], "left": []}
     for t in range(n_frames):
         s = warp(t / (n_frames - 1))
@@ -356,8 +361,7 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
         positions["right"].append((rx, ry, rz))
         positions["left"].append((lx, ly, lz))
 
-    with (open(seq_dir / COLOR_STREAM, "wb") as color_out,
-          open(seq_dir / DEPTH_STREAM, "wb") as depth_out,
+    with (recording_writer(seq_dir, signer_name, label, handedness, spec.fps) as append,
           open(seq_dir / GT_STREAMS["left"], "wb") as left_out,
           open(seq_dir / GT_STREAMS["right"], "wb") as right_out):
         mask_out = {"left": left_out, "right": right_out}
@@ -369,7 +373,7 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
                 [("right", positions["right"][t]), ("left", positions["left"][t])],
                 key=lambda item: -item[1][2],   # far hand first, near hand overwrites
             )
-            masks = {}
+            masks = {hand: np.zeros((h, w), dtype=np.uint8) for hand in ("left", "right")}
             for hand, (hx, hy, hz) in hands:
                 if hand == "left" and left_fn is None:
                     angle = 0.0        # resting hand holds its pose
@@ -377,29 +381,28 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
                     prev = positions[hand][max(t - 1, 0)]
                     nxt = positions[hand][min(t + 1, n_frames - 1)]
                     angle = math.atan2(nxt[1] - prev[1], nxt[0] - prev[0])
-                mask = _ellipse_mask((h, w), (hx, hy), radii, angle)
-                masks[hand] = mask
-                if not mask.any():
+                box, inside = _ellipse_mask((h, w), (hx, hy), radii, angle)
+                masks[hand][box][inside] = 255
+                if not inside.any():
                     continue
-                u = (xs_grid[mask] - int(round(hx))) % 64
-                v = (ys_grid[mask] - int(round(hy))) % 64
+                # frame coordinates of the hand's pixels, in row-major order
+                ys, xs = np.nonzero(inside)
+                ys, xs = ys + box[0].start, xs + box[1].start
+                u = (xs - int(round(hx))) % 64
+                v = (ys - int(round(hy))) % 64
                 static_part = hand_tiles[hand][v, u]
-                alternating = (((xs_grid[mask] + ys_grid[mask] + t) % 2) * 2 - 1).astype(float)
+                alternating = (((xs + ys + t) % 2) * 2 - 1).astype(float)
                 lum = 1.0 + 0.15 * static_part + 0.22 * alternating
-                color[mask] = np.clip(SKIN_BASE[None, :] * lum[:, None], 0, 255)
-                dn = rng.uniform(-spec.depth_noise, spec.depth_noise, size=int(mask.sum())) \
+                color[box][inside] = np.round(np.clip(SKIN_BASE[None, :] * lum[:, None], 0, 255))
+                dn = rng.uniform(-spec.depth_noise, spec.depth_noise, size=len(ys)) \
                     if spec.depth_noise > 0 else 0.0
-                depth[mask] = np.clip(hz + dn, 500.0, 60000.0)
+                depth[box][inside] = np.round(np.clip(hz + dn, 500.0, 60000.0))
 
-            color = np.round(color, out=color).astype(np.uint8)
-            depth = np.round(depth, out=depth).astype(np.uint16)
             if mirrored:      # the writers copy these flipped views out
                 color, depth = color[:, ::-1], depth[:, ::-1]
                 masks = {"left": masks["right"][:, ::-1], "right": masks["left"][:, ::-1]}
-            append_ppm(color_out, color)
-            append_pgm16(depth_out, depth)
             for hand in ("left", "right"):
-                append_pgm8(mask_out[hand], masks[hand].astype(np.uint8) * 255)
+                append_pgm8(mask_out[hand], masks[hand])
 
             # body joints are the tracker's most stable outputs; hands are not
             joint_noise = rng.normal(0.0, 0.1 * w / 160.0, size=(5, 2))
@@ -422,16 +425,14 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
                 "head": (scene.head[0] + joint_noise[4, 0], scene.head[1] + joint_noise[4, 1],
                          FACE_Z),
             }
-            poses.append(SkeletonPose(joints))
+            pose = SkeletonPose(joints)
+            append(color, depth, mirror_pose(pose, w) if mirrored else pose)
             traj_rows.append([rx, ry, rz, lx, ly, lz])
 
     traj = np.array(traj_rows)
     if mirrored:
-        poses = [mirror_pose(p, w) for p in poses]
         traj = traj[:, [3, 4, 5, 0, 1, 2]]
         traj[:, [0, 3]] = (w - 1) - traj[:, [0, 3]]
-    write_skeleton(seq_dir, poses)
-    write_meta(seq_dir, signer_name, label, handedness, spec.fps)
     lines = [" ".join(repr(float(v)) for v in row) for row in traj]
     (seq_dir / GT_TRAJECTORY).write_text("\n".join(lines) + "\n")
 

@@ -258,6 +258,7 @@ def hu_moments(mask, points=None):
 
 
 def ellipse_mask(shape, center, axes, angle=0.0):
+    """The ellipse tested at every pixel; its box is the whole frame."""
     h, w = shape
     ys, xs = np.mgrid[0:h, 0:w]
     dx = xs - center[0]
@@ -265,7 +266,7 @@ def ellipse_mask(shape, center, axes, angle=0.0):
     c, s = math.cos(angle), math.sin(angle)
     u = c * dx + s * dy
     v = -s * dx + c * dy
-    return (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
+    return (slice(0, h), slice(0, w)), (u / axes[0]) ** 2 + (v / axes[1]) ** 2 <= 1.0
 
 
 def kf_update(x, P, H, z, r):

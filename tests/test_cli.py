@@ -154,6 +154,12 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: LoadError: {tmp_path}/{message}")
 
+    def test_synth_rejects_a_zero_width(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "corpus"), "--width", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: width") and err.count("\n") == 1
+        assert not (tmp_path / "corpus").exists()
+
     def test_error_is_one_line_and_nonzero(self, tmp_path, capsys):
         code = main(["extract", "--data", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path)])

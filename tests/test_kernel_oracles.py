@@ -204,8 +204,12 @@ class TestRenderAndKey:
             center = rng.uniform(-20, 80, size=2)
             axes = rng.uniform(0.3, 30, size=2)
             angle = rng.uniform(-math.pi, math.pi)
-            got = synth._ellipse_mask((h, w), center, axes, angle)
-            assert np.array_equal(got, ref.ellipse_mask((h, w), center, axes, angle))
+            box, inside = synth._ellipse_mask((h, w), center, axes, angle)
+            frame = np.zeros((h, w), dtype=bool)
+            assert frame[box].shape == inside.shape
+            frame[box] = inside
+            _, expected = ref.ellipse_mask((h, w), center, axes, angle)
+            assert np.array_equal(frame, expected)
 
     def test_sequence_key_matches_pathlib(self, tmp_path):
         """On a recording and its ground truth, the key is the one earlier

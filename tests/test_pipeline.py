@@ -354,7 +354,9 @@ class TestPipelineProperties:
         seq = load_sequence(root / entry.path)
         gt = load_ground_truth(root / entry.path)
         scene = Scene(*seq.frame_shape[::-1])
-        head = _ellipse_mask(seq.frame_shape, scene.head, scene.head_axes)
+        box, inside = _ellipse_mask(seq.frame_shape, scene.head, scene.head_axes)
+        head = np.zeros(seq.frame_shape, dtype=bool)
+        head[box] = inside
         truth = gt.left_masks[0] | gt.right_masks[0] | head
         depth = seq.depth_frames[0].astype(float)
         body = body_region(depth, seq.skeleton[0].joints["torso"][2],
