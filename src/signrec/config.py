@@ -30,6 +30,14 @@ _RANGES = {
 }
 
 
+def _check(key, value, where=""):
+    """Raise ValueError naming `where` and `key` unless `value` is finite and in range."""
+    if not math.isfinite(value):
+        raise ValueError(f"{where}{key}={value!r} is not finite")
+    if key in _RANGES and not _RANGES[key][0](value):
+        raise ValueError(f"{where}{key}={value!r} is not {_RANGES[key][1]}")
+
+
 @dataclass
 class ExtractConfig:
     """The settings feature extraction reads; their values key the feature cache."""
@@ -65,13 +73,16 @@ class ExtractConfig:
     eccentricity_as_printed: bool = True  # |1 - m/M|; False uses sqrt(1 - (m/M)^2)
     focal_per_width: float = 525.0 / 640.0  # focal length as a fraction of image width
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            _check(field.name, getattr(self, field.name))
+
 
 @dataclass
 class Config(ExtractConfig):
-    # --- idle-hand zeroing, applied to extracted samples ---
+    # --- idle-hand zeroing, applied to extracted samples; a threshold of 0 turns it off ---
     idle_path_threshold: float = 0.5      # shoulder-widths of total travel
     idle_speed_threshold: float = 0.02    # shoulder-widths per frame
-    zero_idle: bool = True
 
     # --- signer-independent transform ---
     lda_resample_third: int = 15     # frames kept from the middle third after alignment
@@ -93,10 +104,9 @@ class Config(ExtractConfig):
 
     @classmethod
     def load(cls, path):
-        """Read a key=value file; a line that does not parse, a non-finite
-        float or a value outside its key's range in `_RANGES` raises
-        ValueError naming `path:line`, and bytes that are not UTF-8 raise
-        LoadError naming the file."""
+        """Read a key=value file; a line that does not parse or a value
+        `_check` rejects raises ValueError naming `path:line`, and bytes that
+        are not UTF-8 raise LoadError naming the file."""
         cfg = cls()
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         for lineno, raw in enumerate(read_text(path).splitlines(), 1):
@@ -114,11 +124,7 @@ class Config(ExtractConfig):
             except (KeyError, ValueError):
                 raise ValueError(f"{path}:{lineno}: {key}={value!r} is not "
                                  f"a valid {kind}") from None
-            if kind == "float" and not math.isfinite(parsed):
-                raise ValueError(f"{path}:{lineno}: {key}={value!r} is not finite")
-            if key in _RANGES and not _RANGES[key][0](parsed):
-                raise ValueError(f"{path}:{lineno}: {key}={value!r} is not "
-                                 f"{_RANGES[key][1]}")
+            _check(key, parsed, f"{path}:{lineno}: ")
             setattr(cfg, key, parsed)
         return cfg
 

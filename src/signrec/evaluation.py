@@ -76,11 +76,11 @@ class _PreparedSample:
 
 
 def prepare_dataset(extracted, spec: FeatureSetSpec, cfg: Config):
-    """Select the feature set (after optional idle-hand zeroing) and keep the
-    hand positions used for alignment."""
+    """Select the feature set (after idle-hand zeroing) and keep the hand
+    positions used for alignment."""
     prepared = []
     for entry, sample in extracted:
-        full = zero_idle_hand(sample, cfg) if cfg.zero_idle else sample
+        full = zero_idle_hand(sample, cfg)
         prepared.append(
             _PreparedSample(
                 signer=entry.signer_id,

@@ -94,17 +94,15 @@ class FeatureSample:
         return self.frames[:, FeatureSetSpec(("posXY",)).columns()]
 
 
-def save_sample(sample: FeatureSample, path, key=""):
-    """Write `sample` as a record; `key` tags what it was extracted from."""
-    meta = {"label": sample.sign_label, "signer": sample.signer_id, "key": key}
+def save_sample(sample: FeatureSample, path):
+    """Write `sample` as a record of its frames, label and signer."""
+    meta = {"label": sample.sign_label, "signer": sample.signer_id}
     save_record(path, meta, frames=sample.frames)
 
 
-def load_sample(path, key=None) -> FeatureSample:
-    """Read a sample record; if `key` is given it must equal the stored one."""
-    meta, arrays = load_record(path, ("frames",), {"label": str, "signer": str, "key": str})
-    if key is not None and meta["key"] != key:
-        raise LoadError(f"{path}: stored under a different key")
+def load_sample(path) -> FeatureSample:
+    """Read a `save_sample` record; a malformed one raises LoadError."""
+    meta, arrays = load_record(path, ("frames",), {"label": str, "signer": str})
     frames = arrays["frames"]
     if frames.ndim != 2:
         raise LoadError(f"{path}: frames of shape {frames.shape}, not 2-D")

@@ -3,10 +3,11 @@
 Left-handed recordings are mirrored before processing so every sample is
 analyzed in a right-handed canonical frame. A recording is read one frame
 at a time: loading checks its files, and segmentation decodes (and
-mirrors) each frame as it reaches it. Extracted features are cached
-on disk, one record per sequence tagged with a hash of everything extraction
-reads: the settings, the skin pixel lists and the recording's four files,
-`dataio.RECORDING_FILES` (color.ppm, depth.pgm, meta.txt, skeleton.txt).
+mirrors) each frame as it reaches it. Extracted features are cached on disk
+as `<key>.npz`, one record per sequence, where the key hashes everything
+extraction reads: the settings, the skin pixel lists and the recording's
+`dataio.RECORDING_FILES`. Only a record's own key rewrites it, so those of
+other settings or earlier recordings stay until the directory is removed.
 """
 
 from __future__ import annotations
@@ -107,11 +108,6 @@ def _extract_one(args):
     return extract_sequence(seq_dir, general_model, cfg)
 
 
-def _cache_name(entry_path):
-    """The entry's record name, `%` and `/` percent-encoded: one per path."""
-    return entry_path.replace("%", "%25").replace("/", "%2F") + ".npz"
-
-
 def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     """Extract every manifest entry, reusing cached feature records.
 
@@ -130,19 +126,19 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     # read once: hashed into the cache keys, parsed only if something misses
     skin_lists = _read_skin_lists(root)
 
-    keys = {}
+    records = {}
     results: dict[str, FeatureSample] = {}
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
         corpus_digest = _corpus_digest(skin_lists, cfg)
         for entry in manifest.entries:
-            key = keys[entry.path] = _sequence_key(root / entry.path, corpus_digest)
-            path = cache_dir / _cache_name(entry.path)
+            path = records[entry.path] = cache_dir / (
+                _sequence_key(root / entry.path, corpus_digest) + ".npz")
             try:
-                # a hit: the record loads and was stored under the current key
+                # a hit: a record of that name loads
                 if path.exists():
-                    results[entry.path] = load_sample(path, key)
+                    results[entry.path] = load_sample(path)
             except LoadError as exc:
                 log.info("re-extracting: %s", exc)
 
@@ -154,7 +150,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
         for sample, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):
             results[entry.path] = sample
             if cache_dir is not None:
-                save_sample(sample, cache_dir / _cache_name(entry.path), keys[entry.path])
+                save_sample(sample, records[entry.path])
         log.info("extracted %d sequences (%d cached)", len(pending),
                  len(manifest.entries) - len(pending))
     return [(entry, results[entry.path]) for entry in manifest.entries]

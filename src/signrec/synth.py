@@ -59,6 +59,7 @@ GT_TRAJECTORY = "gt_traj.txt"
 TORSO_Z = 2000.0
 FACE_Z = 1950.0
 BACKGROUND_Z = 3200.0
+CROSS_CLASS, FACE_CLASS = 1, 2  # without depth pairs: hands cross, hand touches face
 
 
 @dataclass
@@ -76,8 +77,6 @@ class SynthSpec:
     skeleton_noise: float = 2.0   # px noise on skeleton hand joints
     left_handed: tuple = ()       # signer indices stored mirrored
     depth_pairs: bool = False     # consecutive classes share xy, differ in z
-    cross_class: int = 1          # index of the hands-crossing class, if < num_classes
-    face_class: int = 2           # index of the face-touching class, if < num_classes
 
     def validate(self):
         if self.num_classes < 2:
@@ -228,7 +227,7 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
         x, y, z = right((s + 0.5) % 1.0)   # anti-phase keeps the hands apart
         return w - x, y, z + 40.0
 
-    if not spec.depth_pairs and c == spec.cross_class and c < spec.num_classes:
+    if not spec.depth_pairs and c == CROSS_CLASS:
         def right_cross(s):
             x = 0.5 * w + 0.17 * w * math.cos(2 * math.pi * s + 0.3)
             y = 0.52 * h + 0.05 * h * math.sin(4 * math.pi * s + 0.3)
@@ -240,7 +239,7 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
 
         return right_cross, left_cross
 
-    if not spec.depth_pairs and c == spec.face_class and c < spec.num_classes:
+    if not spec.depth_pairs and c == FACE_CLASS:
         base = (0.62 * w, 0.66 * h)
         target = (scene.head[0], scene.head[1] + 0.02 * h)
 

@@ -1,14 +1,25 @@
+import dataclasses
+
 import pytest
 
 from signrec.config import Config
 from signrec.dataio import LoadError
 
+# parsable values outside their key's range, or not finite
+OUT_OF_RANGE = [
+    "motion_threshold=nan", "skin_threshold=nan", "lda_shrinkage=inf",
+    "variance_floor=-inf", "hist_bins=0", "hmm_states=0", "hmm_states=-3",
+    "hmm_max_iter=0", "lda_resample_third=0", "jobs=0", "min_blob_area=-1",
+    "max_coast=-1", "hmm_self_prob=1.5", "hmm_self_prob=1.0", "hmm_self_prob=0.0",
+    "variance_floor=0.0", "variance_floor=-1e-4", "skin_alpha=1.5", "skin_alpha=-0.1",
+    "face_update_rate=2.0", "face_update_rate=-1.0", "lda_shrinkage=-0.001"]
+
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
         # the bounds each range check must still accept
-        cfg = Config(motion_threshold=9.0, hmm_states=1, zero_idle=False, hist_bins=1,
-                     min_blob_area=0, max_coast=0, hmm_self_prob=0.999,
+        cfg = Config(motion_threshold=9.0, hmm_states=1, eccentricity_as_printed=False,
+                     hist_bins=1, min_blob_area=0, max_coast=0, hmm_self_prob=0.999,
                      variance_floor=1e-12, skin_alpha=0.0, face_update_rate=1.0)
         cfg.save(tmp_path / "c.txt")
         loaded = Config.load(tmp_path / "c.txt")
@@ -26,26 +37,34 @@ class TestConfig:
             Config.load(tmp_path / "c.txt")
 
     @pytest.mark.parametrize("line", [
-        "zero_idle=flase", "zero_idle=yes", "hmm_states=seven", "hmm_states=7.0",
-        "motion_threshold=twelve",
-        # parsable but out of range
-        "motion_threshold=nan", "skin_threshold=nan", "lda_shrinkage=inf",
-        "variance_floor=-inf", "hist_bins=0", "hmm_states=0", "hmm_states=-3",
-        "hmm_max_iter=0", "lda_resample_third=0", "jobs=0", "min_blob_area=-1",
-        "max_coast=-1", "hmm_self_prob=1.5", "hmm_self_prob=1.0", "hmm_self_prob=0.0",
-        "variance_floor=0.0", "variance_floor=-1e-4", "skin_alpha=1.5", "skin_alpha=-0.1",
-        "face_update_rate=2.0", "face_update_rate=-1.0", "lda_shrinkage=-0.001"])
+        "eccentricity_as_printed=flase", "eccentricity_as_printed=yes", "hmm_states=seven",
+        "hmm_states=7.0", "motion_threshold=twelve", *OUT_OF_RANGE])
     def test_unparsable_value_named(self, tmp_path, line):
         (tmp_path / "c.txt").write_text(f"# tuning\n{line}\n")
         key = line.split("=")[0]
         with pytest.raises(ValueError, match=rf"c.txt:2: {key}="):
             Config.load(tmp_path / "c.txt")
 
+    @pytest.mark.parametrize("line", OUT_OF_RANGE)
+    def test_out_of_range_value_rejected_in_code(self, line):
+        key, value = line.split("=")
+        kind = {f.name: f.type for f in dataclasses.fields(Config)}[key]
+        value = {"int": int, "float": float}[kind](value)
+        with pytest.raises(ValueError, match=rf"^{key}="):
+            Config(**{key: value})
+        with pytest.raises(ValueError, match=rf"^{key}="):
+            dataclasses.replace(Config(), **{key: value})
+
+    def test_zero_idle_key_is_gone(self, tmp_path):
+        (tmp_path / "c.txt").write_text("zero_idle=False\n")
+        with pytest.raises(ValueError, match="c.txt:1: unknown config key 'zero_idle'"):
+            Config.load(tmp_path / "c.txt")
+
     @pytest.mark.parametrize("value, expected", [("true", True), ("1", True),
                                                  ("False", False), ("0", False)])
     def test_boolean_spellings(self, tmp_path, value, expected):
-        (tmp_path / "c.txt").write_text(f"zero_idle={value}\n")
-        assert Config.load(tmp_path / "c.txt").zero_idle is expected
+        (tmp_path / "c.txt").write_text(f"eccentricity_as_printed={value}\n")
+        assert Config.load(tmp_path / "c.txt").eccentricity_as_printed is expected
 
     def test_undecodable_bytes_named(self, tmp_path):
         (tmp_path / "c.txt").write_bytes(b"hmm_states=7 # \xff\n")

@@ -548,8 +548,8 @@ def write_artefact(kind, tmp):
     array members, its metadata keys)."""
     rng = np.random.default_rng(0)
     if kind == "sample":
-        save_sample(FeatureSample(rng.normal(size=(5, 3)), "a", "s"), tmp / "f.npz", "k")
-        return tmp / "f.npz", load_sample, ("frames",), ("label", "signer", "key")
+        save_sample(FeatureSample(rng.normal(size=(5, 3)), "a", "s"), tmp / "f.npz")
+        return tmp / "f.npz", load_sample, ("frames",), ("label", "signer")
     if kind == "transform":
         LdaTransform(rng.normal(size=(4, 2)), np.ones(2), 15, 1e-3).save(tmp / "w.npz")
         return (tmp / "w.npz", LdaTransform.load, ("weights", "eigenvalues"),
@@ -591,13 +591,28 @@ class TestRecords:
         ("bank", "feature_spec", None),
         ("transform", "keep_frames", "x"), ("transform", "keep_frames", True),
         ("transform", "shrinkage", None), ("transform", "feature_spec", 3),
-        ("sample", "label", 7), ("sample", "signer", None), ("sample", "key", 1.5)])
+        ("sample", "label", 7), ("sample", "signer", None)])
     def test_metadata_types_checked(self, tmp_path, kind, key, value):
         path, load, members, _ = write_artefact(kind, tmp_path)
         meta, arrays = load_record(path, members, {})
         save_record(path, {**meta, key: value}, **arrays)
         with pytest.raises(LoadError, match=rf"{path.name}: .*{key}"):
             load(path)
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_failed_write_keeps_the_old_record(self, tmp_path, monkeypatch, error):
+        save_record(tmp_path / "f.npz", {"label": "a"}, frames=np.zeros((2, 3)))
+        before = (tmp_path / "f.npz").read_bytes()
+
+        def dies_part_way(fh, **arrays):
+            fh.write(b"PK partial")
+            raise error("interrupted")
+
+        monkeypatch.setattr(np, "savez", dies_part_way)
+        with pytest.raises(error, match="interrupted"):
+            save_record(tmp_path / "f.npz", {"label": "b"}, frames=np.ones((2, 3)))
+        assert [p.name for p in tmp_path.iterdir()] == ["f.npz"]
+        assert (tmp_path / "f.npz").read_bytes() == before
 
     @pytest.mark.parametrize("kind, member, dtype", [
         ("bank", "means", "<U1"), ("bank", "stay", "float32"), ("transform", "weights", "<U1"),
@@ -612,7 +627,7 @@ class TestRecords:
     @pytest.mark.parametrize("frames", [np.zeros(5), np.zeros((5, 3), dtype="<U1"),
                                         np.zeros((5, 3), dtype=np.float32), np.zeros((1, 5, 3))])
     def test_sample_frames_checked(self, tmp_path, frames):
-        save_record(tmp_path / "f.npz", {"label": "a", "signer": "s", "key": "k"}, frames=frames)
+        save_record(tmp_path / "f.npz", {"label": "a", "signer": "s"}, frames=frames)
         with pytest.raises(LoadError, match="f.npz: frames"):
             load_sample(tmp_path / "f.npz")
 
@@ -672,7 +687,7 @@ class TestRecords:
             assert np.array_equal(loaded.weights, transform.weights)
 
             sample = FeatureSample(rng.normal(size=(5, 3)), labels[0], labels[-1])
-            save_sample(sample, tmp / "f.txt", key=spec)
-            again = load_sample(tmp / "f.txt", key=spec)
+            save_sample(sample, tmp / "f.txt")
+            again = load_sample(tmp / "f.txt")
             assert (again.sign_label, again.signer_id) == (labels[0], labels[-1])
             assert np.array_equal(again.frames, sample.frames)

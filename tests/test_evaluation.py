@@ -116,6 +116,18 @@ class TestSiLoso:
         report = run_si_loso(data + clones, cfg, lda_dims=0)
         assert report.per_signer["signerX"] >= 0.89
 
+    def test_fold_whose_training_lacks_a_class_is_skipped(self, prepared, caplog):
+        # only signerA performs sign00: holding it out leaves no sign00 to train
+        data, cfg = prepared
+        kept = [s for s in data if s.signer == "signerA" or s.label != "sign00"]
+        report = run_si_loso(kept, cfg)
+        assert set(report.per_signer) == {"signerB"}
+        assert "SI-LOSO: skipping signer signerA" in caplog.text
+        # each signer performs a class the other lacks: no fold can be trained
+        split = [s for s in data if (s.signer == "signerA") == (s.label == "sign00")]
+        with pytest.raises(ValueError, match="SI-LOSO: no signer could be evaluated"):
+            run_si_loso(split, cfg)
+
     def test_single_signer_rejected(self, prepared):
         data, cfg = prepared
         own = [s for s in data if s.signer == "signerA"]

@@ -464,6 +464,15 @@ class TestPositional:
         assert vec[3] == pytest.approx(0.1)
         assert vec[4] == pytest.approx(-0.05)
 
+    def test_track_without_depth_has_zero_z(self):
+        from signrec.features import positional_features
+        from signrec.tracking import HandTrack
+
+        track = HandTrack.seed((320.0, 200.0))
+        vec = positional_features(track, self.make_pose(), span=80.0, width=640,
+                                  focal_per_width=0.82)
+        assert vec[2] == 0.0 and vec[0] == pytest.approx(1.0)
+
     def test_depth_offset_in_pixel_equivalents(self):
         from signrec.features import positional_features
         from signrec.tracking import HandTrack
@@ -510,6 +519,9 @@ class TestAssemblyHelpers:
         out = zero_idle_hand(sample, Config())
         assert not out.frames[:, HAND_DIM:].any()
         assert out.frames[:, :HAND_DIM].any()
+        # no travel is below a threshold of 0: zeroing is off
+        off = zero_idle_hand(sample, Config(idle_path_threshold=0.0))
+        assert np.array_equal(off.frames, frames)
 
     def test_zero_idle_hand_moving_hands_untouched(self):
         frames = np.ones((30, 2 * HAND_DIM))

@@ -451,6 +451,14 @@ class TestBaumWelch:
                                 max_iter=10, tol=0.0)
         assert np.allclose(trained.stay + trained.leave, 1.0, atol=1e-12)
 
+    def test_sequence_shorter_than_chain_raises(self):
+        rng = np.random.default_rng(9)
+        samples = [rng.normal(size=(20, 2)), rng.normal(size=(3, 2))]
+        model = init_model(samples[:1], n_states=5)
+        model.label = "sign07"
+        with pytest.raises(FloatingPointError, match="under model 'sign07'"):
+            baum_welch(model, samples)
+
     def test_variance_floor_enforced(self):
         samples = [np.full((20, 2), 3.0)]
         trained, _ = baum_welch(init_model(samples, n_states=4), samples,

@@ -92,6 +92,10 @@ class TestExtraction:
         extract_corpus(root / "manifest.tsv", Config(motion_threshold=9.0, hmm_states=3),
                        cache_dir=tmp_path / "c")
         assert extractions == []
+        # switching back hits: the records of both settings stay
+        extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
+        assert extractions == []
+        assert len(list((tmp_path / "c").iterdir())) == 2 * len(manifest.entries)
 
     def test_cache_invalidated_by_skin_lists(self, tmp_path, extractions):
         spec = SynthSpec(num_classes=2, num_signers=1, samples=2, frames=12,
@@ -151,8 +155,7 @@ class TestExtraction:
         assert len(extractions) == 1
         assert same_features(again, fresh)
 
-    @pytest.mark.parametrize("meta", [{"label": "sign00", "signer": "signerA"},
-                                      7, ["key"]])
+    @pytest.mark.parametrize("meta", [{"label": "sign00"}, 7, ["key"]])
     def test_entry_without_a_key_object_is_a_miss(self, tiny_corpus, tmp_path,
                                                  extractions, meta):
         root, _ = tiny_corpus
@@ -205,7 +208,7 @@ class TestExtraction:
         root, _ = tiny_corpus
         fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         for entry in (tmp_path / "c").glob("*.npz"):
-            meta, arrays = load_record(entry, ("frames",), {"key": str})
+            meta, arrays = load_record(entry, ("frames",), {})
             save_record(entry, {**meta, "selected": "full"}, **arrays)
         extractions.clear()
         again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
@@ -258,8 +261,10 @@ class TestExtraction:
         with pytest.raises(LoadError, match="color.ppm: image 3"):
             extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config(),
                            cache_dir=tmp_path / "c", jobs=jobs)
-        assert [p.name for p in (tmp_path / "c").iterdir()] == [
-            pipeline._cache_name(paths[0])]
+        digest = pipeline._corpus_digest(pipeline._read_skin_lists(tmp_path / "corpus"),
+                                         Config())
+        key = pipeline._sequence_key(tmp_path / "corpus" / paths[0], digest)
+        assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{key}.npz"]
 
     def test_entries_that_differ_only_in_separators_keep_their_records(self, tmp_path,
                                                                         extractions):
@@ -278,7 +283,23 @@ class TestExtraction:
             extractions.clear()
             extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
             assert extractions == []
-        assert pipeline._cache_name("sign00_signerA_00") == "sign00_signerA_00.npz"
+
+    def test_corpora_sharing_a_cache_keep_their_records(self, tmp_path, extractions):
+        # the same entry paths with other recordings: neither evicts the other
+        spec = SynthSpec(num_classes=2, num_signers=2, samples=2, frames=12,
+                         width=64, height=48)
+        paths = [tmp_path / str(seed) / "manifest.tsv" for seed in (1, 2)]
+        for seed, path in zip((1, 2), paths):
+            generate_synthetic_corpus(spec, seed, path.parent)
+        fresh = [extract_corpus(path, Config()) for path in paths]
+        assert not np.array_equal(fresh[0][0][1].frames, fresh[1][0][1].frames)
+        for expected in (16, 0):
+            extractions.clear()
+            for path, want in zip(paths, fresh):
+                assert same_features(extract_corpus(path, Config(), cache_dir=tmp_path / "c"),
+                                     want)
+            assert len(extractions) == expected
+        assert len(list((tmp_path / "c").iterdir())) == 16
 
     def test_parallel_equals_serial(self, tiny_corpus, tmp_path):
         root, _ = tiny_corpus
@@ -299,8 +320,7 @@ class TestPipelineProperties:
         # the plain one-handed class only: occlusion recovery quantizes
         # centroids to pixels, which is not what this property is about
         kwargs = dict(num_classes=2, num_signers=1, samples=1, frames=16,
-                      traj_noise=0.0, depth_noise=0.0, skeleton_noise=0.0,
-                      cross_class=99, face_class=99)
+                      traj_noise=0.0, depth_noise=0.0, skeleton_noise=0.0)
         man_1 = generate_synthetic_corpus(
             SynthSpec(width=160, height=120, **kwargs), 13, tmp_path / "one")
         man_2 = generate_synthetic_corpus(

@@ -17,6 +17,7 @@ from signrec.segmentation import (
     FaceDepthModel,
     SequenceSegmenter,
     SkinHistogram,
+    _blob_score,
     _components,
     _open3,
     clean_mask,
@@ -432,6 +433,21 @@ class TestRankAndAssign:
         pred = HandTrack.seed((-200.0, -200.0), box=(12.0, 12.0), depth=1500.0)
         left, right = rank_and_assign([blob], pred, pred, flat_depth(3000), self.cfg)
         assert left is None and right is None
+
+    def test_blob_over_zero_depth_scores_half_on_depth(self):
+        # no depth under the blob: neither agreement nor disagreement
+        blob = square_blob(60, 30)
+        depth = flat_depth(1500)
+        x, y, w, h = blob.bbox
+        depth[y : y + h, x : x + w] = 0.0
+        pred = HandTrack.seed((60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
+        blob_depth = blob.median_depth(depth)
+        assert np.isnan(blob_depth)
+        only_depth = Config(weight_depth=1.0, weight_size=0.0, weight_proximity=0.0)
+        assert _blob_score(blob, pred, blob_depth, only_depth) == 0.5
+        assert _blob_score(blob, pred, 1500.0, only_depth) == 1.0
+        left, right = rank_and_assign([blob], pred, pred, depth, self.cfg)
+        assert left is None and np.isnan(right.depth)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(11)
