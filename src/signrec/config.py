@@ -14,10 +14,10 @@ from pathlib import Path
 from .dataio import read_text
 
 
-_BOOLS = {"True": True, "true": True, "1": True, "False": False, "false": False, "0": False}
-# by annotation, a string under `from __future__ import annotations`; each
-# raises KeyError or ValueError on a value it cannot read
-_PARSERS = {"bool": _BOOLS.__getitem__, "int": int, "float": float}
+# by annotation, a string under `from __future__ import annotations`; every
+# field is an int or a float, and each parser raises ValueError on a value it
+# cannot read
+_PARSERS = {"int": int, "float": float}
 # the bounded keys: each value must pass the check; every float must be finite
 _RANGES = {
     **dict.fromkeys(("hist_bins", "hmm_states", "hmm_max_iter", "lda_resample_third",
@@ -70,7 +70,6 @@ class ExtractConfig:
     max_coast: int = 15              # frames without measurement before re-seeding
 
     # --- features ---
-    eccentricity_as_printed: bool = True  # |1 - m/M|; False uses sqrt(1 - (m/M)^2)
     focal_per_width: float = 525.0 / 640.0  # focal length as a fraction of image width
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ class Config(ExtractConfig):
             kind = types[key]
             try:
                 parsed = _PARSERS[kind](value)
-            except (KeyError, ValueError):
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key}={value!r} is not "
                                  f"a valid {kind}") from None
             _check(key, parsed, f"{path}:{lineno}: ")

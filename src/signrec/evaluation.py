@@ -29,6 +29,23 @@ from .signerlda import fit_transform, project
 
 log = logging.getLogger(__name__)
 
+# by `EvalReport` annotation, (test of the JSON value, what it asks): exact
+# types, so that true is not an int; a number is an int or a float
+_NUMBER = (int, float)
+_JSON_TYPES = {
+    "str": (lambda v: type(v) is str, "a string"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in _NUMBER, "a number"),
+    "list[str]": (lambda v: type(v) is list and all(type(x) is str for x in v),
+                  "a list of strings"),
+    "dict[str, float]": (lambda v: type(v) is dict and all(type(x) in _NUMBER
+                                                           for x in v.values()),
+                         "an object of numbers"),
+    "np.ndarray": (lambda v: type(v) is list and all(
+        type(row) is list and all(type(x) is int for x in row) for row in v),
+        "a list of integer rows"),
+}
+
 
 @dataclass
 class EvalReport:
@@ -51,17 +68,26 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text, path):
-        """Parse `to_json` output read from `path`; anything else raises
-        LoadError naming `path`."""
+        """Parse `to_json` output read from `path`; anything else, such as a
+        field of another JSON type (see `_JSON_TYPES`), raises LoadError naming
+        `path`."""
         try:
             data = json.loads(text)
             values = {f.name: data[f.name] for f in dataclasses.fields(cls)}
-            confusion = values["confusion"] = np.array(values["confusion"], dtype=np.int64)
-            n = len(values["vocabulary"])
         except KeyError as exc:
             raise LoadError(f"{path}: missing key {exc.args[0]!r}") from None
-        except (ValueError, TypeError) as exc:   # not JSON, not an object, ragged rows
+        except (ValueError, TypeError) as exc:   # not JSON, not an object
             raise LoadError(f"{path}: not a report ({type(exc).__name__}: {exc})") from None
+        for f in dataclasses.fields(cls):
+            valid, what = _JSON_TYPES[f.type]
+            if not valid(values[f.name]):
+                raise LoadError(f"{path}: key {f.name!r} holds {values[f.name]!r:.60}, "
+                                f"not {what}")
+        try:
+            confusion = values["confusion"] = np.array(values["confusion"], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:   # ragged rows, a count past int64
+            raise LoadError(f"{path}: not a report ({type(exc).__name__}: {exc})") from None
+        n = len(values["vocabulary"])
         if confusion.shape != (n, n):
             raise LoadError(f"{path}: confusion of shape {confusion.shape} for {n} labels")
         return cls(**values)

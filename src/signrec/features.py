@@ -179,13 +179,14 @@ def boundary_pixel_count(mask):
     return int(np.count_nonzero(m)) - int(np.count_nonzero(inner))
 
 
-def geometric_features(mask, eccentricity_as_printed=True, points=None):
+def geometric_features(mask, points=None):
     """Area, perimeter, solidity, eccentricity, ellipse axes and orientation.
 
     The ellipse has the same normalized second central moments as the blob
-    (pixel squares integrate to the +1/12 variance correction). Returns the
-    7-vector (a, p, s, c, M, m, cos(beta)), zeros for blobs of fewer than 3
-    pixels. `points` is the mask's `_mask_points`, when the caller has them.
+    (pixel squares integrate to the +1/12 variance correction). The
+    eccentricity is the paper's printed |1 - m/M|. Returns the 7-vector
+    (a, p, s, c, M, m, cos(beta)), zeros for blobs of fewer than 3 pixels.
+    `points` is the mask's `_mask_points`, when the caller has them.
     """
     mask = np.asarray(mask, dtype=bool)
     xs, ys = _mask_points(mask) if points is None else points
@@ -207,11 +208,7 @@ def geometric_features(mask, eccentricity_as_printed=True, points=None):
     lam2 = (mu20 + mu02) / 2.0 - common
     major = 4.0 * math.sqrt(max(lam1, 0.0))
     minor = 4.0 * math.sqrt(max(lam2, 0.0))
-    ratio = minor / major if major > 0 else 1.0
-    if eccentricity_as_printed:
-        c = abs(1.0 - ratio)
-    else:
-        c = math.sqrt(max(0.0, 1.0 - ratio**2))
+    c = abs(1.0 - (minor / major if major > 0 else 1.0))
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
     return np.array([a, p, s, c, major, minor, math.cos(theta)])
 
@@ -289,7 +286,6 @@ def trace_boundary(mask):
     boundary = [origin]
     current = origin
     backtrack_idx = 0  # we conceptually arrived from the west
-    first_move = None
     for _ in range(8 * count):
         for idx, offset in scan[backtrack_idx]:
             nxt = current + offset
@@ -297,10 +293,6 @@ def trace_boundary(mask):
                 break
         else:
             break  # isolated pixel cluster
-        if nxt == origin and first_move is not None and idx == first_move:
-            break
-        if first_move is None:
-            first_move = idx
         boundary.append(nxt)
         current = nxt
         # continue scanning from the neighbor before the one we came in on
@@ -460,9 +452,9 @@ def positional_features(track, pose, span, width, focal_per_width):
     return np.array([x, y, z, vx / span, vy / span])
 
 
-def _shape_blocks(obs, span, cfg):
+def _shape_blocks(obs, span):
     points = _mask_points(obs.mask)
-    geo = geometric_features(obs.mask, cfg.eccentricity_as_printed, points)
+    geo = geometric_features(obs.mask, points)
     geo[0] /= span**2          # area
     geo[1] /= span             # perimeter
     geo[4] /= span             # major axis
@@ -496,7 +488,7 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
             nx, ny, _ = pose.joints["neck"]
             kinect = np.array([(jx - nx) / span, (jy - ny) / span])
             if obs is not None and obs.occlusion != "hand_over_hand":
-                shape = _shape_blocks(obs, span, cfg)
+                shape = _shape_blocks(obs, span)
                 frozen[hand] = shape
             else:
                 shape = frozen[hand]

@@ -43,8 +43,14 @@ class HmmModel:
         return self.means.shape[1]
 
 
-# the arrays of a model, and the members of a bank record (stacked over models)
-_MEMBERS = ("means", "variances", "stay", "leave")
+# the arrays of a model and the members of a bank record (stacked over models),
+# each with the values a fit gives it: (test of one model's array, what it asks)
+_MEMBERS = {
+    "means": (np.isfinite, "finite"),
+    "variances": (lambda a: (a > 0) & (a < np.inf), "finite and above 0"),
+    "stay": (lambda a: (a >= 0) & (a <= 1), "in [0, 1]"),
+    "leave": (lambda a: (a >= 0) & (a <= 1), "in [0, 1]"),
+}
 
 
 def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> HmmModel:
@@ -288,18 +294,25 @@ class ClassifierBank:
     @classmethod
     def load(cls, directory):
         """Read a bank written by `save`; a record with other members,
-        metadata or shapes raises LoadError naming the file."""
+        metadata or shapes, a repeated label, or a member value no fit gives
+        (see `_MEMBERS`) raises LoadError naming the file."""
         path = Path(directory) / "models.npz"
         meta, arrays = load_record(path, _MEMBERS, {"vocabulary": list, "feature_spec": str})
         vocabulary = meta["vocabulary"]
         if not all(type(label) is str for label in vocabulary):
             raise LoadError(f"{path}: vocabulary {vocabulary!r} is not a list of strings")
+        if len(set(vocabulary)) < len(vocabulary):
+            raise LoadError(f"{path}: vocabulary {vocabulary!r} repeats a label")
         shapes = [arrays[name].shape for name in _MEMBERS]
         full = shapes[0]
         if len(full) != 3 or full[0] != len(vocabulary) or shapes[1:] != [
                 full, full[:2], full[:2]]:
             raise LoadError(f"{path}: member shapes {shapes} are not (C, N, D), "
                             f"(C, N, D), (C, N), (C, N) for C = {len(vocabulary)} models")
+        for name, (valid, what) in _MEMBERS.items():
+            for label, values in zip(vocabulary, arrays[name]):
+                if not valid(values).all():
+                    raise LoadError(f"{path}: {name} of model {label!r} are not all {what}")
         models = {label: HmmModel(label, **{name: a[i] for name, a in arrays.items()})
                   for i, label in enumerate(vocabulary)}
         return cls(models, vocabulary, meta["feature_spec"])
@@ -308,11 +321,15 @@ class ClassifierBank:
 def train_bank(samples_by_class, cfg, feature_spec="") -> ClassifierBank:
     """One model per class, shaped and fitted by the `hmm_*` settings and
     `variance_floor` of `cfg`.  A sequence shorter than the chain has no path
-    through it, so it is left out of training (and logged)."""
+    through it, so it is left out of training (and logged); a class left with
+    none raises ValueError naming it."""
     vocabulary = sorted(samples_by_class)
     models = {}
     for label in vocabulary:
         samples = [s for s in samples_by_class[label] if len(s) >= cfg.hmm_states]
+        if not samples:
+            raise ValueError(f"class {label!r}: every sequence is shorter than "
+                             f"hmm_states={cfg.hmm_states}")
         if len(samples) < len(samples_by_class[label]):
             log.warning("class %s: %d sequences shorter than %d states left out",
                         label, len(samples_by_class[label]) - len(samples), cfg.hmm_states)

@@ -363,8 +363,6 @@ def rank_and_assign(blobs, pred_left, pred_right, depth_frame, cfg, allow_shared
     best score falls below cfg.min_assign_score is reported missing (None).
     Each hand gets its own copy of its blob, with the blob's median depth.
     """
-    if not blobs:
-        return None, None
     depths = [blob.median_depth(depth_frame) for blob in blobs]
     scores = {}
     for hand, pred in (("right", pred_right), ("left", pred_left)):
@@ -643,9 +641,7 @@ class SequenceSegmenter:
 
         blobs = clean_mask(cand, min_area=cfg.min_blob_area)
 
-        overlap = tracking.detect_overlap(
-            windows["left"], windows["right"], blobs, cfg.min_blob_area
-        )
+        overlap = tracking.detect_overlap(windows["left"], windows["right"], blobs)
         if overlap and all(self.templates[h] is not None for h in HANDS):
             joint = max(blobs, key=lambda b: b.area)
             obs = {

@@ -178,13 +178,17 @@ class LdaTransform:
     @classmethod
     def load(cls, path):
         """Read a transform written by `save`; a record with other members,
-        metadata or shapes raises LoadError naming the file."""
+        metadata or shapes, or a weight or eigenvalue that is not finite,
+        raises LoadError naming the file."""
         meta, arrays = load_record(path, ("weights", "eigenvalues"),
                                    {"keep_frames": int, "shrinkage": float, "feature_spec": str})
         weights, eigenvalues = arrays["weights"], arrays["eigenvalues"]
         if weights.ndim != 2 or eigenvalues.shape != weights.shape[1:]:
             raise LoadError(f"{path}: member shapes {weights.shape}, {eigenvalues.shape} "
                             f"are not (D, M), (M,)")
+        for name in ("weights", "eigenvalues"):
+            if not np.isfinite(arrays[name]).all():
+                raise LoadError(f"{path}: {name} are not all finite")
         return cls(weights, eigenvalues, meta["keep_frames"], meta["shrinkage"],
                    meta["feature_spec"])
 

@@ -135,9 +135,9 @@ class Scene:
 
 @dataclass
 class SignerStyle:
-    shift: tuple = (0.0, 0.0)
-    aspect: float = 0.0
-    z_shift: float = 0.0
+    shift: tuple
+    aspect: float
+    z_shift: float
 
     def apply(self, xy, neck):
         # neck + (xy - neck) is not always xy in floats; this order fixes the corpus bytes
@@ -157,8 +157,6 @@ def signer_style(spec: SynthSpec, seed, signer_index) -> SignerStyle:
     and a held-out signer stays inside; erratic per-signer directions would
     not be recoverable from a handful of training signers.
     """
-    if spec.style_strength == 0.0:
-        return SignerStyle()
     axis_rng = np.random.default_rng([seed, 90000])
     angle = axis_rng.uniform(0.0, 2 * math.pi)
     shift_dir = (math.cos(angle), math.sin(angle))

@@ -141,15 +141,15 @@ def point_inside(point, rect):
     return x0 <= point[0] <= x1 and y0 <= point[1] <= y1
 
 
-def detect_overlap(window_left, window_right, blobs, min_area=30) -> bool:
+def detect_overlap(window_left, window_right, blobs) -> bool:
     """Hands are treated as one object when their search windows intersect
-    and exactly one large candidate blob sits inside the union."""
+    and exactly one candidate blob sits inside the union. The blobs come from
+    `segmentation.clean_mask`, so each already has at least `min_blob_area`
+    pixels."""
     if not windows_intersect(window_left, window_right):
         return False
     count = 0
     for blob in blobs:
-        if blob.area < min_area:
-            continue
         if point_inside(blob.centroid, window_left) or point_inside(blob.centroid, window_right):
             count += 1
     return count == 1

@@ -383,8 +383,7 @@ def reference_segment(general_model, cfg, seq):
 
         blobs = clean_mask(cand, min_area=cfg.min_blob_area)
 
-        overlap = tracking.detect_overlap(windows["left"], windows["right"], blobs,
-                                          cfg.min_blob_area)
+        overlap = tracking.detect_overlap(windows["left"], windows["right"], blobs)
         obs = {"left": None, "right": None}
         if overlap and templates["left"] is not None and templates["right"] is not None:
             joint = max(blobs, key=lambda b: b.area)

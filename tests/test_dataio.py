@@ -640,6 +640,16 @@ class TestRecords:
         with pytest.raises(LoadError, match="w.npz.*shapes"):
             LdaTransform.load(tmp_path / "w.npz")
 
+    @pytest.mark.parametrize("member", ["weights", "eigenvalues"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_transform_values_checked(self, tmp_path, member, value):
+        path, load, members, _ = write_artefact("transform", tmp_path)
+        meta, arrays = load_record(path, members, {})
+        arrays[member][...] = value
+        save_record(path, meta, **arrays)
+        with pytest.raises(LoadError, match=rf"w.npz: {member} are not all finite"):
+            load(path)
+
     def test_garbage_bytes_named(self, tmp_path):
         bad = tmp_path / "junk.npz"
         bad.write_bytes(b"these bytes are not a record")

@@ -168,6 +168,11 @@ class TestSiLoso:
         assert train_digest(data, d1) == train_digest(perturbed, d2)
 
 
+def with_field(key, value):
+    """A fault for `test_malformed_report_names_file`: `key` set to `value`."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
 class TestEmitReport:
     def make_report(self):
         confusion = np.array([[5, 1], [0, 6]], dtype=np.int64)
@@ -226,9 +231,31 @@ class TestEmitReport:
     @pytest.mark.parametrize("fault, message", [
         (lambda text: text[: len(text) // 2], r"not a report \(JSONDecodeError: "),
         (lambda text: "[" + text + "]", r"not a report \(TypeError: "),
-        (lambda text: json.dumps({**json.loads(text), "confusion": [[5]]}),
-         r"confusion of shape \(1, 1\) for 2 labels"),
-    ], ids=["broken JSON", "top-level list", "1x1 confusion for 2 labels"])
+        (with_field("confusion", [[5]]), r"confusion of shape \(1, 1\) for 2 labels"),
+        (with_field("per_signer", [0.5]), "key 'per_signer' holds .*, not an object"),
+        (with_field("vocabulary", [1, 2]), "key 'vocabulary' holds .*, not a list"),
+        (with_field("vocabulary", "ab"), "key 'vocabulary' holds .*, not a list"),
+        (with_field("mean_accuracy", "x"), "key 'mean_accuracy' holds .*, not a number"),
+        (with_field("runtime_seconds", "x"), "key 'runtime_seconds' holds .*, not a number"),
+        (with_field("config_snapshot", 5), "key 'config_snapshot' holds 5, not a string"),
+        (with_field("protocol", None), "key 'protocol' holds None, not a string"),
+        (with_field("feature_spec", 3), "key 'feature_spec' holds 3, not a string"),
+        (with_field("lda_dims", True), "key 'lda_dims' holds True, not an integer"),
+        (with_field("lda_dims", 8.0), "key 'lda_dims' holds 8.0, not an integer"),
+        (with_field("overall_accuracy", False),
+         "key 'overall_accuracy' holds False, not a number"),
+        (with_field("per_signer", {"s": "high"}), "key 'per_signer' holds .*, not an object"),
+        (with_field("confusion", [[1, 0], "ab"]), "key 'confusion' holds .*, not a list"),
+        (with_field("confusion", [[1, 0.5], [0, 1]]), "key 'confusion' holds .*, not a list"),
+        (with_field("unscorable", "0"), "key 'unscorable' holds '0', not an integer"),
+        (with_field("confusion", [[1, 0], [0]]), r"not a report \(ValueError: "),
+        (with_field("confusion", [[10**30, 0], [0, 1]]), r"not a report \(OverflowError: "),
+    ], ids=["broken JSON", "top-level list", "1x1 confusion for 2 labels",
+            "per_signer list", "vocabulary of ints", "vocabulary string", "mean_accuracy string",
+            "runtime_seconds string", "config_snapshot int", "protocol null",
+            "feature_spec int", "lda_dims true", "lda_dims float", "overall_accuracy false",
+            "per_signer string value", "confusion string row", "confusion float count",
+            "unscorable string", "ragged confusion", "confusion count past int64"])
     def test_malformed_report_names_file(self, tmp_path, fault, message):
         path = tmp_path / "report.json"
         path.write_text(fault(self.make_report().to_json()))

@@ -64,13 +64,6 @@ class TestGeometric:
         assert major / minor == pytest.approx(2.0)
         assert c == pytest.approx(abs(1 - minor / major))
 
-    def test_eccentricity_standard_switch(self):
-        mask = np.zeros((16, 26), dtype=bool)
-        mask[3:13, 3:23] = True
-        vec = geometric_features(mask, eccentricity_as_printed=False)
-        ratio = vec[5] / vec[4]
-        assert vec[3] == pytest.approx(math.sqrt(1 - ratio**2))
-
     def test_tiny_blob_degenerate(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[2, 2] = True

@@ -272,6 +272,34 @@ class TestBankRecord:
         with pytest.raises(LoadError, match="models.npz.*shapes"):
             ClassifierBank.load(tmp_path / "bank")
 
+    def three_class_members(self):
+        rng = np.random.default_rng(24)
+        models = [random_model(rng, 3, 2, label) for label in "abc"]
+        return {name: np.stack([getattr(m, name) for m in models])
+                for name in ("means", "variances", "stay", "leave")}
+
+    def test_repeated_label_rejected(self, tmp_path):
+        members = self.three_class_members()
+        self.save_members(tmp_path / "bank", ["a", "a"],
+                          **{name: a[:2] for name, a in members.items()})
+        with pytest.raises(LoadError, match=r"models.npz: vocabulary \['a', 'a'\] repeats"):
+            ClassifierBank.load(tmp_path / "bank")
+
+    @pytest.mark.parametrize("member, value, what", [
+        ("means", np.inf, "finite"), ("means", np.nan, "finite"),
+        ("variances", np.nan, "finite and above 0"), ("variances", 0.0, "finite and above 0"),
+        ("variances", -1.0, "finite and above 0"), ("variances", np.inf, "finite and above 0"),
+        ("stay", 1.7, r"in \[0, 1\]"), ("stay", np.nan, r"in \[0, 1\]"),
+        ("leave", -0.1, r"in \[0, 1\]")])
+    def test_values_no_fit_gives_rejected(self, tmp_path, member, value, what):
+        # a NaN variance would otherwise score NaN, and argmax picks a NaN
+        members = self.three_class_members()
+        members[member][2, 1] = value
+        self.save_members(tmp_path / "bank", ["a", "b", "c"], **members)
+        with pytest.raises(LoadError, match=rf"models.npz: {member} of model 'c' are not "
+                                            rf"all {what}$"):
+            ClassifierBank.load(tmp_path / "bank")
+
 
 class TestRecursions:
     def test_sentinel_recursions_equal_rowwise(self):
@@ -509,6 +537,12 @@ class TestClassify:
             for s in samples:
                 assert bank.classify(s)[0] == label
 
+    def test_class_with_no_sequence_as_long_as_the_chain_named(self):
+        rng = np.random.default_rng(25)
+        by_class = {"long": [rng.normal(size=(20, 2))], "short": [rng.normal(size=(12, 2))]}
+        with pytest.raises(ValueError, match="class 'short': every sequence is shorter "
+                                             "than hmm_states=13"):
+            train_bank(by_class, Config(hmm_states=13))
 
     def test_sequence_shorter_than_chain_is_unscorable(self):
         rng = np.random.default_rng(18)

@@ -166,12 +166,12 @@ class TestShapeKernels:
         assert np.array_equal(shape_context(mask), ref.shape_context(mask))
 
     @settings(max_examples=200)
-    @given(masks, st.booleans())
-    def test_geometric_and_hu_property(self, mask, printed):
+    @given(masks)
+    def test_geometric_and_hu_property(self, mask):
         points = features._mask_points(mask)
-        want = ref.geometric_features(mask, printed)
-        assert np.array_equal(geometric_features(mask, printed), want)
-        assert np.array_equal(geometric_features(mask, printed, points), want)
+        want = ref.geometric_features(mask, eccentricity_as_printed=True)
+        assert np.array_equal(geometric_features(mask), want)
+        assert np.array_equal(geometric_features(mask, points), want)
         want = ref.hu_moments(mask)
         assert np.array_equal(hu_moments(mask), want)
         assert np.array_equal(hu_moments(mask, points), want)

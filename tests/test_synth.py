@@ -42,7 +42,11 @@ class TestDeterminism:
         (dict(num_classes=3, num_signers=2, samples=2, frames=12, width=24, height=18,
               style_strength=3.0, traj_noise=20.0, left_handed=(0,)), 5,
          "9f0879def413d522b282fa17442ff2d7e626cf1f297a9b05d2d033c8a1ff9fee"),
-    ], ids=["small", "special-classes", "clipped-hands"])
+        # the default style strength, 0; taken from the renderer that returned
+        # a fixed all-zero SignerStyle at strength 0 instead of computing one
+        (dict(SMALL, left_handed=(1,)), 5,
+         "108705af8240cfe27c5460419fd780090a04d7a7a372a11a987ddb32b6f56543"),
+    ], ids=["small", "special-classes", "clipped-hands", "style-0"])
     def test_corpus_bytes_pinned(self, tmp_path, fields, seed, digest):
         generate_synthetic_corpus(SynthSpec(**fields), seed, tmp_path)
         assert corpus_digest(tmp_path) == digest

@@ -143,7 +143,3 @@ class TestDetectOverlap:
         blobs = [blob_at(70, 60, area=400)]
         assert detect_overlap(windows[0], windows[1], blobs)
 
-    def test_small_blobs_ignored(self):
-        windows = ((40, 40, 80, 80), (60, 40, 100, 80))
-        blobs = [blob_at(70, 60, area=400), blob_at(75, 65, area=9)]
-        assert detect_overlap(windows[0], windows[1], blobs, min_area=30)
