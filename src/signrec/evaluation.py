@@ -171,10 +171,13 @@ def _sd_one_signer(args):
     Removing one sample only changes the model of its own class, so the
     other classes reuse a model trained on all of their samples; the fold
     bank is exactly the one strict leave-one-out training would produce.
+    A signer with fewer than two sequences as long as the chain in some
+    class cannot train every fold and is skipped.
     """
     signer, own, vocabulary, cfg = args
     grouped = _by_class(own)
-    if any(len(grouped.get(label, [])) < 2 for label in vocabulary):
+    if any(sum(len(s.frames) >= cfg.hmm_states for s in grouped.get(label, [])) < 2
+           for label in vocabulary):
         return signer, None
     tally = _Tally(vocabulary)
     full_bank = train_bank(

@@ -299,9 +299,8 @@ def clean_mask(cand, min_area=30):
     `cand` is the boolean mask `SequenceSegmenter.step` has built, skin, body
     region and (after the first frame) motion already ANDed. Components use
     8-connectivity; components below min_area are dropped. They come from
-    `_components`, numbered as scipy's `ndimage.label` numbers them, so that
-    extraction does not load scipy, whose `ndimage` adds about 27 MB to a
-    process's resident memory.
+    `_components`, numbered as scipy's `ndimage.label` (the tests' oracle)
+    numbers them.
     Only the bounding box of the candidates is opened and labelled: the
     opening cannot grow past it, and cropping keeps the raster order in which
     components are numbered, so the blobs and their order are those of the

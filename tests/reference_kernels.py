@@ -9,13 +9,16 @@ its measurement matrix. `reference_segment` is the per-sequence
 segmentation loop as one function, before it became
 `SequenceSegmenter.step`; it cuts each hand's gray patch from the color
 frame, `to_gray(rgb crop) * mask`, as assembly did before the segmenter
-recorded it. The shipped code must give bit-identical results.
+recorded it. The shipped code must give bit-identical results, except
+against `reference_solve_transform`: the LDA eigensolve as scipy's
+generalized `eigh`, which the numpy Cholesky reduction matches to rounding.
 """
 
 import math
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 from scipy import ndimage
 
 from signrec.features import (
@@ -439,3 +442,31 @@ def reference_segment(general_model, cfg, seq):
                                   left_track=tracks["left"], right_track=tracks["right"]))
         prev_gray = gray
     return frames, signer_model
+
+
+def reference_solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0):
+    """`signerlda.solve_transform` as scipy's generalized eigensolve in the
+    same ridge loop; returns (weights, eigenvalues, shrinkage used)."""
+    dim = between.shape[0]
+    ridge_unit = np.trace(within) / dim
+    if ridge_unit <= 0:
+        ridge_unit = 1.0
+    gamma = shrinkage
+    while True:
+        regularized = within + gamma * ridge_unit * np.eye(dim)
+        try:
+            eigvals, eigvecs = scipy.linalg.eigh(between, regularized)
+            break
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            if gamma <= 0 or gamma * 10.0 > shrinkage_max:
+                raise ValueError(
+                    "within-sign scatter is singular even at maximum shrinkage"
+                ) from None
+            gamma *= 10.0
+    order = np.argsort(eigvals)[::-1][:out_dim]
+    vectors = eigvecs[:, order].copy()
+    for k in range(vectors.shape[1]):
+        pivot = int(np.argmax(np.abs(vectors[:, k])))
+        if vectors[pivot, k] < 0:
+            vectors[:, k] = -vectors[:, k]
+    return vectors, eigvals[order], gamma

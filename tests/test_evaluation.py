@@ -8,6 +8,7 @@ from signrec.config import Config
 from signrec.dataio import LoadError
 from signrec.evaluation import (
     EvalReport,
+    _PreparedSample,
     emit_report,
     prepare_dataset,
     run_sd_loocv,
@@ -66,6 +67,25 @@ class TestSdLoocv:
         report = run_sd_loocv(pruned, cfg)
         assert "signerB" not in report.per_signer
         assert "signerA" in report.per_signer
+
+    def test_signer_with_a_class_shorter_than_the_chain_skipped(self, caplog):
+        # signer A's class x has only 5-frame samples, which a 7-state chain
+        # cannot fit; signer B is still scored
+        cfg = Config()
+        assert cfg.hmm_states == 7
+        rng = np.random.default_rng(3)
+        data = []
+        for signer in ("signerA", "signerB"):
+            for label, offset in (("x", 0.0), ("y", 4.0)):
+                for _ in range(3):
+                    n = 5 if (signer, label) == ("signerA", "x") else 20
+                    frames = offset + rng.normal(size=(n, 4))
+                    data.append(_PreparedSample(signer=signer, label=label, frames=frames,
+                                                posxy=frames[:, :2]))
+        report = run_sd_loocv(data, cfg)
+        assert set(report.per_signer) == {"signerB"}
+        assert int(report.confusion.sum()) == 6
+        assert "SD-LOOCV: skipping signer signerA" in caplog.text
 
 
 @pytest.mark.parametrize("protocol", [run_sd_loocv, run_si_loso])

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernels as ref
 import signrec
 from signrec.config import Config
 from signrec.signerlda import (
@@ -377,6 +380,67 @@ class TestSolve:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=60, check=True, env=env)
         assert "singular" in done.stdout
+
+    @pytest.mark.parametrize("name, value", [("within", np.nan), ("between", np.nan),
+                                             ("between", np.inf), ("within", -np.inf)])
+    def test_non_finite_scatter_named_before_any_ridge(self, name, value, monkeypatch):
+        scatter = {"between": np.eye(3), "within": np.diag([2.0, 1.0, 1.0])}
+        scatter[name][1, 2] = value
+
+        def no_factorization(matrix):
+            raise AssertionError("a ridge was tried")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
+        with pytest.raises(ValueError, match=f"^{name}-sign scatter is not finite"):
+            solve_transform(scatter["between"], scatter["within"], 2)
+
+
+class TestSolveAgainstScipy:
+    """`solve_transform` against scipy's generalized `eigh` in the same ridge
+    loop (`reference_kernels.reference_solve_transform`)."""
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 24), st.integers(1, 26),
+           st.sampled_from([1e-12, 1e-9, 1e-3]))
+    def test_matches_scipy(self, seed, dim, classes, shrinkage):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3 * dim, dim)) * rng.uniform(0.5, 2.0, size=dim)
+        b = rng.normal(size=(classes, dim))
+        between, within = b.T @ b, a.T @ a
+        weights, values, used = solve_transform(between, within, dim, shrinkage)
+        want_weights, want_values, want_used = ref.reference_solve_transform(
+            between, within, dim, shrinkage)
+        assert used == want_used
+        scale = np.abs(want_values).max()
+        assert np.abs(values - want_values).max() <= 1e-10 * scale
+        regularized = within + used * np.trace(within) / dim * np.eye(dim)
+        assert np.abs(weights.T @ regularized @ weights - np.eye(dim)).max() <= 1e-9
+        for k in range(dim):
+            gap = np.abs(np.delete(want_values, k) - want_values[k]).min()
+            if gap > 1e-3 * scale:
+                column = want_weights[:, k]
+                assert (np.abs(weights[:, k] - column).max()
+                        <= 1e-7 * np.abs(column).max()), k
+
+    def test_ridge_grows_to_the_same_shrinkage(self):
+        """A within-scatter of fewer samples than dimensions, summed from raw
+        moments about a far-off mean, is singular and rounds indefinite: the
+        ridge must grow from 1e-12, and stop at the same step as scipy's,
+        which the mean's distance moves."""
+        used = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            dim, n = 20, 8
+            x = rng.normal(size=(n, dim)) + 10.0 ** (2 + seed % 4) * rng.normal(size=dim)
+            mean = x.mean(axis=0)
+            within = x.T @ x - n * np.outer(mean, mean)
+            b = rng.normal(size=(3, dim))
+            got = solve_transform(b.T @ b, within, 2, shrinkage=1e-12)[2]
+            assert got == ref.reference_solve_transform(b.T @ b, within, 2,
+                                                        shrinkage=1e-12)[2], seed
+            used.append(got)
+        assert min(used) > 1e-12
+        assert len(set(used)) >= 3
 
 
 class TestProject:
