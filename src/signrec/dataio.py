@@ -27,9 +27,10 @@ the image index; bytes after the last whole image are a fault. A recording
 is written the same way, a frame at a time, by `recording_writer`.
 
 A dataset is a tab-separated manifest: path, signer, label, handedness, each
-of the last three equal to the one in the entry's meta.txt. Beside it lie the
-`SKIN_FILES`, skin and non-skin pixel lists that bootstrap the color model:
-one "R G B" row of integers in 0..255 per line.
+of the last three equal to the one in the entry's meta.txt; the entry, not
+the loaded `FrameSequence`, names a sample's signer and label. Beside it lie
+the `SKIN_FILES`, skin and non-skin pixel lists that bootstrap the color
+model: one "R G B" row of integers in 0..255 per line.
 
 Saved artefacts (features, HMMs, transforms) are npz records: `save_record`, `load_record`.
 Every array in a record is float64.
@@ -118,45 +119,15 @@ class LazyFrames(Sequence):
 
 @dataclass
 class FrameSequence:
+    """What extraction reads of a recording; its manifest entry names it."""
+
     color_frames: Sequence[np.ndarray]   # H x W x 3 uint8: a list or LazyFrames
     depth_frames: Sequence[np.ndarray]   # H x W uint16, millimeters
     skeleton: list[SkeletonPose]
-    fps: float
-    signer_id: str
-    sign_label: str | None = None
     handedness: str = "right"
 
     def __len__(self):
         return len(self.color_frames)
-
-    @property
-    def frame_shape(self):
-        return self.color_frames[0].shape[:2]
-
-    def validate(self):
-        """Raise ValueError unless there are at least 2 frames, as many depth
-        frames and poses as color frames, every color frame has the first
-        one's shape and every depth frame its height and width, and every
-        pose holds the REQUIRED_JOINTS."""
-        n = len(self.color_frames)
-        if n < 2:
-            raise ValueError(f"sequence needs at least 2 frames, got {n}")
-        if len(self.depth_frames) != n or len(self.skeleton) != n:
-            raise ValueError("length mismatch: %d color, %d depth, %d skeleton frames"
-                             % (n, len(self.depth_frames), len(self.skeleton)))
-        shape = self.color_frames[0].shape
-        for i, frame in enumerate(self.color_frames):
-            if frame.shape != shape:
-                raise ValueError(f"color frame {i} has shape {frame.shape}, expected {shape}")
-        for i, frame in enumerate(self.depth_frames):
-            if frame.shape != shape[:2]:
-                raise ValueError(f"depth frame {i} has shape {frame.shape}, "
-                                 f"expected {shape[:2]}")
-        for i, pose in enumerate(self.skeleton):
-            for name in REQUIRED_JOINTS:
-                if name not in pose.joints:
-                    raise ValueError(f"skeleton frame {i} is missing joint {name!r}")
-        return self
 
 
 @dataclass
@@ -470,14 +441,9 @@ def _parse_skeleton(text, path):
 
 
 def write_meta(seq_dir, signer, label, handedness, fps):
-    """Write meta.txt, which `read_meta` reads; a label of None is written empty."""
-    meta = [
-        f"signer={signer}",
-        f"label={label if label is not None else ''}",
-        f"handedness={handedness}",
-        f"fps={fps!r}",
-    ]
-    (Path(seq_dir) / META_FILE).write_text("\n".join(meta) + "\n", encoding="utf-8")
+    """Write meta.txt, which `read_meta` reads."""
+    text = f"signer={signer}\nlabel={label}\nhandedness={handedness}\nfps={fps!r}\n"
+    (Path(seq_dir) / META_FILE).write_text(text, encoding="utf-8")
 
 
 @contextmanager
@@ -497,14 +463,6 @@ def recording_writer(path, signer, label, handedness, fps):
         yield append
     write_skeleton(root, poses)
     write_meta(root, signer, label, handedness, fps)
-
-
-def save_sequence(seq: FrameSequence, path):
-    seq.validate()
-    with recording_writer(path, seq.signer_id, seq.sign_label, seq.handedness,
-                          seq.fps) as append:
-        for frame in zip(seq.color_frames, seq.depth_frames, seq.skeleton):
-            append(*frame)
 
 
 def read_meta(seq_dir):
@@ -546,18 +504,10 @@ def load_sequence(path) -> FrameSequence:
                         f"images {color_shape[:2]}")
     skel_path = root / SKELETON_FILE
     skeleton = _parse_skeleton(read_text(skel_path), skel_path)
-    signer, label, handedness, fps = read_meta(root)
+    handedness = read_meta(root)[2]
     if len(skeleton) != len(color):
         raise LoadError(f"{skel_path}: {len(skeleton)} poses for {len(color)} frames")
-    return FrameSequence(
-        color_frames=color,
-        depth_frames=depth,
-        skeleton=skeleton,
-        fps=fps,
-        signer_id=signer,
-        sign_label=label or None,
-        handedness=handedness,
-    )
+    return FrameSequence(color, depth, skeleton, handedness)
 
 
 # --- geometric operations -------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import Config
 from .dataio import LoadError
-from .features import FeatureSample, FeatureSetSpec, zero_idle_hand
-from .hmm import train_bank
+from .features import FeatureSetSpec, zero_idle_hand
+from .hmm import train_bank, trainable
 from .pipeline import map_ordered
 from .signerlda import fit_transform, project
 
@@ -100,19 +100,22 @@ class _PreparedSample:
     frames: np.ndarray        # selected feature matrix
     posxy: np.ndarray         # alignment features from the full matrix
 
+    def __len__(self):
+        return len(self.frames)
+
 
 def prepare_dataset(extracted, spec: FeatureSetSpec, cfg: Config):
     """Select the feature set (after idle-hand zeroing) and keep the hand
     positions used for alignment."""
     prepared = []
     for entry, sample in extracted:
-        full = zero_idle_hand(sample, cfg)
+        full = zero_idle_hand(sample.frames, cfg)
         prepared.append(
             _PreparedSample(
                 signer=entry.signer_id,
                 label=entry.sign_label,
-                frames=full.frames[:, spec.columns()],
-                posxy=full.posxy(),
+                frames=full[:, spec.columns()],
+                posxy=full[:, FeatureSetSpec(("posXY",)).columns()],
             )
         )
     return prepared
@@ -123,6 +126,13 @@ def _by_class(samples):
     for s in samples:
         grouped.setdefault(s.label, []).append(s)
     return grouped
+
+
+def _can_train(grouped, vocabulary, cfg: Config, n):
+    """Whether every class of `vocabulary` has `n` samples at least
+    `hmm_states` frames long in `grouped`: 2 for leave-one-out, 1 otherwise."""
+    return all(sum(len(s) >= cfg.hmm_states for s in grouped.get(label, [])) >= n
+               for label in vocabulary)
 
 
 class _Tally:
@@ -151,9 +161,10 @@ class _Tally:
 
 def train_recognizer(samples, cfg: Config, lda_dims, feature_spec):
     """Fit the signer-independent transform (None when `lda_dims` is 0) on
-    the prepared samples, then train the bank on them projected through it.
+    the `trainable` prepared samples, then train the bank on them projected
+    through it; a class with none raises ValueError before any fit.
     Returns (transform, bank)."""
-    grouped = _by_class(samples)
+    grouped = trainable(_by_class(samples), cfg.hmm_states)
     frames_by_class = {label: [s.frames for s in group] for label, group in grouped.items()}
     transform = None
     if lda_dims > 0:
@@ -171,13 +182,11 @@ def _sd_one_signer(args):
     Removing one sample only changes the model of its own class, so the
     other classes reuse a model trained on all of their samples; the fold
     bank is exactly the one strict leave-one-out training would produce.
-    A signer with fewer than two sequences as long as the chain in some
-    class cannot train every fold and is skipped.
+    A signer whose folds `_can_train` cannot is skipped.
     """
     signer, own, vocabulary, cfg = args
     grouped = _by_class(own)
-    if any(sum(len(s.frames) >= cfg.hmm_states for s in grouped.get(label, [])) < 2
-           for label in vocabulary):
+    if not _can_train(grouped, vocabulary, cfg, 2):
         return signer, None
     tally = _Tally(vocabulary)
     full_bank = train_bank(
@@ -242,7 +251,7 @@ def _si_one_signer(args):
     """One held-out signer: fit the transform (if any) and the sign models on
     the training signers only, then score the held-out samples."""
     held_out, train, test, vocabulary, cfg, lda_dims, feature_spec_name = args
-    if {s.label for s in train} != set(vocabulary):
+    if not _can_train(_by_class(train), vocabulary, cfg, 1):
         return held_out, None
 
     transform, bank = train_recognizer(train, cfg, lda_dims, feature_spec_name)

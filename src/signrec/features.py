@@ -82,31 +82,25 @@ class FeatureSetSpec:
 
 @dataclass
 class FeatureSample:
+    """A sample's feature matrix, named by its manifest entry."""
+
     frames: np.ndarray          # (T, D) float64
     sign_label: str
     signer_id: str
 
-    def __len__(self):
-        return len(self.frames)
 
-    def posxy(self):
-        """Normalized (x, y) of both hands, used for sequence alignment."""
-        return self.frames[:, FeatureSetSpec(("posXY",)).columns()]
+def save_sample(frames, path):
+    """Write the feature matrix `frames` as a record with empty metadata."""
+    save_record(path, {}, frames=frames)
 
 
-def save_sample(sample: FeatureSample, path):
-    """Write `sample` as a record of its frames, label and signer."""
-    meta = {"label": sample.sign_label, "signer": sample.signer_id}
-    save_record(path, meta, frames=sample.frames)
-
-
-def load_sample(path) -> FeatureSample:
-    """Read a `save_sample` record; a malformed one raises LoadError."""
-    meta, arrays = load_record(path, ("frames",), {"label": str, "signer": str})
-    frames = arrays["frames"]
+def load_sample(path):
+    """The feature matrix of a `save_sample` record, whatever metadata it
+    holds; a malformed one raises LoadError."""
+    frames = load_record(path, ("frames",), {})[1]["frames"]
     if frames.ndim != 2:
         raise LoadError(f"{path}: frames of shape {frames.shape}, not 2-D")
-    return FeatureSample(frames, meta["label"], meta["signer"])
+    return frames
 
 
 # --- geometry helpers -------------------------------------------------------
@@ -467,11 +461,11 @@ def _shape_blocks(obs, span):
 _SHAPE_WIDTH = 7 + 7 + SC_DIM + HOG_DIM
 
 
-def assemble(seq, seg_result, cfg) -> FeatureSample:
+def assemble(seq, seg_result, cfg):
     """Per-frame feature matrix for one segmented sequence (full layout,
     right hand first). Shape blocks freeze during hand-over-hand occlusion
-    and across missed detections. Reads the poses and labels of `seq`, and
-    each hand's mask and gray patch from `seg_result`, not the frames."""
+    and across missed detections. Reads the poses of `seq`, and each hand's
+    mask and gray patch from `seg_result`, not the frames."""
     span = seg_result.span
     width = seg_result.width
     rows = []
@@ -503,17 +497,13 @@ def assemble(seq, seg_result, cfg) -> FeatureSample:
         vz = np.zeros_like(z)
         vz[1:] = np.diff(z)
         frames[:, base + 5] = vz
-    return FeatureSample(
-        frames=frames,
-        sign_label=seq.sign_label or "",
-        signer_id=seq.signer_id,
-    )
+    return frames
 
 
-def hand_travel(sample: FeatureSample, hand):
+def hand_travel(frames, hand):
     """Total path length and mean speed of one hand, in shoulder widths."""
     base = 0 if hand == "right" else HAND_DIM
-    xy = sample.frames[:, base : base + 2]
+    xy = frames[:, base : base + 2]
     if len(xy) < 2:
         return 0.0, 0.0
     steps = np.hypot(np.diff(xy[:, 0]), np.diff(xy[:, 1]))
@@ -521,20 +511,17 @@ def hand_travel(sample: FeatureSample, hand):
     return path, path / (len(xy) - 1)
 
 
-def zero_idle_hand(sample: FeatureSample, cfg) -> FeatureSample:
-    """Zero every block of a hand that barely moves over the whole sample.
+def zero_idle_hand(frames, cfg):
+    """A copy of the feature matrix `frames` with every block of a hand that
+    barely moves over the whole sample zeroed.
 
     Idle means total travel below `cfg.idle_path_threshold` shoulder widths
     and mean speed below `cfg.idle_speed_threshold` shoulder widths per
     frame. Idempotent.
     """
-    frames = sample.frames.copy()
+    out = frames.copy()
     for hand, base in (("right", 0), ("left", HAND_DIM)):
-        path, speed = hand_travel(sample, hand)
+        path, speed = hand_travel(frames, hand)
         if path < cfg.idle_path_threshold and speed < cfg.idle_speed_threshold:
-            frames[:, base : base + HAND_DIM] = 0.0
-    return FeatureSample(
-        frames=frames,
-        sign_label=sample.sign_label,
-        signer_id=sample.signer_id,
-    )
+            out[:, base : base + HAND_DIM] = 0.0
+    return out

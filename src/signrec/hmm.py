@@ -318,26 +318,32 @@ class ClassifierBank:
         return cls(models, vocabulary, meta["feature_spec"])
 
 
+def trainable(samples_by_class, n_states):
+    """Per class, in label order, the sequences at least `n_states` long. A
+    shorter one has no path through the chain, so it is left out (and
+    logged); a class left with none raises ValueError naming it."""
+    kept = {}
+    for label in sorted(samples_by_class):
+        samples = samples_by_class[label]
+        kept[label] = [s for s in samples if len(s) >= n_states]
+        if not kept[label]:
+            raise ValueError(f"class {label!r}: every sequence is shorter than "
+                             f"hmm_states={n_states}")
+        if len(kept[label]) < len(samples):
+            log.warning("class %s: %d sequences shorter than %d states left out",
+                        label, len(samples) - len(kept[label]), n_states)
+    return kept
+
+
 def train_bank(samples_by_class, cfg, feature_spec="") -> ClassifierBank:
     """One model per class, shaped and fitted by the `hmm_*` settings and
-    `variance_floor` of `cfg`.  A sequence shorter than the chain has no path
-    through it, so it is left out of training (and logged); a class left with
-    none raises ValueError naming it."""
-    vocabulary = sorted(samples_by_class)
+    `variance_floor` of `cfg`, from the `trainable` sequences of each."""
     models = {}
-    for label in vocabulary:
-        samples = [s for s in samples_by_class[label] if len(s) >= cfg.hmm_states]
-        if not samples:
-            raise ValueError(f"class {label!r}: every sequence is shorter than "
-                             f"hmm_states={cfg.hmm_states}")
-        if len(samples) < len(samples_by_class[label]):
-            log.warning("class %s: %d sequences shorter than %d states left out",
-                        label, len(samples_by_class[label]) - len(samples), cfg.hmm_states)
+    for label, samples in trainable(samples_by_class, cfg.hmm_states).items():
         model = init_model(samples, label=label, n_states=cfg.hmm_states,
                            self_prob=cfg.hmm_self_prob, var_floor=cfg.variance_floor)
         model, _ = baum_welch(model, samples, max_iter=cfg.hmm_max_iter, tol=cfg.hmm_tol,
                               var_floor=cfg.variance_floor)
         models[label] = model
-    return ClassifierBank(models=models, vocabulary=vocabulary,
+    return ClassifierBank(models=models, vocabulary=list(models),
                           feature_spec=feature_spec)
-

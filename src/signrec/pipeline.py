@@ -6,8 +6,11 @@ at a time: loading checks its files, and segmentation decodes (and
 mirrors) each frame as it reaches it. Extracted features are cached on disk
 as `<key>.npz`, one record per sequence, where the key hashes everything
 extraction reads: the settings, the skin pixel lists and the recording's
-`dataio.RECORDING_FILES`. Only a record's own key rewrites it, so those of
-other settings or earlier recordings stay until the directory is removed.
+`dataio.RECORDING_FILES`; it holds the feature matrix only. Only a record's
+own key rewrites it, so those of other settings or earlier recordings stay
+until the directory is removed. Below `extract_corpus`, which checks each
+manifest entry against its meta.txt, only frames, poses and feature
+matrices pass: the entry alone names a sample's signer and label.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def load_right_handed(seq_dir):
     return mirror_sequence(seq) if seq.handedness == "left" else seq
 
 
-def extract_sequence(seq_dir, general_model, cfg: Config) -> FeatureSample:
+def extract_sequence(seq_dir, general_model, cfg: Config):
+    """The feature matrix of the recording in `seq_dir`."""
     seq = load_right_handed(seq_dir)
     return assemble(seq, SequenceSegmenter(general_model, cfg).run(seq), cfg)
 
@@ -111,8 +115,9 @@ def _extract_one(args):
 def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     """Extract every manifest entry, reusing cached feature records.
 
-    Returns a list of (entry, FeatureSample) in manifest order. An entry that
-    disagrees with its meta.txt raises LoadError.
+    Returns a list of (entry, FeatureSample) in manifest order, each sample
+    named by its entry. An entry that disagrees with its meta.txt raises
+    LoadError.
     """
     manifest_path = Path(manifest_path)
     manifest = DatasetManifest.load(manifest_path)
@@ -127,7 +132,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     skin_lists = _read_skin_lists(root)
 
     records = {}
-    results: dict[str, FeatureSample] = {}
+    results = {}    # feature matrices by entry path
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -147,10 +152,11 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
         general_model = _skin_model(root, skin_lists, cfg)
         tasks = [(str(root / e.path), general_model, cfg) for e in pending]
         # each entry is cached as it arrives, so a failure keeps the ones before it
-        for sample, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):
-            results[entry.path] = sample
+        for frames, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):
+            results[entry.path] = frames
             if cache_dir is not None:
-                save_sample(sample, records[entry.path])
+                save_sample(frames, records[entry.path])
         log.info("extracted %d sequences (%d cached)", len(pending),
                  len(manifest.entries) - len(pending))
-    return [(entry, results[entry.path]) for entry in manifest.entries]
+    return [(entry, FeatureSample(results[entry.path], entry.sign_label, entry.signer_id))
+            for entry in manifest.entries]

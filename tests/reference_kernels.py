@@ -334,7 +334,7 @@ def reference_segment(general_model, cfg, seq):
     """The `FrameResult` of every frame of `seq`, from one loop, and the
     signer's skin model after the last frame."""
     span = dataio.shoulder_distance(seq)
-    shape = seq.frame_shape
+    shape = seq.color_frames[0].shape[:2]
     signer_model = None
     face_model = None
     prev_gray = None

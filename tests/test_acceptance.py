@@ -340,7 +340,7 @@ class TestCriterion11Determinism:
             blob = []
             for entry, sample in extracted:
                 out = root / "dump.txt"
-                save_sample(sample, out)
+                save_sample(sample.frames, out)
                 blob.append((entry.path, out.read_bytes()))
             runs.append(blob)
         extract_same = runs[0] == runs[1]

@@ -13,9 +13,25 @@ from signrec.evaluation import (
     prepare_dataset,
     run_sd_loocv,
     run_si_loso,
+    train_recognizer,
 )
+from signrec import evaluation
 from signrec.features import FeatureSetSpec
 from signrec.hmm import train_bank
+
+
+def three_signers(length):
+    """Signers A, B and C with classes x and y, three samples each; sample k
+    of (signer, label) has `length(signer, label, k)` frames."""
+    rng = np.random.default_rng(3)
+    data = []
+    for signer in ("signerA", "signerB", "signerC"):
+        for label, offset in (("x", 0.0), ("y", 4.0)):
+            for k in range(3):
+                frames = offset + rng.normal(size=(length(signer, label, k), 4))
+                data.append(_PreparedSample(signer=signer, label=label, frames=frames,
+                                            posxy=frames[:, :2]))
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +163,38 @@ class TestSiLoso:
         split = [s for s in data if (s.signer == "signerA") == (s.label == "sign00")]
         with pytest.raises(ValueError, match="SI-LOSO: no signer could be evaluated"):
             run_si_loso(split, cfg)
+
+    @pytest.mark.parametrize("lda_dims", [0, 2])
+    def test_fold_whose_training_class_is_shorter_than_the_chain_skipped(self, caplog,
+                                                                         lda_dims):
+        # A's and B's class x has only 5-frame samples, which a 7-state chain
+        # cannot fit: holding out C leaves no x to train, A and B are scored
+        data = three_signers(lambda signer, label, k: 5 if label == "x"
+                             and signer != "signerC" else 20)
+        report = run_si_loso(data, Config(), lda_dims=lda_dims)
+        assert set(report.per_signer) == {"signerA", "signerB"}
+        assert report.unscorable == 6
+        assert int(report.confusion.sum()) == 6
+        assert "SI-LOSO: skipping signer signerC" in caplog.text
+
+    def test_two_frame_sample_with_lda_counted_unscorable(self):
+        # the transform trains on what the bank trains on, so the 2-frame
+        # sample, too short to align, is only scored (and unscorable)
+        data = three_signers(lambda signer, label, k: 2 if (signer, label, k) == (
+            "signerA", "y", 0) else 20)
+        report = run_si_loso(data, Config(), lda_dims=2)
+        assert set(report.per_signer) == {"signerA", "signerB", "signerC"}
+        assert report.unscorable == 1
+        assert int(report.confusion.sum()) == len(data) - 1
+
+    def test_untrainable_class_named_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the transform was fitted")
+
+        monkeypatch.setattr(evaluation, "fit_transform", no_fit)
+        data = three_signers(lambda signer, label, k: 5 if label == "x" else 20)
+        with pytest.raises(ValueError, match="class 'x': every sequence is shorter"):
+            train_recognizer(data, Config(), 2, "")
 
     def test_single_signer_rejected(self, prepared):
         data, cfg = prepared

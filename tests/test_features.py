@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from signrec.config import Config
+from signrec.dataio import load_record
 from signrec.features import (
     HAND_DIM,
-    FeatureSample,
     FeatureSetSpec,
     boundary_pixel_count,
     convex_hull,
@@ -477,10 +477,6 @@ class TestPositional:
         assert vec[2] == pytest.approx(expected)
 
 
-def build_sample(frames):
-    return FeatureSample(frames=frames, sign_label="sign00", signer_id="signerA")
-
-
 class TestAssemblyHelpers:
     def test_feature_set_dimensions(self):
         assert FeatureSetSpec.parse("posXY").dimension == 4
@@ -508,21 +504,19 @@ class TestAssemblyHelpers:
         frames[:, 0] = np.linspace(0, 3, 30)      # right hand travels 3 spans
         frames[:, HAND_DIM + 0] = 0.25            # left hand frozen
         frames[:, HAND_DIM + 1] = 0.80
-        sample = build_sample(frames)
-        out = zero_idle_hand(sample, Config())
-        assert not out.frames[:, HAND_DIM:].any()
-        assert out.frames[:, :HAND_DIM].any()
+        out = zero_idle_hand(frames, Config())
+        assert not out[:, HAND_DIM:].any()
+        assert out[:, :HAND_DIM].any()
         # no travel is below a threshold of 0: zeroing is off
-        off = zero_idle_hand(sample, Config(idle_path_threshold=0.0))
-        assert np.array_equal(off.frames, frames)
+        off = zero_idle_hand(frames, Config(idle_path_threshold=0.0))
+        assert np.array_equal(off, frames)
 
     def test_zero_idle_hand_moving_hands_untouched(self):
         frames = np.ones((30, 2 * HAND_DIM))
         frames[:, 0] = np.linspace(0, 3, 30)
         frames[:, HAND_DIM] = np.linspace(0, -2, 30)
-        sample = build_sample(frames)
-        out = zero_idle_hand(sample, Config())
-        assert np.array_equal(out.frames, frames)
+        out = zero_idle_hand(frames, Config())
+        assert np.array_equal(out, frames)
 
     def test_zero_idle_jitter_below_threshold(self):
         # total path 0.29 spans, mean speed 0.01: both under the thresholds
@@ -531,21 +525,20 @@ class TestAssemblyHelpers:
         frames[:, HAND_DIM] = x
         frames[:, HAND_DIM + 1] = 0.8
         frames[:, 0] = np.linspace(0, 3, 30)
-        out = zero_idle_hand(build_sample(frames), Config())
-        assert not out.frames[:, HAND_DIM:].any()
+        out = zero_idle_hand(frames, Config())
+        assert not out[:, HAND_DIM:].any()
 
     def test_zero_idle_idempotent(self):
         frames = np.ones((30, 2 * HAND_DIM))
         frames[:, 0] = np.linspace(0, 3, 30)
-        once = zero_idle_hand(build_sample(frames), Config())
+        once = zero_idle_hand(frames, Config())
         twice = zero_idle_hand(once, Config())
-        assert np.array_equal(once.frames, twice.frames)
+        assert np.array_equal(once, twice)
 
     def test_sample_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
-        sample = build_sample(rng.normal(size=(7, 2 * HAND_DIM)))
-        save_sample(sample, tmp_path / "f.txt")
-        loaded = load_sample(tmp_path / "f.txt")
-        assert np.array_equal(loaded.frames, sample.frames)
-        assert loaded.sign_label == "sign00"
-        assert loaded.signer_id == "signerA"
+        frames = rng.normal(size=(7, 2 * HAND_DIM))
+        save_sample(frames, tmp_path / "f.txt")
+        assert np.array_equal(load_sample(tmp_path / "f.txt"), frames)
+        # a record holds the matrix only: no label or signer
+        assert load_record(tmp_path / "f.txt", ("frames",), {})[0] == {}

@@ -276,7 +276,7 @@ def test_extraction_with_reference_kernels_is_bit_identical(tmp_path, monkeypatc
     assert [p.name for p in shipped[1]] == [p.name for p in reference[1]]
     assert len(shipped[1]) == 6
     for a, b in zip(shipped[1], reference[1]):
-        assert features.load_sample(a).frames.tobytes() == features.load_sample(b).frames.tobytes()
+        assert features.load_sample(a).tobytes() == features.load_sample(b).tobytes()
     assert len(shipped[2]) == len(reference[2]) == 6
     for (entry_a, a), (entry_b, b) in zip(shipped[2], reference[2]):
         assert entry_a.path == entry_b.path

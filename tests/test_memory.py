@@ -44,7 +44,7 @@ def peak_bytes(work):
 
 
 def recording_bytes(seq):
-    h, w = seq.frame_shape
+    h, w = seq.color_frames[0].shape[:2]
     return len(seq) * h * w * 5
 
 

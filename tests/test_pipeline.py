@@ -142,7 +142,7 @@ class TestExtraction:
         with pytest.raises(RuntimeError, match="killed"):
             extract_corpus(path, cfg_b, cache_dir=tmp_path / "c")
         monkeypatch.undo()
-        assert not np.array_equal(written[0].frames, fresh_a[0][1].frames)
+        assert not np.array_equal(written[0], fresh_a[0][1].frames)
         assert same_features(extract_corpus(path, cfg_a, cache_dir=tmp_path / "c"), fresh_a)
 
     def test_truncated_entry_is_a_miss(self, tiny_corpus, tmp_path, extractions):
@@ -155,7 +155,7 @@ class TestExtraction:
         assert len(extractions) == 1
         assert same_features(again, fresh)
 
-    @pytest.mark.parametrize("meta", [{"label": "sign00"}, 7, ["key"]])
+    @pytest.mark.parametrize("meta", [7, ["key"]])
     def test_entry_without_a_key_object_is_a_miss(self, tiny_corpus, tmp_path,
                                                  extractions, meta):
         root, _ = tiny_corpus
@@ -169,20 +169,51 @@ class TestExtraction:
         assert len(extractions) == 1
         assert same_features(again, fresh)
 
-    @pytest.mark.parametrize("fault", ["label 7", "<U1 frames"])
+    @pytest.mark.parametrize("fault", ["1-D frames", "<U1 frames"])
     def test_entry_of_wrong_types_is_a_miss(self, tiny_corpus, tmp_path, extractions, fault):
         root, _ = tiny_corpus
         fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         entry = sorted((tmp_path / "c").glob("*.npz"))[0]
         meta, arrays = load_record(entry, ("frames",), {})
-        if fault == "label 7":
-            meta["label"] = 7
+        if fault == "1-D frames":
+            arrays["frames"] = arrays["frames"][0]
         else:
             arrays["frames"] = arrays["frames"].astype("<U1")
         save_record(entry, meta, **arrays)
         extractions.clear()
         again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
         assert len(extractions) == 1
+        assert same_features(again, fresh)
+
+    def test_record_with_a_label_and_signer_is_a_hit(self, tiny_corpus, tmp_path,
+                                                     extractions):
+        """A record that also stores its sample's label and signer, as earlier
+        versions wrote them, loads as a hit with the same frames."""
+        root, _ = tiny_corpus
+        cfg = Config()
+        fresh = extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
+        digest = pipeline._corpus_digest(pipeline._read_skin_lists(root), cfg)
+        for entry, sample in fresh:
+            path = tmp_path / "c" / (pipeline._sequence_key(root / entry.path, digest) + ".npz")
+            save_record(path, {"label": entry.sign_label, "signer": entry.signer_id},
+                        frames=sample.frames)
+        extractions.clear()
+        again = extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
+        assert extractions == []
+        assert [s.frames.tobytes() for _, s in again] == [s.frames.tobytes() for _, s in fresh]
+
+    def test_sample_named_by_its_entry_not_its_record(self, tiny_corpus, tmp_path,
+                                                      extractions):
+        root, _ = tiny_corpus
+        fresh = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        for path in (tmp_path / "c").glob("*.npz"):
+            _, arrays = load_record(path, ("frames",), {})
+            save_record(path, {"label": "other", "signer": "someone"}, **arrays)
+        extractions.clear()
+        again = extract_corpus(root / "manifest.tsv", Config(), cache_dir=tmp_path / "c")
+        assert extractions == []
+        assert [(s.sign_label, s.signer_id) for _, s in again] == [
+            (e.sign_label, e.signer_id) for e, _ in fresh]
         assert same_features(again, fresh)
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -309,8 +340,8 @@ class TestExtraction:
         parallel = extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "p",
                                   jobs=2)
         for (_, a), (_, b) in zip(serial, parallel):
-            save_sample(a, tmp_path / "a.txt")
-            save_sample(b, tmp_path / "b.txt")
+            save_sample(a.frames, tmp_path / "a.txt")
+            save_sample(b.frames, tmp_path / "b.txt")
             assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
@@ -337,8 +368,8 @@ class TestPipelineProperties:
         ]
         assert pairs
         for e1, e2 in pairs:
-            a = extract_sequence(tmp_path / "one" / e1.path, m1, cfg).frames
-            b = extract_sequence(tmp_path / "two" / e2.path, m2, cfg).frames
+            a = extract_sequence(tmp_path / "one" / e1.path, m1, cfg)
+            b = extract_sequence(tmp_path / "two" / e2.path, m2, cfg)
             t = min(len(a), len(b))
             for base in (0, HAND_DIM):
                 va = a[:t, base + pos_cols]
@@ -373,9 +404,10 @@ class TestPipelineProperties:
         entry = manifest.entries[0]
         seq = load_sequence(root / entry.path)
         gt = load_ground_truth(root / entry.path)
-        scene = Scene(*seq.frame_shape[::-1])
-        box, inside = _ellipse_mask(seq.frame_shape, scene.head, scene.head_axes)
-        head = np.zeros(seq.frame_shape, dtype=bool)
+        shape = seq.color_frames[0].shape[:2]
+        scene = Scene(*shape[::-1])
+        box, inside = _ellipse_mask(shape, scene.head, scene.head_axes)
+        head = np.zeros(shape, dtype=bool)
         head[box] = inside
         truth = gt.left_masks[0] | gt.right_masks[0] | head
         depth = seq.depth_frames[0].astype(float)
@@ -461,5 +493,5 @@ class TestMirroredExtraction:
             b = extract_sequence(tmp_path / "l" / el.path, model_l, cfg)
             # pixel data round-trips exactly; skeleton floats may wobble one
             # ulp through the double reflection, so features are near-equal
-            assert a.frames.shape == b.frames.shape
-            assert np.allclose(a.frames, b.frames, rtol=1e-9, atol=1e-9)
+            assert a.shape == b.shape
+            assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
