@@ -23,7 +23,7 @@ import numpy as np
 from .config import Config
 from .dataio import LoadError
 from .features import FeatureSetSpec, zero_idle_hand
-from .hmm import train_bank, trainable
+from .hmm import ClassifierBank, train_bank, trainable
 from .pipeline import map_ordered
 from .signerlda import fit_transform, project
 
@@ -177,15 +177,15 @@ def train_recognizer(samples, cfg: Config, lda_dims, feature_spec):
 
 
 def _sd_one_signer(args):
-    """All leave-one-sample-out folds of a single signer.
+    """All leave-one-sample-out folds of one signer, on its own samples.
 
     Removing one sample only changes the model of its own class, so the
     other classes reuse a model trained on all of their samples; the fold
     bank is exactly the one strict leave-one-out training would produce.
     A signer whose folds `_can_train` cannot is skipped.
     """
-    signer, own, vocabulary, cfg = args
-    grouped = _by_class(own)
+    signer, prepared, vocabulary, cfg, _, _ = args
+    grouped = _by_class([s for s in prepared if s.signer == signer])
     if not _can_train(grouped, vocabulary, cfg, 2):
         return signer, None
     tally = _Tally(vocabulary)
@@ -195,21 +195,43 @@ def _sd_one_signer(args):
         group = grouped[label]
         for hold in range(len(group)):
             rest = [s.frames for k, s in enumerate(group) if k != hold]
-            loo_bank = train_bank({label: rest}, cfg)
-            models = dict(full_bank.models)
-            models[label] = loo_bank.models[label]
-            bank = type(full_bank)(models=models, vocabulary=vocabulary)
+            bank = ClassifierBank({**full_bank.models, **train_bank({label: rest}, cfg).models},
+                                  vocabulary)
             tally.add(label, bank.classify(group[hold].frames)[0])
     return signer, tally
 
 
-def _report(protocol, folds, vocabulary, cfg: Config, lda_dims, feature_spec_name,
-            start) -> EvalReport:
-    """Merge the (signer, tally) results of one protocol's folds into its
-    report. A fold whose tally is None could not be trained and is skipped."""
+def _si_one_signer(args):
+    """One held-out signer: fit the transform (if any) and the sign models on
+    the other signers only, then score the held-out signer's samples. A fold
+    whose training set `_can_train` cannot is skipped."""
+    held_out, prepared, vocabulary, cfg, lda_dims, feature_spec_name = args
+    train = [s for s in prepared if s.signer != held_out]
+    if not _can_train(_by_class(train), vocabulary, cfg, 1):
+        return held_out, None
+
+    transform, bank = train_recognizer(train, cfg, lda_dims, feature_spec_name)
+    tally = _Tally(vocabulary)
+    for s in prepared:
+        if s.signer == held_out:
+            frames = project(s.frames, transform) if transform is not None else s.frames
+            tally.add(s.label, bank.classify(frames)[0])
+    return held_out, tally
+
+
+def _run(protocol, fold, prepared, cfg: Config, lda_dims, feature_spec_name,
+         jobs) -> EvalReport:
+    """Run `fold` once per signer and merge the (signer, tally) results into
+    the protocol's report. Each fold gets the whole prepared set and takes
+    its own split; one whose tally is None could not be trained and is
+    skipped."""
+    start = time.monotonic()
+    vocabulary = sorted({s.label for s in prepared})
+    tasks = [(signer, prepared, vocabulary, cfg, lda_dims, feature_spec_name)
+             for signer in sorted({s.signer for s in prepared})]
     total = _Tally(vocabulary)
     per_signer = {}
-    for signer, tally in folds:
+    for signer, tally in map_ordered(fold, tasks, jobs or cfg.jobs):
         if tally is None:
             log.warning("%s: skipping signer %s: too few training samples for some class",
                         protocol, signer)
@@ -236,55 +258,16 @@ def _report(protocol, folds, vocabulary, cfg: Config, lda_dims, feature_spec_nam
 
 def run_sd_loocv(prepared, cfg: Config, feature_spec_name="", jobs=None) -> EvalReport:
     """Per signer: hold out each sample in turn, train on the rest."""
-    start = time.monotonic()
-    vocabulary = sorted({s.label for s in prepared})
-    signers = sorted({s.signer for s in prepared})
-    tasks = [
-        (signer, [s for s in prepared if s.signer == signer], vocabulary, cfg)
-        for signer in signers
-    ]
-    return _report("SD-LOOCV", map_ordered(_sd_one_signer, tasks, jobs or cfg.jobs),
-                   vocabulary, cfg, 0, feature_spec_name, start)
-
-
-def _si_one_signer(args):
-    """One held-out signer: fit the transform (if any) and the sign models on
-    the training signers only, then score the held-out samples."""
-    held_out, train, test, vocabulary, cfg, lda_dims, feature_spec_name = args
-    if not _can_train(_by_class(train), vocabulary, cfg, 1):
-        return held_out, None
-
-    transform, bank = train_recognizer(train, cfg, lda_dims, feature_spec_name)
-    tally = _Tally(vocabulary)
-    for s in test:
-        frames = project(s.frames, transform) if transform is not None else s.frames
-        tally.add(s.label, bank.classify(frames)[0])
-    return held_out, tally
+    return _run("SD-LOOCV", _sd_one_signer, prepared, cfg, 0, feature_spec_name, jobs)
 
 
 def run_si_loso(prepared, cfg: Config, lda_dims=0, feature_spec_name="",
                 jobs=None) -> EvalReport:
-    """Leave one signer out; optionally fit the feature transform on the
-    remaining signers and project everything through it before training."""
-    start = time.monotonic()
-    signers = sorted({s.signer for s in prepared})
-    if len(signers) < 2:
+    """Leave one signer out: train on the remaining signers, with the feature
+    transform fitted on them when `lda_dims` > 0, and score the held-out one."""
+    if len({s.signer for s in prepared}) < 2:
         raise ValueError("leave-one-signer-out needs at least 2 signers")
-    vocabulary = sorted({s.label for s in prepared})
-    tasks = [
-        (
-            held_out,
-            [s for s in prepared if s.signer != held_out],
-            [s for s in prepared if s.signer == held_out],
-            vocabulary,
-            cfg,
-            lda_dims,
-            feature_spec_name,
-        )
-        for held_out in signers
-    ]
-    return _report("SI-LOSO", map_ordered(_si_one_signer, tasks, jobs or cfg.jobs),
-                   vocabulary, cfg, lda_dims, feature_spec_name, start)
+    return _run("SI-LOSO", _si_one_signer, prepared, cfg, lda_dims, feature_spec_name, jobs)
 
 
 # --- rendering ---------------------------------------------------------------

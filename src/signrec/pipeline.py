@@ -112,8 +112,9 @@ def _extract_one(args):
     return extract_sequence(seq_dir, general_model, cfg)
 
 
-def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
-    """Extract every manifest entry, reusing cached feature records.
+def extract_corpus(manifest_path, cfg: Config, cache_dir, jobs=None):
+    """Extract every manifest entry through the feature cache in `cache_dir`,
+    reusing each record that loads and writing one for each miss.
 
     Returns a list of (entry, FeatureSample) in manifest order, each sample
     named by its entry. An entry that disagrees with its meta.txt raises
@@ -131,21 +132,20 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
     # read once: hashed into the cache keys, parsed only if something misses
     skin_lists = _read_skin_lists(root)
 
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    corpus_digest = _corpus_digest(skin_lists, cfg)
     records = {}
     results = {}    # feature matrices by entry path
-    if cache_dir is not None:
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        corpus_digest = _corpus_digest(skin_lists, cfg)
-        for entry in manifest.entries:
-            path = records[entry.path] = cache_dir / (
-                _sequence_key(root / entry.path, corpus_digest) + ".npz")
-            try:
-                # a hit: a record of that name loads
-                if path.exists():
-                    results[entry.path] = load_sample(path)
-            except LoadError as exc:
-                log.info("re-extracting: %s", exc)
+    for entry in manifest.entries:
+        path = records[entry.path] = cache_dir / (
+            _sequence_key(root / entry.path, corpus_digest) + ".npz")
+        try:
+            # a hit: a record of that name loads
+            if path.exists():
+                results[entry.path] = load_sample(path)
+        except LoadError as exc:
+            log.info("re-extracting: %s", exc)
 
     pending = [e for e in manifest.entries if e.path not in results]
     if pending:
@@ -154,8 +154,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir=None, jobs=None):
         # each entry is cached as it arrives, so a failure keeps the ones before it
         for frames, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):
             results[entry.path] = frames
-            if cache_dir is not None:
-                save_sample(frames, records[entry.path])
+            save_sample(frames, records[entry.path])
         log.info("extracted %d sequences (%d cached)", len(pending),
                  len(manifest.entries) - len(pending))
     return [(entry, FeatureSample(results[entry.path], entry.sign_label, entry.signer_id))

@@ -107,13 +107,10 @@ def align_and_resample(samples_xy, samples_full, keep_frames):
     The reference is the sample of median length. After warping, each sample
     is linearly resampled to 3 * keep_frames and the first and last thirds
     are discarded: starts and ends of signs look alike, the middle carries
-    the sign-specific content.
+    the sign-specific content. Any non-empty sample aligns, even a 1-frame one.
     """
     if not samples_full:
         raise ValueError("need at least one sample")
-    for xy in samples_xy:
-        if len(xy) < 3:
-            raise ValueError("samples must have at least 3 frames")
     lengths = sorted(range(len(samples_full)), key=lambda i: (len(samples_full[i]), i))
     ref_idx = lengths[(len(lengths) - 1) // 2]
     ref_xy = samples_xy[ref_idx]

@@ -187,6 +187,23 @@ class TestSiLoso:
         assert report.unscorable == 1
         assert int(report.confusion.sum()) == len(data) - 1
 
+    def test_two_frame_sample_with_lda_at_two_states_trains(self):
+        # at 2 states the 2-frame sample is long enough for the chain, so the
+        # transform is fitted on it too: every fold is trained and scored
+        data = three_signers(lambda signer, label, k: 2 if (signer, label, k) == (
+            "signerA", "y", 0) else 20)
+        report = run_si_loso(data, Config(hmm_states=2), lda_dims=2)
+        assert set(report.per_signer) == {"signerA", "signerB", "signerC"}
+        assert report.unscorable == 0
+        assert int(report.confusion.sum()) == 18
+
+    def test_recognizer_trains_on_a_two_frame_sample_at_two_states(self):
+        data = three_signers(lambda signer, label, k: 2 if (signer, label, k) == (
+            "signerA", "y", 0) else 20)
+        transform, bank = train_recognizer(data, Config(hmm_states=2), 2, "")
+        assert transform.weights.shape == (4, 2)
+        assert sorted(bank.models) == ["x", "y"]
+
     def test_untrainable_class_named_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
             raise AssertionError("the transform was fitted")

@@ -86,7 +86,8 @@ class TestExtraction:
         extractions.clear()
         cached = extract_corpus(root / "manifest.tsv", changed, cache_dir=tmp_path / "c")
         assert len(extractions) == len(manifest.entries)
-        assert same_features(cached, extract_corpus(root / "manifest.tsv", changed))
+        assert same_features(cached, extract_corpus(root / "manifest.tsv", changed,
+                                                     cache_dir=tmp_path / "fresh"))
         # a setting extraction does not read keeps every entry
         extractions.clear()
         extract_corpus(root / "manifest.tsv", Config(motion_threshold=9.0, hmm_states=3),
@@ -109,7 +110,7 @@ class TestExtraction:
         extractions.clear()
         cached = extract_corpus(path, cfg, cache_dir=tmp_path / "c")
         assert len(extractions) == len(manifest.entries)
-        assert same_features(cached, extract_corpus(path, cfg))
+        assert same_features(cached, extract_corpus(path, cfg, cache_dir=tmp_path / "fresh"))
 
     @pytest.mark.parametrize("bad", ["12.5 200 30\n", "1 2 3 4\n", b"\xff\xfe 1 2\n"])
     def test_malformed_skin_list_names_its_file(self, tmp_path, bad):
@@ -119,7 +120,8 @@ class TestExtraction:
         skin = tmp_path / "corpus" / "skin_pixels.txt"
         skin.write_bytes(skin.read_bytes() + (bad if isinstance(bad, bytes) else bad.encode()))
         with pytest.raises(LoadError, match="skin_pixels.txt"):
-            extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config())
+            extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config(),
+                           cache_dir=tmp_path / "fresh")
         with pytest.raises(LoadError, match="skin_pixels.txt"):
             general_skin_model(tmp_path / "corpus", Config())
 
@@ -128,7 +130,7 @@ class TestExtraction:
         root, _ = tiny_corpus
         path = root / "manifest.tsv"
         cfg_a, cfg_b = Config(), Config(focal_per_width=0.5)
-        fresh_a = extract_corpus(path, cfg_a)
+        fresh_a = extract_corpus(path, cfg_a, cache_dir=tmp_path / "fresh")
         extract_corpus(path, cfg_a, cache_dir=tmp_path / "c")
         written = []
 
@@ -322,7 +324,7 @@ class TestExtraction:
         paths = [tmp_path / str(seed) / "manifest.tsv" for seed in (1, 2)]
         for seed, path in zip((1, 2), paths):
             generate_synthetic_corpus(spec, seed, path.parent)
-        fresh = [extract_corpus(path, Config()) for path in paths]
+        fresh = [extract_corpus(path, Config(), cache_dir=tmp_path / "fresh") for path in paths]
         assert not np.array_equal(fresh[0][0][1].frames, fresh[1][0][1].frames)
         for expected in (16, 0):
             extractions.clear()

@@ -226,9 +226,15 @@ class TestAlignAndResample:
         aligned = align_and_resample([s for s in samples], samples, 10)
         assert spread(aligned) <= 0.10 * spread(raw)
 
-    def test_short_sample_rejected(self):
-        with pytest.raises(ValueError, match="3 frames"):
-            align_and_resample([np.zeros((2, 4))], [np.zeros((2, 6))], 5)
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_short_sample_aligns(self, length):
+        # the chain's hmm_states is the only length rule: a sample that
+        # `hmm.trainable` keeps at 1 or 2 states aligns beside longer ones
+        rng = np.random.default_rng(7)
+        samples = [rng.normal(size=(n, 6)) for n in (length, 20, 24)]
+        out = align_and_resample([s[:, :4] for s in samples], samples, 5)
+        assert out.shape == (3, 5, 6)
+        assert np.isfinite(out).all()
 
     def test_warp_averages_query_frames(self):
         ref = np.array([[0.0], [10.0]])
