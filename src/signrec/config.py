@@ -86,7 +86,6 @@ class Config(ExtractConfig):
     # --- signer-independent transform ---
     lda_resample_third: int = 15     # frames kept from the middle third after alignment
     lda_shrinkage: float = 1e-3      # fraction of mean within-scatter diagonal added to it
-    lda_shrinkage_max: float = 10.0
 
     # --- HMM ---
     hmm_states: int = 7

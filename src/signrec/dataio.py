@@ -522,11 +522,6 @@ def mirror_pose(pose: SkeletonPose, width: int) -> SkeletonPose:
     return SkeletonPose(ordered)
 
 
-def _flip_frame(frame):
-    """`frame` flipped about the vertical axis, as a contiguous copy."""
-    return np.ascontiguousarray(frame[:, ::-1])
-
-
 def mirror_sequence(seq: FrameSequence) -> FrameSequence:
     """The recording as the other hand would sign it: frames flipped about
     the vertical axis on read, left/right joints swapped, the other
@@ -534,8 +529,8 @@ def mirror_sequence(seq: FrameSequence) -> FrameSequence:
     width = seq.color_frames[0].shape[1]
     return replace(
         seq,
-        color_frames=LazyFrames(seq.color_frames, _flip_frame),
-        depth_frames=LazyFrames(seq.depth_frames, _flip_frame),
+        color_frames=LazyFrames(seq.color_frames, np.fliplr),
+        depth_frames=LazyFrames(seq.depth_frames, np.fliplr),
         skeleton=[mirror_pose(p, width) for p in seq.skeleton],
         handedness="right" if seq.handedness == "left" else "left",
     )

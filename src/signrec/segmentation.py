@@ -524,13 +524,11 @@ def _face_box(pose, span, shape):
 class SequenceSegmenter:
     """One sequence's segmentation state, advanced in frame order by `step`:
     the signer's skin model, the face depth model, one Kalman track per hand
-    and each hand's last unoccluded shape. `reset(span)` starts a sequence of
+    and each hand's last unoccluded shape. Chromaticity is binned with the
+    general skin model's bin count. `reset(span)` starts a sequence of
     shoulder span `span` px; the next `step` boots the state from its frame."""
 
     def __init__(self, general_model: SkinHistogram, cfg):
-        if general_model.bins != cfg.hist_bins:
-            raise ValueError(f"skin model has {general_model.bins} bins per axis, "
-                             f"config hist_bins is {cfg.hist_bins}")
         self.general_model = general_model
         self.cfg = cfg
 
@@ -589,7 +587,7 @@ class SequenceSegmenter:
         boot = self.general_model.lookup(frame_bins, cfg.skin_threshold) & body
         if boot.any():
             self.signer_model = SkinHistogram.from_bins(
-                frame_bins[boot], frame_bins[body & ~boot], cfg.hist_bins
+                frame_bins[boot], frame_bins[body & ~boot], self.general_model.bins
             )
         self.face_model = FaceDepthModel.from_frame(
             depth, _face_box(pose, self.span, depth.shape)
@@ -610,7 +608,7 @@ class SequenceSegmenter:
         # one chromaticity pass per frame: the boot model, the skin
         # candidates, the hand-over-face skin test and the adaptive
         # update all read these bins
-        frame_bins = rg_bins(rgb, cfg.hist_bins)
+        frame_bins = rg_bins(rgb, self.general_model.bins)
         booting = self.tracks is None
         if booting:
             cand = self._boot(frame_bins, body, depth, pose)

@@ -91,8 +91,6 @@ def warp_to_reference(ref_xy, query_xy, query_full):
 def resample_linear(frames, length):
     frames = np.asarray(frames, dtype=np.float64)
     n = len(frames)
-    if n == 1:
-        return np.repeat(frames, length, axis=0)
     pos = np.linspace(0.0, n - 1, length)
     lo = np.floor(pos).astype(np.intp)
     hi = np.minimum(lo + 1, n - 1)
@@ -190,15 +188,15 @@ class LdaTransform:
                    meta["feature_spec"])
 
 
-def solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0):
+def solve_transform(between, within, out_dim, shrinkage=1e-3):
     """Top generalized eigenvectors of (between, within + ridge); returns
-    (weights, eigenvalues, shrinkage used).
+    (weights, eigenvalues).
 
-    The within matrix is regularized by shrinkage * mean diagonal; if it is
-    still not positive definite the ridge grows tenfold up to shrinkage_max;
-    past it, or at once for a ridge of zero, which cannot grow, it raises
-    ValueError. A scatter holding an inf or NaN raises ValueError naming it
-    before any ridge is tried.
+    The ridge is shrinkage * mean within diagonal, or shrinkage alone when
+    that diagonal is all zero. If within + ridge is not positive definite
+    (for a sum of Gram matrices, only at a ridge of zero or below rounding),
+    it raises ValueError naming the shrinkage. A scatter holding an inf or
+    NaN raises ValueError naming it before the ridge is added.
 
     The symmetric-definite problem is reduced to a standard one by Cholesky
     (Golub & Van Loan, Matrix Computations, sec. 8.7), as LAPACK's dsygvd
@@ -214,17 +212,11 @@ def solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0
     ridge_unit = np.trace(within) / dim
     if ridge_unit <= 0:
         ridge_unit = 1.0
-    gamma = shrinkage
-    while True:
-        try:
-            chol = np.linalg.cholesky(within + gamma * ridge_unit * np.eye(dim))
-            break
-        except np.linalg.LinAlgError:
-            if gamma <= 0 or gamma * 10.0 > shrinkage_max:
-                raise ValueError(
-                    "within-sign scatter is singular even at maximum shrinkage"
-                ) from None
-            gamma *= 10.0
+    try:
+        chol = np.linalg.cholesky(within + shrinkage * ridge_unit * np.eye(dim))
+    except np.linalg.LinAlgError:
+        raise ValueError(f"within-sign scatter is singular at lda_shrinkage={shrinkage!r}; "
+                         f"set a larger one") from None
     inv = np.linalg.inv(chol)
     whitened = inv @ between @ inv.T
     eigvals, eigvecs = np.linalg.eigh((whitened + whitened.T) / 2)
@@ -235,7 +227,7 @@ def solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0
         pivot = int(np.argmax(np.abs(vectors[:, k])))
         if vectors[pivot, k] < 0:
             vectors[:, k] = -vectors[:, k]
-    return vectors, values, gamma
+    return vectors, values
 
 
 def project(frames, transform: LdaTransform):
@@ -251,10 +243,11 @@ def project(frames, transform: LdaTransform):
 def fit_transform(frames_by_class, posxy_by_class, out_dim, cfg,
                   feature_spec="") -> LdaTransform:
     """Fit the transform from per-class lists of (frames, posxy) arrays, with
-    the `lda_*` settings of `cfg`."""
+    the `lda_*` settings of `cfg`; the transform records `lda_shrinkage` as
+    its shrinkage."""
     keep = cfg.lda_resample_third
     aligned = [align_and_resample(posxy_by_class[label], frames_by_class[label], keep)
                for label in sorted(frames_by_class)]
-    weights, eigenvalues, used = solve_transform(*accumulate_scatter(aligned), out_dim,
-                                                 cfg.lda_shrinkage, cfg.lda_shrinkage_max)
-    return LdaTransform(weights, eigenvalues, keep, used, feature_spec)
+    weights, eigenvalues = solve_transform(*accumulate_scatter(aligned), out_dim,
+                                           cfg.lda_shrinkage)
+    return LdaTransform(weights, eigenvalues, keep, cfg.lda_shrinkage, feature_spec)

@@ -444,29 +444,18 @@ def reference_segment(general_model, cfg, seq):
     return frames, signer_model
 
 
-def reference_solve_transform(between, within, out_dim, shrinkage=1e-3, shrinkage_max=10.0):
-    """`signerlda.solve_transform` as scipy's generalized eigensolve in the
-    same ridge loop; returns (weights, eigenvalues, shrinkage used)."""
+def reference_solve_transform(between, within, out_dim, shrinkage=1e-3):
+    """`signerlda.solve_transform` as scipy's generalized eigensolve under the
+    same one ridge; returns (weights, eigenvalues)."""
     dim = between.shape[0]
     ridge_unit = np.trace(within) / dim
     if ridge_unit <= 0:
         ridge_unit = 1.0
-    gamma = shrinkage
-    while True:
-        regularized = within + gamma * ridge_unit * np.eye(dim)
-        try:
-            eigvals, eigvecs = scipy.linalg.eigh(between, regularized)
-            break
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            if gamma <= 0 or gamma * 10.0 > shrinkage_max:
-                raise ValueError(
-                    "within-sign scatter is singular even at maximum shrinkage"
-                ) from None
-            gamma *= 10.0
+    eigvals, eigvecs = scipy.linalg.eigh(between, within + shrinkage * ridge_unit * np.eye(dim))
     order = np.argsort(eigvals)[::-1][:out_dim]
     vectors = eigvecs[:, order].copy()
     for k in range(vectors.shape[1]):
         pivot = int(np.argmax(np.abs(vectors[:, k])))
         if vectors[pivot, k] < 0:
             vectors[:, k] = -vectors[:, k]
-    return vectors, eigvals[order], gamma
+    return vectors, eigvals[order]

@@ -137,7 +137,7 @@ class TestCriterion04Lda:
         x1 = mu1 + rng.normal(size=(60, 5)) @ mix
         x2 = mu2 + rng.normal(size=(60, 5)) @ mix
         between, within = accumulate_scatter([x1[:, None, :], x2[:, None, :]])
-        weights, _, _ = solve_transform(between, within, out_dim=1, shrinkage=1e-9)
+        weights, _ = solve_transform(between, within, out_dim=1, shrinkage=1e-9)
         fisher = np.linalg.solve(within, x1.mean(0) - x2.mean(0))
         w = weights[:, 0]
         cos = abs(fisher @ w) / (np.linalg.norm(fisher) * np.linalg.norm(w))

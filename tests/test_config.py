@@ -54,9 +54,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{key}="):
             dataclasses.replace(Config(), **{key: value})
 
-    def test_zero_idle_key_is_gone(self, tmp_path):
-        (tmp_path / "c.txt").write_text("zero_idle=False\n")
-        with pytest.raises(ValueError, match="c.txt:1: unknown config key 'zero_idle'"):
+    @pytest.mark.parametrize("key", ["zero_idle", "lda_shrinkage_max"])
+    def test_zero_idle_key_is_gone(self, tmp_path, key):
+        (tmp_path / "c.txt").write_text(f"{key}=1\n")
+        with pytest.raises(ValueError, match=f"c.txt:1: unknown config key '{key}'"):
+            Config.load(tmp_path / "c.txt")
+
+    def test_line_without_equals_named(self, tmp_path):
+        (tmp_path / "c.txt").write_text("hmm_states=7\n# a comment\nhmm_states 7\n")
+        with pytest.raises(ValueError, match="c.txt:3: expected key=value, got 'hmm_states 7'"):
             Config.load(tmp_path / "c.txt")
 
     def test_every_field_type_has_a_parser(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from xml.etree import ElementTree
 
@@ -15,9 +16,8 @@ from signrec.evaluation import (
     run_si_loso,
     train_recognizer,
 )
-from signrec import evaluation
+from signrec import evaluation, signerlda
 from signrec.features import FeatureSetSpec
-from signrec.hmm import train_bank
 
 
 def three_signers(length):
@@ -219,38 +219,56 @@ class TestSiLoso:
         with pytest.raises(ValueError, match="2 signers"):
             run_si_loso(own, cfg)
 
-    def test_no_information_leak_from_held_out_data(self, prepared):
-        # perturbing the held-out signer's features must not change what the
-        # training signers produce
+    def test_no_information_leak_from_held_out_data(self, prepared, monkeypatch, tmp_path):
+        # the fold holding out signerB fits its transform and its bank on the
+        # other signers only: shifting signerB's samples leaves both bit-equal
         data, cfg = prepared
         vocabulary = sorted({s.label for s in data})
-        train = [s for s in data if s.signer != "signerB"]
+        shifted = [dataclasses.replace(s, frames=s.frames + 123.0, posxy=s.posxy + 9.0)
+                   if s.signer == "signerB" else s for s in data]
+        fitted = []
 
-        def train_digest(dataset, tmp):
-            grouped = {}
-            for s in dataset:
-                if s.signer == "signerB":
-                    continue
-                grouped.setdefault(s.label, []).append(s.frames)
-            bank = train_bank(grouped, cfg)
-            bank.save(tmp)
-            return b"".join(
-                sorted(p.read_bytes() for p in tmp.iterdir())
-            )
+        def recorded(fit):
+            def wrapper(*args, **kwargs):
+                fitted.append(fit(*args, **kwargs))
+                return fitted[-1]
+            return wrapper
 
-        import tempfile, pathlib
+        for name in ("fit_transform", "train_bank"):
+            monkeypatch.setattr(evaluation, name, recorded(getattr(evaluation, name)))
 
-        perturbed = []
-        for s in data:
-            if s.signer == "signerB":
-                clone = type(s)(signer=s.signer, label=s.label,
-                                frames=s.frames + 123.0, posxy=s.posxy + 9.0)
-                perturbed.append(clone)
-            else:
-                perturbed.append(s)
-        d1 = pathlib.Path(tempfile.mkdtemp())
-        d2 = pathlib.Path(tempfile.mkdtemp())
-        assert train_digest(data, d1) == train_digest(perturbed, d2)
+        def fold_records(dataset, out):
+            fitted.clear()
+            evaluation._si_one_signer(("signerB", dataset, vocabulary, cfg, 2, "pos,S"))
+            transform, bank = fitted
+            bank.save(out)
+            transform.save(out / "transform.npz")
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        clean = fold_records(data, tmp_path / "clean")
+        assert sorted(clean) == ["models.npz", "transform.npz"]
+        assert clean == fold_records(shifted, tmp_path / "shifted")
+
+    def test_one_sample_per_class_scores_every_fold(self, monkeypatch):
+        # one training sample per class leaves no within-sign scatter, so the
+        # LDA ridge is lda_shrinkage times the identity
+        traces = []
+        solve = signerlda.solve_transform
+
+        def traced(between, within, *rest):
+            traces.append(np.trace(within))
+            return solve(between, within, *rest)
+
+        monkeypatch.setattr(signerlda, "solve_transform", traced)
+        rng = np.random.default_rng(8)
+        data = [_PreparedSample(signer, label, frames, frames[:, :2])
+                for signer in ("signerA", "signerB")
+                for label, offset in (("x", 0.0), ("y", 4.0))
+                for frames in [offset + rng.normal(size=(20, 4))]]
+        report = run_si_loso(data, Config(), lda_dims=2)
+        assert traces == [0.0, 0.0]
+        assert sorted(report.per_signer) == ["signerA", "signerB"]
+        assert report.confusion.sum() == 4
 
 
 def with_field(key, value):

@@ -41,7 +41,7 @@ run_sd_loocv(prepared, cfg)
 run_si_loso(prepared, cfg, lda_dims=2)
 with np.load(sys.argv[2]) as scatter:
     between, within = scatter["between"], scatter["within"]
-weights, _, _ = solve_transform(between, within, 3)
+weights, _ = solve_transform(between, within, 3)
 print(json.dumps({"scipy": sorted(name for name in sys.modules
                                   if name.split(".")[0] == "scipy"),
                   "weights": weights.tobytes().hex()}))
@@ -65,5 +65,5 @@ def test_no_protocol_loads_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300, check=True, env=env)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["scipy"] == []
-    weights, _, _ = solve_transform(between, within, 3)
+    weights, _ = solve_transform(between, within, 3)
     assert result["weights"] == weights.tobytes().hex()

@@ -112,11 +112,6 @@ class TestFrameSkinMask:
                 skin_now = model.lookup(rg_bins(frame, bins), 1.0)
                 assert np.array_equal(skin_now, brute_force_skin(frame, model, 1.0))
 
-    def test_segmenter_rejects_model_with_other_bins(self):
-        model = model_from_color([180, 100, 70], bins=16)
-        with pytest.raises(ValueError, match="16 bins"):
-            SequenceSegmenter(model, Config(hist_bins=32))
-
 
 class TestAdaptiveUpdate:
     def test_alpha_zero_keeps_model(self):
@@ -620,12 +615,17 @@ def assert_same_frames(frames, oracle):
 
 
 @pytest.fixture(scope="module")
-def occlusion_corpus(tmp_path_factory):
+def occlusion_root(tmp_path_factory):
     """Plain motion, crossing hands and a face touch; signer B is left-handed."""
     root = tmp_path_factory.mktemp("occlusion_corpus")
     spec = SynthSpec(num_classes=3, num_signers=2, samples=1, frames=36,
                      width=160, height=120, left_handed=(1,))
-    manifest = generate_synthetic_corpus(spec, 99, root)
+    return root, generate_synthetic_corpus(spec, 99, root)
+
+
+@pytest.fixture(scope="module")
+def occlusion_corpus(occlusion_root):
+    root, manifest = occlusion_root
     cfg = Config()
     seqs = [load_sequence(root / e.path) for e in manifest.entries]
     seqs = [mirror_sequence(s) if s.handedness == "left" else s for s in seqs]
@@ -655,6 +655,16 @@ class TestSequenceSegmenter:
             kinds |= {o.occlusion for f in oracle for o in (f.left, f.right)
                       if o is not None}
         assert kinds == {"none", "hand_over_hand", "hand_over_face"}
+
+    def test_bins_come_from_the_skin_model(self, occlusion_root, occlusion_corpus):
+        """The segmenter bins chromaticity as its skin model does; the
+        config's hist_bins only builds the general model."""
+        _, cfg, seqs = occlusion_corpus
+        coarse = Config(hist_bins=16)
+        model = general_skin_model(occlusion_root[0], coarse)
+        assert cfg.hist_bins != model.bins
+        frames = SequenceSegmenter(model, cfg).run(seqs[0]).frames
+        assert_same_frames(frames, reference_segment(model, coarse, seqs[0])[0])
 
     def test_track_reseeded_after_max_coast(self, occlusion_corpus):
         """Blanking the right hand's depth hides it from the body region; once
