@@ -1,7 +1,8 @@
 """Pipeline configuration with flat key=value file support.
 
-Every tunable of the recognizer lives here so that experiments are fully
-described by (data, config, seed).
+`Config` holds the settings a caller varies, so that an experiment is fully
+described by (data, config, seed); constants that no caller changes, such as
+the Kalman tracker's noises and the blob ranker's scales, live with their code.
 """
 
 from __future__ import annotations
@@ -57,16 +58,8 @@ class ExtractConfig:
     weight_depth: float = 1.0 / 3.0
     weight_size: float = 1.0 / 3.0
     weight_proximity: float = 1.0 / 3.0
-    min_assign_score: float = 0.4    # below this the hand is marked missing
-    depth_score_scale: float = 1000.0  # mm over which the depth score decays to 0
-    proximity_scale: float = 80.0      # px over which the proximity score decays to 0
 
     # --- Kalman tracking ---
-    process_noise: float = 1e-2
-    measurement_noise: float = 4.0   # px^2
-    initial_covariance: float = 1e3
-    window_pad_frac: float = 0.25
-    window_pad_min: float = 10.0     # px floor on the search-window padding
     max_coast: int = 15              # frames without measurement before re-seeding
 
     # --- features ---

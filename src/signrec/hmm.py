@@ -60,19 +60,26 @@ def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> 
     if not samples:
         raise ValueError("need at least one training sample")
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
-    shortest = min(len(s) for s in samples)
-    if shortest < n_states:
-        raise ValueError(f"a sequence of {shortest} frames is shorter than "
+    lengths = [len(s) for s in samples]
+    if min(lengths) < n_states:
+        raise ValueError(f"a sequence of {min(lengths)} frames is shorter than "
                          f"the {n_states} states of the chain")
-    segments = [np.split(s, np.linspace(0, len(s), n_states + 1).round().astype(int)[1:-1])
-                for s in samples]
-    pooled = [np.concatenate(parts) for parts in zip(*segments)]
-    means = np.array([chunk.mean(axis=0) for chunk in pooled])
-    variances = np.maximum([chunk.var(axis=0) for chunk in pooled], var_floor)
+    cuts = np.linspace(0, lengths, n_states + 1, axis=1).round().astype(int)
+    # state-major, so that each state's frames are one contiguous block
+    pooled = np.concatenate([s[c[k]:c[k + 1]] for k in range(n_states)
+                             for s, c in zip(samples, cuts)])
+    sizes = np.diff(cuts).sum(axis=0)
+    means, variances = [], []
+    for stop, n in zip(np.cumsum(sizes), sizes):
+        chunk = pooled[stop - n:stop]
+        # the arithmetic of ndarray.mean and .var, without their wrappers
+        mean = np.add.reduce(chunk, axis=0, keepdims=True) / n
+        means.append(mean[0])
+        variances.append(np.add.reduce(np.square(chunk - mean), axis=0) / n)
     return HmmModel(
         label=label,
-        means=means,
-        variances=variances,
+        means=np.array(means),
+        variances=np.maximum(variances, var_floor),
         stay=np.full(n_states, self_prob),
         leave=np.full(n_states, 1.0 - self_prob),
     )

@@ -332,19 +332,26 @@ def clean_mask(cand, min_area=30):
 
 # --- hand assignment ----------------------------------------------------------
 
+# a hand whose best blob scores below this is missing; the depth and
+# proximity scores fall linearly to 0 over these mm and px (tuned at 160 x 120)
+MIN_ASSIGN_SCORE = 0.4
+DEPTH_SCORE_SCALE = 1000.0
+PROXIMITY_SCALE = 80.0
+
+
 def _blob_score(blob: Blob, pred, blob_depth, cfg):
     """Score of `blob` for the hand whose predicted `tracking.HandTrack` is
     `pred`."""
     if np.isnan(blob_depth) or np.isnan(pred.last_depth):
         depth_score = 0.5
     else:
-        depth_score = max(0.0, 1.0 - abs(blob_depth - pred.last_depth) / cfg.depth_score_scale)
+        depth_score = max(0.0, 1.0 - abs(blob_depth - pred.last_depth) / DEPTH_SCORE_SCALE)
     bw, bh = pred.box_state[:2]
     px, py = pred.motion_state[:2]
     pred_area = max(bw * bh, 1.0)
     size_score = min(blob.area, pred_area) / max(blob.area, pred_area)
     dist = float(np.hypot(blob.centroid[0] - px, blob.centroid[1] - py))
-    prox_score = max(0.0, 1.0 - dist / cfg.proximity_scale)
+    prox_score = max(0.0, 1.0 - dist / PROXIMITY_SCALE)
     return (
         cfg.weight_depth * depth_score
         + cfg.weight_size * size_score
@@ -359,7 +366,7 @@ def rank_and_assign(blobs, pred_left, pred_right, depth_frame, cfg, allow_shared
     Scores combine depth agreement, size agreement and proximity to the
     predicted position, each in [0, 1]. Assignment is one-to-one unless
     allow_shared is set (hand-overlap flagged by the tracker). A hand whose
-    best score falls below cfg.min_assign_score is reported missing (None).
+    best score falls below MIN_ASSIGN_SCORE is reported missing (None).
     Each hand gets its own copy of its blob, with the blob's median depth.
     """
     depths = [blob.median_depth(depth_frame) for blob in blobs]
@@ -380,7 +387,7 @@ def rank_and_assign(blobs, pred_left, pred_right, depth_frame, cfg, allow_shared
             continue
         if not allow_shared and i in taken:
             continue
-        if score < cfg.min_assign_score:
+        if score < MIN_ASSIGN_SCORE:
             continue
         assigned[hand] = i
         taken.add(i)
@@ -575,9 +582,7 @@ class SequenceSegmenter:
     def _seed(self, pose, hand, box):
         """A track started at the skeleton's hand joint."""
         jx, jy, jz = pose.joints[f"hand_{hand}"]
-        return tracking.HandTrack.seed(
-            (jx, jy), box=box, depth=jz, initial_cov=self.cfg.initial_covariance
-        )
+        return tracking.HandTrack.seed((jx, jy), box=box, depth=jz)
 
     def _boot(self, frame_bins, body, depth, pose):
         """Fit the signer's skin model, the face depth model and both tracks
@@ -617,12 +622,8 @@ class SequenceSegmenter:
         if not booting:
             cand = skin_now & body & motion_mask(gray, self.gray, cfg.motion_threshold)
 
-        predicted = {h: tracking.predict(self.tracks[h], cfg.process_noise) for h in HANDS}
-        windows = {
-            h: tracking.search_window(predicted[h], shape, cfg.window_pad_frac,
-                                      cfg.window_pad_min)
-            for h in HANDS
-        }
+        predicted = {h: tracking.predict(self.tracks[h]) for h in HANDS}
+        windows = {h: tracking.search_window(predicted[h], shape) for h in HANDS}
 
         # hand-over-face: depth against the face model recovers hand pixels
         fx, fy, fw, fh = self.face_model.bbox
@@ -667,10 +668,7 @@ class SequenceSegmenter:
             o = obs[hand]
             if o is not None and all(map(math.isfinite, o.centroid)):
                 track = tracking.update(
-                    track,
-                    o.centroid,
-                    (o.bbox[2], o.bbox[3]),
-                    cfg.measurement_noise,
+                    track, o.centroid, (o.bbox[2], o.bbox[3]),
                     depth=o.depth if math.isfinite(o.depth) else None,
                 )
             elif track.coast_count > cfg.max_coast:

@@ -9,9 +9,11 @@ its measurement matrix. `reference_segment` is the per-sequence
 segmentation loop as one function, before it became
 `SequenceSegmenter.step`; it cuts each hand's gray patch from the color
 frame, `to_gray(rgb crop) * mask`, as assembly did before the segmenter
-recorded it. The shipped code must give bit-identical results, except
-against `reference_solve_transform`: the LDA eigensolve as scipy's
-generalized `eigh`, which the numpy Cholesky reduction matches to rounding.
+recorded it. `reference_init_model` is the HMM flat start as per-state
+split, concatenate, `mean` and `var`. The shipped code must give
+bit-identical results, except against `reference_solve_transform`: the LDA
+eigensolve as scipy's generalized `eigh`, which the numpy Cholesky
+reduction matches to rounding.
 """
 
 import math
@@ -359,8 +361,7 @@ def reference_segment(general_model, cfg, seq):
             for hand in ("left", "right"):
                 jx, jy, jz = pose.joints[f"hand_{hand}"]
                 tracks[hand] = tracking.HandTrack.seed(
-                    (jx, jy), box=(0.5 * span, 0.5 * span), depth=jz,
-                    initial_cov=cfg.initial_covariance)
+                    (jx, jy), box=(0.5 * span, 0.5 * span), depth=jz)
         model = signer_model if signer_model is not None else general_model
         skin_now = model.lookup(frame_bins, cfg.skin_threshold)
         if t == 0:
@@ -368,10 +369,8 @@ def reference_segment(general_model, cfg, seq):
         else:
             cand = skin_now & body & motion_mask(gray, prev_gray, cfg.motion_threshold)
 
-        predicted = {h: tracking.predict(tracks[h], cfg.process_noise) for h in tracks}
-        windows = {h: tracking.search_window(predicted[h], shape, cfg.window_pad_frac,
-                                             cfg.window_pad_min)
-                   for h in predicted}
+        predicted = {h: tracking.predict(tracks[h]) for h in tracks}
+        windows = {h: tracking.search_window(predicted[h], shape) for h in predicted}
 
         face_rect = (face_model.bbox[0], face_model.bbox[1],
                      face_model.bbox[0] + face_model.bbox[2],
@@ -418,12 +417,10 @@ def reference_segment(general_model, cfg, seq):
             o = obs[hand]
             if o is not None and all(map(math.isfinite, o.centroid)):
                 track = tracking.update(track, o.centroid, (o.bbox[2], o.bbox[3]),
-                                        cfg.measurement_noise,
                                         depth=o.depth if math.isfinite(o.depth) else None)
             elif track.coast_count > cfg.max_coast:
                 jx, jy, jz = pose.joints[f"hand_{hand}"]
-                track = tracking.HandTrack.seed((jx, jy), box=tuple(track.box), depth=jz,
-                                                initial_cov=cfg.initial_covariance)
+                track = tracking.HandTrack.seed((jx, jy), box=tuple(track.box), depth=jz)
             tracks[hand] = track
 
         if signer_model is not None and t >= 1:
@@ -459,3 +456,16 @@ def reference_solve_transform(between, within, out_dim, shrinkage=1e-3):
         if vectors[pivot, k] < 0:
             vectors[:, k] = -vectors[:, k]
     return vectors, eigvals[order]
+
+
+def reference_init_model(samples, n_states, var_floor=1e-4):
+    """`hmm.init_model`'s (means, variances): each sequence split into
+    n_states equal segments, state k's segments concatenated, then
+    `ndarray.mean` and `.var` over frames."""
+    samples = [np.asarray(s, dtype=np.float64) for s in samples]
+    segments = [np.split(s, np.linspace(0, len(s), n_states + 1).round().astype(int)[1:-1])
+                for s in samples]
+    pooled = [np.concatenate(parts) for parts in zip(*segments)]
+    means = np.array([chunk.mean(axis=0) for chunk in pooled])
+    variances = np.maximum([chunk.var(axis=0) for chunk in pooled], var_floor)
+    return means, variances

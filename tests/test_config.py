@@ -54,7 +54,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{key}="):
             dataclasses.replace(Config(), **{key: value})
 
-    @pytest.mark.parametrize("key", ["zero_idle", "lda_shrinkage_max"])
+    @pytest.mark.parametrize("key", [
+        "zero_idle", "lda_shrinkage_max", "process_noise", "measurement_noise",
+        "initial_covariance", "window_pad_frac", "window_pad_min", "min_assign_score",
+        "depth_score_scale", "proximity_scale"])
     def test_zero_idle_key_is_gone(self, tmp_path, key):
         (tmp_path / "c.txt").write_text(f"{key}=1\n")
         with pytest.raises(ValueError, match=f"c.txt:1: unknown config key '{key}'"):
@@ -76,5 +79,5 @@ class TestConfig:
 
     def test_snapshot_contains_every_field(self):
         snap = Config().snapshot()
-        for key in ("hist_bins", "hmm_states", "lda_shrinkage", "window_pad_min"):
+        for key in ("hist_bins", "hmm_states", "lda_shrinkage", "max_coast"):
             assert key in snap

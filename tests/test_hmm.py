@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_kernels as ref
 from signrec.config import Config
 from signrec.dataio import LoadError, save_record
 from signrec.evaluation import prepare_dataset
@@ -188,6 +189,23 @@ class TestInitModel:
     def test_sequence_shorter_than_chain_rejected(self):
         with pytest.raises(ValueError, match="6 frames is shorter than the 7 states"):
             init_model([np.zeros((14, 2)), np.zeros((6, 2))], n_states=7)
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), dim=st.integers(1, 99),
+           extra=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+           offset=st.sampled_from([0.0, 1e4, -3e2]))
+    @example(seed=0, n=7, dim=1, extra=[0], offset=1e4)      # D = 1 and T = N
+    @example(seed=1, n=1, dim=1, extra=[40, 3], offset=0.0)  # one state pools everything
+    def test_matches_split_and_concatenate(self, seed, n, dim, extra, offset):
+        """The one-pass flat start gives the bytes of the per-state split,
+        concatenate, mean and var it replaced."""
+        rng = np.random.default_rng(seed)
+        samples = [offset + rng.normal(size=(n + e, dim)) for e in extra]
+        model = init_model(samples, n_states=n)
+        means, variances = ref.reference_init_model(samples, n)
+        assert model.means.dtype == means.dtype
+        assert np.array_equal(model.means, means)
+        assert np.array_equal(model.variances, variances)
 
     def test_every_segment_holds_a_frame(self):
         # on a ramp, non-empty consecutive segments have rising means

@@ -24,10 +24,13 @@ from signrec.dataio import load_sequence
 from signrec.pipeline import _sequence_key, extract_sequence, general_skin_model
 from signrec.synth import SynthSpec, generate_synthetic_corpus
 
-# long recordings at the bench's resolution; the signer is left-handed, so
-# both the renderer and the extractor mirror every frame
+# long recordings at the bench's resolution and at the sensor's; the signer
+# is left-handed, so both the renderer and the extractor mirror every frame.
+# At 640 x 480 the render peaks near 22 MB whatever the length, more than a
+# 14-frame recording holds, so that corpus is 36 frames long.
 SPEC = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=96, width=160,
                  height=120, left_handed=(0,))
+SENSOR_SPEC = dataclasses.replace(SPEC, frames=36, width=640, height=480)
 
 
 def peak_bytes(work):
@@ -48,13 +51,14 @@ def recording_bytes(seq):
     return len(seq) * h * w * 5
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
+@pytest.fixture(scope="module", params=[SPEC, SENSOR_SPEC], ids=["160x120", "640x480"])
+def corpus(request, tmp_path_factory):
     """The recording directories and the peak of rendering them."""
-    generate_synthetic_corpus(dataclasses.replace(SPEC, frames=12), 5,
+    spec = request.param
+    generate_synthetic_corpus(dataclasses.replace(spec, frames=12), 5,
                               tmp_path_factory.mktemp("warm_up"))
     root = tmp_path_factory.mktemp("long_corpus")
-    peak = peak_bytes(lambda: generate_synthetic_corpus(SPEC, 5, root))
+    peak = peak_bytes(lambda: generate_synthetic_corpus(spec, 5, root))
     return sorted(p for p in root.iterdir() if p.is_dir()), peak
 
 
