@@ -88,9 +88,11 @@ def _prepared(args):
 def _cmd_train(args):
     cfg, spec, prepared = _prepared(args)
     out = Path(args.out)
-    transform, bank = train_recognizer(prepared, cfg, args.lda_dims, spec.name)
+    transform, bank = train_recognizer(prepared, cfg, args.lda_dims)
     if transform is not None:
+        transform.feature_spec = spec.name
         transform.save(out / "transform.npz")
+    bank.feature_spec = spec.name
     bank.save(out / "bank")
     print(f"trained {len(bank.vocabulary)} models into {out / 'bank'}")
     return 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .dataio import read_text
 
@@ -89,9 +88,6 @@ class Config(ExtractConfig):
 
     # --- execution ---
     jobs: int = 1
-
-    def save(self, path):
-        Path(path).write_text(self.snapshot() + "\n")
 
     @classmethod
     def load(cls, path):

@@ -513,13 +513,10 @@ def load_sequence(path) -> FrameSequence:
 # --- geometric operations -------------------------------------------------
 
 def mirror_pose(pose: SkeletonPose, width: int) -> SkeletonPose:
-    joints = {}
-    for name, (x, y, z) in pose.joints.items():
-        joints[_MIRROR_JOINT.get(name, name)] = ((width - 1) - x, y, z)
-    # keep canonical ordering so serialization round-trips deterministically
-    ordered = {n: joints[n] for n in JOINT_NAMES if n in joints}
-    ordered.update({n: v for n, v in joints.items() if n not in ordered})
-    return SkeletonPose(ordered)
+    """The pose flipped about the vertical axis of a `width`-pixel frame, left
+    and right joints swapped; readers look joints up by name."""
+    return SkeletonPose({_MIRROR_JOINT.get(name, name): ((width - 1) - x, y, z)
+                         for name, (x, y, z) in pose.joints.items()})
 
 
 def mirror_sequence(seq: FrameSequence) -> FrameSequence:

@@ -159,45 +159,44 @@ class _Tally:
                      / max(self.confusion.sum() + self.unscorable, 1))
 
 
-def train_recognizer(samples, cfg: Config, lda_dims, feature_spec):
+def train_recognizer(samples, cfg: Config, lda_dims):
     """Fit the signer-independent transform (None when `lda_dims` is 0) on
     the `trainable` prepared samples, then train the bank on them projected
     through it; a class with none raises ValueError before any fit.
-    Returns (transform, bank)."""
+    Returns (transform, bank), neither naming its feature set."""
     grouped = trainable(_by_class(samples), cfg.hmm_states)
     frames_by_class = {label: [s.frames for s in group] for label, group in grouped.items()}
     transform = None
     if lda_dims > 0:
         posxy_by_class = {label: [s.posxy for s in group] for label, group in grouped.items()}
-        transform = fit_transform(frames_by_class, posxy_by_class, lda_dims, cfg, feature_spec)
+        transform = fit_transform(frames_by_class, posxy_by_class, lda_dims, cfg)
         frames_by_class = {label: [project(f, transform) for f in frames]
                            for label, frames in frames_by_class.items()}
-    bank = train_bank(frames_by_class, cfg, feature_spec)
-    return transform, bank
+    return transform, train_bank(frames_by_class, cfg)
 
 
 def _sd_one_signer(args):
     """All leave-one-sample-out folds of one signer, on its own samples.
 
-    Removing one sample only changes the model of its own class, so the
-    other classes reuse a model trained on all of their samples; the fold
-    bank is exactly the one strict leave-one-out training would produce.
-    A signer whose folds `_can_train` cannot is skipped.
+    Removing one sample only changes its class's model, so a fold bank is
+    the full bank with that entry refitted without the sample, exactly as
+    strict leave-one-out training would give. A signer whose folds
+    `_can_train` cannot is skipped.
     """
-    signer, prepared, vocabulary, cfg, _, _ = args
+    signer, prepared, vocabulary, cfg, _ = args
     grouped = _by_class([s for s in prepared if s.signer == signer])
     if not _can_train(grouped, vocabulary, cfg, 2):
         return signer, None
     tally = _Tally(vocabulary)
     full_bank = train_bank(
         {label: [s.frames for s in grouped[label]] for label in vocabulary}, cfg)
-    for label in vocabulary:
+    for index, label in enumerate(vocabulary):
         group = grouped[label]
         for hold in range(len(group)):
             rest = [s.frames for k, s in enumerate(group) if k != hold]
-            bank = ClassifierBank({**full_bank.models, **train_bank({label: rest}, cfg).models},
-                                  vocabulary)
-            tally.add(label, bank.classify(group[hold].frames)[0])
+            models = list(full_bank.models)
+            models[index] = train_bank({label: rest}, cfg).models[0]
+            tally.add(label, ClassifierBank(models).classify(group[hold].frames)[0])
     return signer, tally
 
 
@@ -205,12 +204,12 @@ def _si_one_signer(args):
     """One held-out signer: fit the transform (if any) and the sign models on
     the other signers only, then score the held-out signer's samples. A fold
     whose training set `_can_train` cannot is skipped."""
-    held_out, prepared, vocabulary, cfg, lda_dims, feature_spec_name = args
+    held_out, prepared, vocabulary, cfg, lda_dims = args
     train = [s for s in prepared if s.signer != held_out]
     if not _can_train(_by_class(train), vocabulary, cfg, 1):
         return held_out, None
 
-    transform, bank = train_recognizer(train, cfg, lda_dims, feature_spec_name)
+    transform, bank = train_recognizer(train, cfg, lda_dims)
     tally = _Tally(vocabulary)
     for s in prepared:
         if s.signer == held_out:
@@ -227,7 +226,7 @@ def _run(protocol, fold, prepared, cfg: Config, lda_dims, feature_spec_name,
     skipped."""
     start = time.monotonic()
     vocabulary = sorted({s.label for s in prepared})
-    tasks = [(signer, prepared, vocabulary, cfg, lda_dims, feature_spec_name)
+    tasks = [(signer, prepared, vocabulary, cfg, lda_dims)
              for signer in sorted({s.signer for s in prepared})]
     total = _Tally(vocabulary)
     per_signer = {}

@@ -269,33 +269,34 @@ def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
 
 @dataclass
 class ClassifierBank:
-    models: dict[str, HmmModel]
-    vocabulary: list[str]
+    """One model per sign, in vocabulary order; each model's label names its sign."""
+    models: list[HmmModel]
     feature_spec: str = ""
+
+    @property
+    def vocabulary(self):
+        return [m.label for m in self.models]
 
     def classify(self, frames):
         """Maximum-likelihood label and the per-class score vector.
 
-        Ties resolve to the earlier vocabulary entry.  The label is None
-        when no model can score the frames (every score -inf, as for a
-        sequence shorter than the chains).
+        Ties resolve to the earlier model.  The label is None when no model
+        can score the frames (every score -inf, as for a sequence shorter
+        than the chains).
         """
-        scores = np.array(
-            [forward_loglik(self.models[label], frames) for label in self.vocabulary]
-        )
+        scores = np.array([forward_loglik(m, frames) for m in self.models])
         if not np.isfinite(scores).any():
             return None, scores
-        return self.vocabulary[int(np.argmax(scores))], scores
+        return self.models[int(np.argmax(scores))].label, scores
 
     def save(self, directory):
         """Write the bank as one record, ``models.npz``, inside `directory`:
-        the members of `_MEMBERS`, each stacked over the vocabulary."""
+        the members of `_MEMBERS`, each stacked over the models."""
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
-        models = [self.models[label] for label in self.vocabulary]
         save_record(out / "models.npz",
                     {"vocabulary": self.vocabulary, "feature_spec": self.feature_spec},
-                    **{name: np.stack([getattr(m, name) for m in models])
+                    **{name: np.stack([getattr(m, name) for m in self.models])
                        for name in _MEMBERS})
 
     @classmethod
@@ -320,9 +321,8 @@ class ClassifierBank:
             for label, values in zip(vocabulary, arrays[name]):
                 if not valid(values).all():
                     raise LoadError(f"{path}: {name} of model {label!r} are not all {what}")
-        models = {label: HmmModel(label, **{name: a[i] for name, a in arrays.items()})
-                  for i, label in enumerate(vocabulary)}
-        return cls(models, vocabulary, meta["feature_spec"])
+        return cls([HmmModel(label, **{name: a[i] for name, a in arrays.items()})
+                    for i, label in enumerate(vocabulary)], meta["feature_spec"])
 
 
 def trainable(samples_by_class, n_states):
@@ -342,15 +342,15 @@ def trainable(samples_by_class, n_states):
     return kept
 
 
-def train_bank(samples_by_class, cfg, feature_spec="") -> ClassifierBank:
-    """One model per class, shaped and fitted by the `hmm_*` settings and
-    `variance_floor` of `cfg`, from the `trainable` sequences of each."""
-    models = {}
+def train_bank(samples_by_class, cfg) -> ClassifierBank:
+    """One model per class, in label order, shaped and fitted by the `hmm_*`
+    settings and `variance_floor` of `cfg`, from the `trainable` sequences
+    of each; the bank names no feature set."""
+    models = []
     for label, samples in trainable(samples_by_class, cfg.hmm_states).items():
         model = init_model(samples, label=label, n_states=cfg.hmm_states,
                            self_prob=cfg.hmm_self_prob, var_floor=cfg.variance_floor)
         model, _ = baum_welch(model, samples, max_iter=cfg.hmm_max_iter, tol=cfg.hmm_tol,
                               var_floor=cfg.variance_floor)
-        models[label] = model
-    return ClassifierBank(models=models, vocabulary=list(models),
-                          feature_spec=feature_spec)
+        models.append(model)
+    return ClassifierBank(models)

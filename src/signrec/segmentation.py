@@ -119,14 +119,17 @@ def _bin_counts(flat_bins, bins):
 
 @dataclass
 class SkinHistogram:
-    """Skin and non-skin histograms over (r, g) chromaticity bins."""
+    """Skin and non-skin (bins, bins) counts over (r, g) chromaticity bins."""
 
     skin_counts: np.ndarray
     nonskin_counts: np.ndarray
-    bins: int = 32
+
+    @property
+    def bins(self):
+        return self.skin_counts.shape[0]
 
     @classmethod
-    def from_pixels(cls, skin_rgb, nonskin_rgb, bins=32):
+    def from_pixels(cls, skin_rgb, nonskin_rgb, bins):
         """Histograms of two lists of 8-bit (R, G, B) pixels."""
         return cls.from_bins(rg_bins(np.reshape(skin_rgb, (-1, 3)), bins),
                              rg_bins(np.reshape(nonskin_rgb, (-1, 3)), bins), bins)
@@ -134,7 +137,7 @@ class SkinHistogram:
     @classmethod
     def from_bins(cls, skin_bins, nonskin_bins, bins):
         """Histograms of pixels given by their `rg_bins`."""
-        return cls(_bin_counts(skin_bins, bins), _bin_counts(nonskin_bins, bins), bins)
+        return cls(_bin_counts(skin_bins, bins), _bin_counts(nonskin_bins, bins))
 
     def ratio_table(self):
         """Laplace-smoothed P(bin|skin) / P(bin|nonskin) for every bin."""
@@ -162,7 +165,6 @@ def update_adaptive_model(model: SkinHistogram, skin_bins, nonskin_bins, alpha) 
     return SkinHistogram(
         skin_counts=(1.0 - alpha) * model.skin_counts + alpha * current.skin_counts,
         nonskin_counts=(1.0 - alpha) * model.nonskin_counts + alpha * current.nonskin_counts,
-        bins=model.bins,
     )
 
 
@@ -174,7 +176,7 @@ def motion_mask(gray_t, gray_prev, threshold):
     return np.abs(gray_t - gray_prev) > threshold
 
 
-def body_region(depth, torso_z, front=1200.0, back=300.0):
+def body_region(depth, torso_z, front, back):
     """Pixels with a valid depth reading near the torso plane."""
     depth = np.asarray(depth, dtype=np.float64)
     return (depth > 0) & (depth > torso_z - front) & (depth < torso_z + back)
@@ -293,7 +295,7 @@ def _components(mask):
     return out
 
 
-def clean_mask(cand, min_area=30):
+def clean_mask(cand, min_area):
     """Open the candidate mask with a 3x3 square and return the surviving blobs.
 
     `cand` is the boolean mask `SequenceSegmenter.step` has built, skin, body
@@ -415,9 +417,9 @@ class FaceDepthModel:
         patch = np.asarray(depth_frame, dtype=np.float64)[y : y + h, x : x + w]
         return cls(bbox=bbox, depth=patch.copy(), valid=patch > 0)
 
-    def update(self, depth_frame, exclude=None, rate=0.3):
-        """Blend current depths into the model, skipping excluded pixels and
-        invalid readings."""
+    def update(self, depth_frame, rate, exclude=None):
+        """Blend current depths into the model at `rate`, skipping excluded
+        pixels and invalid readings."""
         x, y, w, h = self.bbox
         patch = np.asarray(depth_frame, dtype=np.float64)[y : y + h, x : x + w]
         ok = patch > 0

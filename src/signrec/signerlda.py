@@ -240,14 +240,13 @@ def project(frames, transform: LdaTransform):
     return frames @ transform.weights
 
 
-def fit_transform(frames_by_class, posxy_by_class, out_dim, cfg,
-                  feature_spec="") -> LdaTransform:
+def fit_transform(frames_by_class, posxy_by_class, out_dim, cfg) -> LdaTransform:
     """Fit the transform from per-class lists of (frames, posxy) arrays, with
     the `lda_*` settings of `cfg`; the transform records `lda_shrinkage` as
-    its shrinkage."""
+    its shrinkage and names no feature set (the caller that saves it does)."""
     keep = cfg.lda_resample_third
     aligned = [align_and_resample(posxy_by_class[label], frames_by_class[label], keep)
                for label in sorted(frames_by_class)]
     weights, eigenvalues = solve_transform(*accumulate_scatter(aligned), out_dim,
                                            cfg.lda_shrinkage)
-    return LdaTransform(weights, eigenvalues, keep, cfg.lda_shrinkage, feature_spec)
+    return LdaTransform(weights, eigenvalues, keep, cfg.lda_shrinkage)

@@ -8,7 +8,9 @@ import pytest
 from signrec import cli, features, pipeline
 from signrec.cli import main
 from signrec.dataio import load_sequence, mirror_sequence, read_pgm8_stream
+from signrec.hmm import ClassifierBank
 from signrec.segmentation import to_gray
+from signrec.signerlda import LdaTransform
 from signrec.synth import SynthSpec
 
 DUMP_STREAMS = ["candidates.pgm", "frames.pgm", "hands.pgm"]
@@ -114,6 +116,14 @@ class TestCli:
         assert code == 0
         assert (out / "bank" / "models.npz").exists()
         assert (out / "transform.npz").exists()
+
+    def test_train_names_the_feature_set_in_both_records(self, cli_corpus, tmp_path):
+        # training names no feature set; the verb that saves the records does
+        out = tmp_path / "trained"
+        assert main(["train", "--data", str(cli_corpus / "manifest.tsv"), "--set", "pos,S",
+                     "--lda-dims", "2", "--out", str(out)]) == 0
+        assert ClassifierBank.load(out / "bank").feature_spec == "pos,S"
+        assert LdaTransform.load(out / "transform.npz").feature_spec == "pos,S"
 
     def test_synth_defaults_are_synth_spec(self, tmp_path, monkeypatch):
         """`synth` without optional flags renders SynthSpec() at seed 0."""

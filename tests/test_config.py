@@ -21,7 +21,7 @@ class TestConfig:
         cfg = Config(motion_threshold=9.0, hmm_states=1, hist_bins=1, min_blob_area=0,
                      max_coast=0, hmm_self_prob=0.999, variance_floor=1e-12, skin_alpha=0.0,
                      face_update_rate=1.0)
-        cfg.save(tmp_path / "c.txt")
+        (tmp_path / "c.txt").write_text(cfg.snapshot() + "\n")
         loaded = Config.load(tmp_path / "c.txt")
         assert loaded == cfg
 

@@ -536,7 +536,7 @@ def write_artefact(kind, tmp):
                 ("keep_frames", "shrinkage", "feature_spec"))
     model = HmmModel("a", rng.normal(size=(3, 2)), np.ones((3, 2)), np.full(3, 0.6),
                      np.full(3, 0.4))
-    ClassifierBank({"a": model}, ["a"]).save(tmp / "bank")
+    ClassifierBank([model]).save(tmp / "bank")
     return (tmp / "bank" / "models.npz", lambda _: ClassifierBank.load(tmp / "bank"),
             ("means", "variances", "stay", "leave"), ("vocabulary", "feature_spec"))
 
@@ -655,19 +655,18 @@ class TestRecords:
                     DatasetManifest(entries).save(tmp / "m.tsv")
                 assert not (tmp / "m.tsv").exists()
 
-            models = {label: HmmModel(label, rng.normal(size=(3, 2)),
-                                      rng.uniform(0.5, 2.0, size=(3, 2)),
-                                      np.full(3, 0.6), np.full(3, 0.4))
-                      for label in labels}
-            ClassifierBank(models, labels, feature_spec=spec).save(tmp / "bank")
+            models = [HmmModel(label, rng.normal(size=(3, 2)),
+                               rng.uniform(0.5, 2.0, size=(3, 2)),
+                               np.full(3, 0.6), np.full(3, 0.4))
+                      for label in labels]
+            ClassifierBank(models, feature_spec=spec).save(tmp / "bank")
             bank = ClassifierBank.load(tmp / "bank")
             assert bank.vocabulary == labels
             assert bank.feature_spec == spec
-            for label in labels:
-                assert bank.models[label].label == label
+            for loaded, model in zip(bank.models, models, strict=True):
+                assert loaded.label == model.label
                 for name in ("means", "variances", "stay", "leave"):
-                    assert np.array_equal(getattr(bank.models[label], name),
-                                          getattr(models[label], name))
+                    assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
             transform = LdaTransform(rng.normal(size=(4, 2)), np.array([2.0, 0.5]),
                                      keep_frames=15, shrinkage=1e-3, feature_spec=spec)

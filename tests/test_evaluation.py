@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from xml.etree import ElementTree
 
@@ -18,6 +19,8 @@ from signrec.evaluation import (
 )
 from signrec import evaluation, signerlda
 from signrec.features import FeatureSetSpec
+from signrec.pipeline import extract_corpus
+from signrec.synth import SynthSpec, generate_synthetic_corpus
 
 
 def three_signers(length):
@@ -200,9 +203,9 @@ class TestSiLoso:
     def test_recognizer_trains_on_a_two_frame_sample_at_two_states(self):
         data = three_signers(lambda signer, label, k: 2 if (signer, label, k) == (
             "signerA", "y", 0) else 20)
-        transform, bank = train_recognizer(data, Config(hmm_states=2), 2, "")
+        transform, bank = train_recognizer(data, Config(hmm_states=2), 2)
         assert transform.weights.shape == (4, 2)
-        assert sorted(bank.models) == ["x", "y"]
+        assert bank.vocabulary == ["x", "y"]
 
     def test_untrainable_class_named_before_any_fit(self, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -211,7 +214,7 @@ class TestSiLoso:
         monkeypatch.setattr(evaluation, "fit_transform", no_fit)
         data = three_signers(lambda signer, label, k: 5 if label == "x" else 20)
         with pytest.raises(ValueError, match="class 'x': every sequence is shorter"):
-            train_recognizer(data, Config(), 2, "")
+            train_recognizer(data, Config(), 2)
 
     def test_single_signer_rejected(self, prepared):
         data, cfg = prepared
@@ -239,7 +242,7 @@ class TestSiLoso:
 
         def fold_records(dataset, out):
             fitted.clear()
-            evaluation._si_one_signer(("signerB", dataset, vocabulary, cfg, 2, "pos,S"))
+            evaluation._si_one_signer(("signerB", dataset, vocabulary, cfg, 2))
             transform, bank = fitted
             bank.save(out)
             transform.save(out / "transform.npz")
@@ -381,3 +384,36 @@ class TestEmitReport:
         root = ElementTree.parse(tmp_path / "confusion.svg").getroot()
         texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts[0::2] == ["a<b", "c&d"]
+
+
+# SHA-256 of the features (entry path, then frame bytes, in manifest order)
+# and of the decisions of three protocol runs on them, taken from the code
+# before the bank became an ordered list of models. A change that should
+# keep every feature and decision must leave both as they are.
+PINNED_FEATURES = "a0bc729b6f70475973ed8866215a37736099d1c6f80f325cab213e1b34bb460c"
+PINNED_DECISIONS = "c2848221c39d090537c1a8430cab73e9a681a9d1e2d7d687df7c9ee561fc7390"
+
+
+def test_decisions_pinned(tmp_path):
+    spec = SynthSpec(num_classes=3, num_signers=3, samples=2, frames=16, width=96,
+                     height=72, style_strength=1.6, left_handed=(1,))
+    generate_synthetic_corpus(spec, 11, tmp_path / "corpus")
+    cfg = Config(hmm_states=4)
+    extracted = extract_corpus(tmp_path / "corpus" / "manifest.tsv", cfg,
+                               cache_dir=tmp_path / "cache", jobs=1)
+    features = hashlib.sha256()
+    for entry, sample in extracted:
+        features.update(entry.path.encode())
+        features.update(np.ascontiguousarray(sample.frames, dtype=np.float64).tobytes())
+
+    full = prepare_dataset(extracted, FeatureSetSpec.parse("pos,S,HOG"), cfg)
+    small = prepare_dataset(extracted, FeatureSetSpec.parse("pos,S"), cfg)
+    decisions = hashlib.sha256()
+    for report in (run_sd_loocv(full, cfg, jobs=1), run_si_loso(full, cfg, jobs=1),
+                   run_si_loso(small, cfg, lda_dims=4, jobs=1)):
+        decisions.update(report.confusion.astype(np.int64).tobytes())
+        decisions.update(str(report.unscorable).encode())
+        for signer, accuracy in sorted(report.per_signer.items()):
+            decisions.update(f"{signer}={accuracy!r};".encode())
+    assert (features.hexdigest(), decisions.hexdigest()) == (PINNED_FEATURES,
+                                                             PINNED_DECISIONS)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -516,7 +517,7 @@ class TestClassify:
     def test_single_model_always_wins(self):
         rng = np.random.default_rng(9)
         model = random_model(rng, 3, 2, label="only")
-        bank = ClassifierBank(models={"only": model}, vocabulary=["only"])
+        bank = ClassifierBank([model])
         label, scores = bank.classify(rng.normal(size=(8, 2)))
         assert label == "only"
         assert len(scores) == 1
@@ -524,21 +525,24 @@ class TestClassify:
     def test_identical_models_tie_to_earlier_vocab(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 3, 2)
-        bank = ClassifierBank(
-            models={"b": model, "a": model}, vocabulary=["a", "b"]
-        )
+        bank = ClassifierBank([dataclasses.replace(model, label="a"),
+                               dataclasses.replace(model, label="b")])
         label, scores = bank.classify(rng.normal(size=(8, 2)))
         assert label == "a"
         assert scores[0] == scores[1]
 
     def test_scores_invariant_under_bank_order(self):
+        # the same two models listed in both orders: the scores permute and
+        # the decision stays the same
         rng = np.random.default_rng(11)
         m1 = random_model(rng, 3, 2, "x")
         m2 = random_model(rng, 3, 2, "y")
         frames = rng.normal(size=(9, 2))
-        b1 = ClassifierBank(models={"x": m1, "y": m2}, vocabulary=["x", "y"])
-        b2 = ClassifierBank(models={"y": m2, "x": m1}, vocabulary=["x", "y"])
-        assert np.array_equal(b1.classify(frames)[1], b2.classify(frames)[1])
+        label, scores = ClassifierBank([m1, m2]).classify(frames)
+        swapped_label, swapped = ClassifierBank([m2, m1]).classify(frames)
+        assert np.array_equal(swapped, scores[::-1])
+        assert scores[0] != scores[1]
+        assert swapped_label == label
 
     def test_separable_generators_recovered(self):
         rng = np.random.default_rng(12)
@@ -564,10 +568,7 @@ class TestClassify:
 
     def test_sequence_shorter_than_chain_is_unscorable(self):
         rng = np.random.default_rng(18)
-        bank = ClassifierBank(
-            models={"a": random_model(rng, 7, 2, "a"), "b": random_model(rng, 7, 2, "b")},
-            vocabulary=["a", "b"],
-        )
+        bank = ClassifierBank([random_model(rng, 7, 2, "a"), random_model(rng, 7, 2, "b")])
         label, scores = bank.classify(rng.normal(size=(5, 2)))
         assert label is None
         assert np.all(scores == -np.inf)
@@ -577,20 +578,17 @@ class TestModelIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)
         model = random_model(rng, 5, 3, label="sign07")
-        ClassifierBank({"sign07": model}, ["sign07"]).save(tmp_path / "bank")
-        loaded = ClassifierBank.load(tmp_path / "bank").models["sign07"]
+        ClassifierBank([model]).save(tmp_path / "bank")
+        [loaded] = ClassifierBank.load(tmp_path / "bank").models
         assert loaded.label == "sign07"
         for name in ("means", "variances", "stay", "leave"):
             assert np.array_equal(getattr(loaded, name), getattr(model, name))
 
     def test_bank_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
-        bank = ClassifierBank(
-            models={"a": random_model(rng, 3, 2, "a"), "b": random_model(rng, 3, 2, "b")},
-            vocabulary=["a", "b"],
-        )
+        bank = ClassifierBank([random_model(rng, 3, 2, "a"), random_model(rng, 3, 2, "b")])
         bank.save(tmp_path / "bank")
         loaded = ClassifierBank.load(tmp_path / "bank")
         assert loaded.vocabulary == ["a", "b"]
-        for label in ("a", "b"):
-            assert np.array_equal(loaded.models[label].means, bank.models[label].means)
+        for got, saved in zip(loaded.models, bank.models):
+            assert np.array_equal(got.means, saved.means)

@@ -77,9 +77,26 @@ class TestSkinMask:
         assert not model.lookup(rg_bins(frame, model.bins), threshold=np.inf).any()
 
     def test_empty_skin_model_rejected(self):
-        model = SkinHistogram(np.zeros((32, 32)), np.ones((32, 32)), 32)
+        model = SkinHistogram(np.zeros((32, 32)), np.ones((32, 32)))
         with pytest.raises(ValueError, match="empty"):
             model.ratio_table()
+
+    def test_bins_come_from_the_counts(self):
+        assert SkinHistogram(np.zeros((16, 16)), np.ones((16, 16))).bins == 16
+        # counts of 16 x 16 bins, built with no bin count named: the ratios
+        # are smoothed over 256 cells and a frame is scored binned at 16
+        fitted = model_from_color([180, 100, 70], bins=16)
+        model = SkinHistogram(fitted.skin_counts, fitted.nonskin_counts)
+        assert model.bins == 16
+        cells = 16 * 16
+        assert np.array_equal(model.ratio_table(),
+                              ((fitted.skin_counts + 1.0) / (500 + cells))
+                              / ((fitted.nonskin_counts + 1.0) / (500 + cells)))
+        frame = np.zeros((2, 2, 3), dtype=np.uint8)
+        frame[0, 0] = [180, 100, 70]
+        frame[1, 1] = [10, 10, 200]
+        mask = model.lookup(rg_bins(frame, model.bins), threshold=1.0)
+        assert mask.tolist() == [[True, False], [False, False]]
 
 
 def brute_force_skin(rgb, model, threshold):
