@@ -10,6 +10,13 @@ a hand aspect-ratio bias. Ground-truth masks and trajectories are written
 beside every sequence, and a labeled skin/non-skin pixel list is emitted
 once per corpus for bootstrapping the color model.
 
+The recipe table, `sign_recipes`, is built once per corpus: each class's
+(right path, left path or None = resting hand). Without `depth_pairs`,
+class 1 crosses the hands, class 2 touches the face, and every other class
+traces a loop of its own, one-handed at multiples of 3; with them, classes
+2k and 2k+1 share a two-handed loop, flat in depth or swinging 220 mm. The
+renderer reads a class's recipe, never its index.
+
 A sequence is written one frame at a time, as soon as the frame is drawn:
 its color and depth images go to a `dataio.recording_writer` and its
 ground-truth masks to `gt_left.pgm` and `gt_right.pgm` (flipped, and the
@@ -88,10 +95,11 @@ class SynthSpec:
         for name, ok, rule in (
                 ("width", self.width >= 1, "at least 1"),
                 ("height", self.height >= 1, "at least 1"),
-                ("traj_noise", self.traj_noise >= 0, "at least 0"),
-                ("depth_noise", self.depth_noise >= 0, "at least 0"),
-                ("skeleton_noise", self.skeleton_noise >= 0, "at least 0"),
-                ("fps", self.fps > 0, "positive"),
+                ("traj_noise", 0 <= self.traj_noise < math.inf, "finite and at least 0"),
+                ("depth_noise", 0 <= self.depth_noise < math.inf, "finite and at least 0"),
+                ("skeleton_noise", 0 <= self.skeleton_noise < math.inf, "finite and at least 0"),
+                ("fps", 0 < self.fps < math.inf, "finite and positive"),
+                ("style_strength", math.isfinite(self.style_strength), "finite"),
                 ("left_handed", all(i in range(self.num_signers) for i in self.left_handed),
                  f"signer indices 0..{self.num_signers - 1}")):
             if not ok:
@@ -173,34 +181,17 @@ def signer_style(spec: SynthSpec, seed, signer_index) -> SignerStyle:
     )
 
 
-def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
-    """Closed-loop 3D trajectories (right hand, optional left hand).
+def _draws(key):
+    """Three fixed numbers in [0, 1) from which a loop's shape derives."""
+    return (key * GOLDEN) % 1.0, (key * GOLDEN * GOLDEN) % 1.0, (0.37 + key * 0.23) % 1.0
 
-    Returns (right_fn, left_fn) where each fn maps s in [0, 1] to (x, y, z);
-    left_fn is None for a one-handed sign. Distinct classes get distinct loop
-    centers, radii, phases and depth profiles; two special classes make the
-    hands cross and touch the face.
-    """
+
+def _loop(scene: Scene, key, z0, zamp, two_handed):
+    """A tilted ellipse traced once or twice (by `key`'s parity, which also
+    sets the direction) while the depth swings by `zamp` about `z0`; a
+    second hand mirrors it in anti-phase, 40 mm farther back."""
     w, h = scene.width, scene.height
-    c = class_index
-    # all xy parameters derive from `key` so depth-paired classes share the loop
-    key = c // 2 if spec.depth_pairs else c
-    u1 = (key * GOLDEN) % 1.0
-    u2 = (key * GOLDEN * GOLDEN) % 1.0
-    u3 = (0.37 + key * 0.23) % 1.0
-    one_handed = False if spec.depth_pairs else (c % 3 == 0)
-
-    if spec.depth_pairs:
-        z0 = 1500.0 + 60.0 * key
-        if c % 2 == 0:
-            zamp, zphase = 0.0, 0.0
-        else:
-            zamp, zphase = 220.0, 2 * math.pi * u3
-    else:
-        z0 = 1450.0 + 250.0 * u1
-        zamp = 50.0 + 80.0 * u2
-        zphase = 2 * math.pi * u3
-
+    u1, u2, u3 = _draws(key)
     # loop extents plus the strongest styled shift must stay inside the frame:
     # clipped hands would break both segmentation and the style's linearity
     center = (w * (0.58 + 0.04 * math.cos(2 * math.pi * u1)),
@@ -211,51 +202,75 @@ def class_trajectory(spec: SynthSpec, scene: Scene, class_index):
     direction = 1.0 if key % 2 == 0 else -1.0
     loops = 1 + (key % 2)
     tilt = 0.5 * math.pi * u3
+    zphase = 2 * math.pi * u3
+    ct, st = math.cos(tilt), math.sin(tilt)
 
     def right(s):
         theta = phase + direction * 2 * math.pi * loops * s
         qx, qy = ax * math.cos(theta), ay * math.sin(theta)
-        ct, st = math.cos(tilt), math.sin(tilt)
         x = center[0] + ct * qx - st * qy
         y = center[1] + st * qx + ct * qy
         z = z0 + zamp * math.sin(2 * math.pi * s + zphase)
         return x, y, z
 
-    def left_mirror(s):
+    def left(s):
         x, y, z = right((s + 0.5) % 1.0)   # anti-phase keeps the hands apart
         return w - x, y, z + 40.0
 
-    if not spec.depth_pairs and c == CROSS_CLASS:
-        def right_cross(s):
-            x = 0.5 * w + 0.17 * w * math.cos(2 * math.pi * s + 0.3)
-            y = 0.52 * h + 0.05 * h * math.sin(4 * math.pi * s + 0.3)
-            return x, y, 1520.0 + 50.0 * math.sin(2 * math.pi * s)
+    return right, (left if two_handed else None)
 
-        def left_cross(s):
-            x, y, z = right_cross(s)
-            return w - x, y + 0.035 * h, z + 90.0
 
-        return right_cross, left_cross
+def _crossing(scene: Scene):
+    """Both hands swing across the body, so their paths cross mid-frame."""
+    w, h = scene.width, scene.height
 
-    if not spec.depth_pairs and c == FACE_CLASS:
-        base = (0.62 * w, 0.66 * h)
-        target = (scene.head[0], scene.head[1] + 0.02 * h)
+    def right(s):
+        x = 0.5 * w + 0.17 * w * math.cos(2 * math.pi * s + 0.3)
+        y = 0.52 * h + 0.05 * h * math.sin(4 * math.pi * s + 0.3)
+        return x, y, 1520.0 + 50.0 * math.sin(2 * math.pi * s)
 
-        def right_face(s):
-            blend = math.sin(math.pi * s) ** 2
-            x = base[0] + (target[0] - base[0]) * blend + 0.016 * w * math.cos(5 * math.pi * s)
-            y = base[1] + (target[1] - base[1]) * blend + 0.016 * w * math.sin(5 * math.pi * s)
-            return x, y, 1500.0 + 60.0 * math.sin(2 * math.pi * s)
+    def left(s):
+        x, y, z = right(s)
+        return w - x, y + 0.035 * h, z + 90.0
 
-        def left_small(s):
-            theta = 2 * math.pi * ((s + 0.5) % 1.0)
-            return (0.34 * w + 0.05 * w * math.cos(theta),
-                    0.72 * h + 0.06 * h * math.sin(theta),
-                    1650.0)
+    return right, left
 
-        return right_face, left_small
 
-    return right, (None if one_handed else left_mirror)
+def _face_touch(scene: Scene):
+    """The right hand rises to the chin and back while the left circles low."""
+    w, h = scene.width, scene.height
+    base = (0.62 * w, 0.66 * h)
+    target = (scene.head[0], scene.head[1] + 0.02 * h)
+
+    def right(s):
+        blend = math.sin(math.pi * s) ** 2
+        x = base[0] + (target[0] - base[0]) * blend + 0.016 * w * math.cos(5 * math.pi * s)
+        y = base[1] + (target[1] - base[1]) * blend + 0.016 * w * math.sin(5 * math.pi * s)
+        return x, y, 1500.0 + 60.0 * math.sin(2 * math.pi * s)
+
+    def left(s):
+        theta = 2 * math.pi * ((s + 0.5) % 1.0)
+        return (0.34 * w + 0.05 * w * math.cos(theta),
+                0.72 * h + 0.06 * h * math.sin(theta),
+                1650.0)
+
+    return right, left
+
+
+def sign_recipes(spec: SynthSpec, scene: Scene):
+    """The recipe table (module docstring): one (right path, left path or
+    None) per class; a path maps s in [0, 1] to (x, y, z)."""
+    recipes = []
+    for c in range(spec.num_classes):
+        if spec.depth_pairs:
+            key = c // 2
+            recipes.append(_loop(scene, key, 1500.0 + 60.0 * key, 220.0 * (c % 2), True))
+        elif c in (CROSS_CLASS, FACE_CLASS):
+            recipes.append((_crossing if c == CROSS_CLASS else _face_touch)(scene))
+        else:
+            u1, u2, _ = _draws(c)
+            recipes.append(_loop(scene, c, 1450.0 + 250.0 * u1, 50.0 + 80.0 * u2, c % 3 != 0))
+    return recipes
 
 
 def _ellipse_mask(shape, center, axes, angle=0.0):
@@ -288,10 +303,11 @@ class GroundTruth:
     trajectory: np.ndarray | None = None   # (T, 6): rx ry rz lx ly lz
 
 
-def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
-                     style: SignerStyle, seq_dir: Path, signer_name, label, handedness):
-    """Draw one sequence and write it to `seq_dir` frame by frame; a
-    left-handed signer's frames, masks, joints and trajectory are mirrored."""
+def _render_sequence(spec: SynthSpec, scene: Scene, rng, recipe, style: SignerStyle,
+                     seq_dir: Path, signer_name, label, handedness):
+    """Draw one sequence of the class whose `sign_recipes` entry is `recipe`
+    and write it to `seq_dir` frame by frame; a left-handed signer's frames,
+    masks, joints and trajectory are mirrored."""
     w, h = spec.width, spec.height
     mirrored = handedness == "left"
     n_frames = spec.frames + int(rng.integers(-4, 5))
@@ -327,36 +343,24 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
     color_static = np.round(color_static).astype(np.uint8)
     depth_static = np.round(depth_static).astype(np.uint16)
 
-    hand_tiles = {
-        "right": rng.uniform(-1.0, 1.0, size=(64, 64)),
-        "left": rng.uniform(-1.0, 1.0, size=(64, 64)),
-    }
+    hand_tiles = {hand: rng.uniform(-1.0, 1.0, size=(64, 64)) for hand in ("right", "left")}
     rest_left = style.apply((0.36 * w, 0.78 * h), scene.neck)
     base_radii = scene.hand_radii
     radii = (base_radii[0] * (1.0 + style.aspect),
              base_radii[1] * (1.0 - style.aspect))
 
-    traj_rows = []
     positions = {"right": [], "left": []}
     for t in range(n_frames):
         s = warp(t / (n_frames - 1))
-        rx, ry, rz = right_fn(s)
-        rx, ry = style.apply((rx, ry), scene.neck)
-        rz = float(np.clip(rz + style.z_shift, 1350.0, 1940.0))
-        if left_fn is not None:
-            lx, ly, lz = left_fn(s)
-            lx, ly = style.apply((lx, ly), scene.neck)
-            lz = float(np.clip(lz + style.z_shift, 1350.0, 1940.0))
-        else:
-            lx, ly = rest_left
-            lz = 1700.0
         jitter = rng.normal(0.0, traj_noise, size=4) if traj_noise > 0 else np.zeros(4)
-        rx, ry = rx + jitter[0], ry + jitter[1]
-        if left_fn is not None:
-            lx, ly = lx + jitter[2], ly + jitter[3]
-        # else: the idle hand truly rests, no performance jitter
-        positions["right"].append((rx, ry, rz))
-        positions["left"].append((lx, ly, lz))
+        for k, (hand, path) in enumerate(zip(("right", "left"), recipe)):
+            if path is None:   # the idle hand truly rests: no jitter, no depth swing
+                positions[hand].append((*rest_left, 1700.0))
+                continue
+            x, y, z = path(s)
+            x, y = style.apply((x, y), scene.neck)
+            positions[hand].append((x + jitter[2 * k], y + jitter[2 * k + 1],
+                                    float(np.clip(z + style.z_shift, 1350.0, 1940.0))))
 
     with (recording_writer(seq_dir, signer_name, label, handedness, spec.fps) as append,
           open(seq_dir / GT_STREAMS["left"], "wb") as left_out,
@@ -372,12 +376,10 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
             )
             masks = {hand: np.zeros((h, w), dtype=np.uint8) for hand in ("left", "right")}
             for hand, (hx, hy, hz) in hands:
-                if hand == "left" and left_fn is None:
-                    angle = 0.0        # resting hand holds its pose
-                else:
-                    prev = positions[hand][max(t - 1, 0)]
-                    nxt = positions[hand][min(t + 1, n_frames - 1)]
-                    angle = math.atan2(nxt[1] - prev[1], nxt[0] - prev[0])
+                # along the path; a resting hand's neighbours coincide: angle 0
+                prev = positions[hand][max(t - 1, 0)]
+                nxt = positions[hand][min(t + 1, n_frames - 1)]
+                angle = math.atan2(nxt[1] - prev[1], nxt[0] - prev[0])
                 box, inside = _ellipse_mask((h, w), (hx, hy), radii, angle)
                 masks[hand][box][inside] = 255
                 if not inside.any():
@@ -424,9 +426,8 @@ def _render_sequence(spec: SynthSpec, scene: Scene, rng, right_fn, left_fn,
             }
             pose = SkeletonPose(joints)
             append(color, depth, mirror_pose(pose, w) if mirrored else pose)
-            traj_rows.append([rx, ry, rz, lx, ly, lz])
 
-    traj = np.array(traj_rows)
+    traj = np.hstack([positions["right"], positions["left"]])
     if mirrored:
         traj = traj[:, [3, 4, 5, 0, 1, 2]]
         traj[:, [0, 3]] = (w - 1) - traj[:, [0, 3]]
@@ -486,9 +487,8 @@ def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest
     _emit_skin_corpus(out, np.random.default_rng([seed, 777]))
 
     entries = []
-    for ci in range(spec.num_classes):
+    for ci, recipe in enumerate(sign_recipes(spec, scene)):
         label = f"sign{ci:02d}"
-        right_fn, left_fn = class_trajectory(spec, scene, ci)
         for si in range(spec.num_signers):
             signer = f"signer{chr(ord('A') + si)}"
             style = signer_style(spec, seed, si)
@@ -496,7 +496,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed, out_dir) -> DatasetManifest
             for ni in range(spec.samples):
                 rng = np.random.default_rng([seed, ci, si, ni])
                 name = f"{label}_{signer}_{ni:02d}"
-                _render_sequence(spec, scene, rng, right_fn, left_fn, style, out / name,
+                _render_sequence(spec, scene, rng, recipe, style, out / name,
                                  signer, label, handedness)
                 entries.append(ManifestEntry(path=name, signer_id=signer, sign_label=label,
                                              handedness=handedness))

@@ -33,6 +33,7 @@ from conftest import JOBS
 from test_features import random_blob
 from test_hmm import enumerate_loglik, random_model
 from test_signerlda import brute_force_dtw
+from test_synth import corpus_digest
 
 
 def report(criterion, ok, detail):
@@ -311,21 +312,11 @@ class TestCriterion10Dimensions:
 
 class TestCriterion11Determinism:
     def test_stages_bit_reproducible(self, tmp_path_factory):
-        import hashlib
-
         from signrec.evaluation import emit_report
         from signrec.features import save_sample
 
         spec = SynthSpec(num_classes=2, num_signers=2, samples=2, frames=16,
                          width=96, height=72, style_strength=1.0)
-
-        def corpus_digest(root):
-            digest = hashlib.sha256()
-            for path in sorted(root.rglob("*")):
-                if path.is_file():
-                    digest.update(str(path.relative_to(root)).encode())
-                    digest.update(path.read_bytes())
-            return digest.hexdigest()
 
         roots = [tmp_path_factory.mktemp(f"det_{i}") for i in range(2)]
         for root in roots:

@@ -6,9 +6,13 @@ import pytest
 
 from signrec.dataio import (SKIN_FILES, LoadError, load_sequence, parse_pixel_list,
                             shoulder_distance)
-from signrec.synth import Scene, SynthSpec, generate_synthetic_corpus, load_ground_truth
+from signrec.synth import (Scene, SynthSpec, generate_synthetic_corpus, load_ground_truth,
+                           sign_recipes)
 
 SMALL = dict(num_classes=3, num_signers=2, samples=2, frames=18, width=96, height=72)
+# perfbench/bench.py's BENCH_SPEC: the corpus every bench workload renders
+BENCH = dict(num_classes=2, num_signers=4, samples=3, frames=36, width=160, height=120,
+             style_strength=1.6, left_handed=(1,))
 
 
 def corpus_digest(root):
@@ -46,7 +50,10 @@ class TestDeterminism:
         # a fixed all-zero SignerStyle at strength 0 instead of computing one
         (dict(SMALL, left_handed=(1,)), 5,
          "108705af8240cfe27c5460419fd780090a04d7a7a372a11a987ddb32b6f56543"),
-    ], ids=["small", "special-classes", "clipped-hands", "style-0"])
+        # taken from the renderer that picked each class's paths by its index
+        (BENCH, 2024, "cde5af72c975774292a5e35c48c83dec5ecdebd1e865e5c57a6439b4f8f66208"),
+        (BENCH, 7, "552121e30ab8ff996d0a097055c1d0a8e845fba2d7a61ba346218713fe7e2e9b"),
+    ], ids=["small", "special-classes", "clipped-hands", "style-0", "bench-2024", "bench-7"])
     def test_corpus_bytes_pinned(self, tmp_path, fields, seed, digest):
         generate_synthetic_corpus(SynthSpec(**fields), seed, tmp_path)
         assert corpus_digest(tmp_path) == digest
@@ -74,7 +81,9 @@ class TestContents:
         for field, value in [("width", 0), ("height", -1), ("depth_noise", -3.0),
                              ("traj_noise", -1.0), ("skeleton_noise", -0.5), ("fps", 0.0),
                              ("fps", float("nan")), ("left_handed", (9,)),
-                             ("left_handed", (-1,))]:
+                             ("left_handed", (-1,)), ("style_strength", float("nan")),
+                             ("depth_noise", float("inf")), ("traj_noise", float("inf")),
+                             ("skeleton_noise", float("inf"))]:
             spec = SynthSpec(**dict(SMALL, num_signers=1, **{field: value}))
             with pytest.raises(ValueError, match=field):
                 generate_synthetic_corpus(spec, 0, tmp_path / field)
@@ -169,6 +178,34 @@ class TestContents:
         # depth profiles clearly apart: one flat, one swinging
         assert np.ptp(g0.trajectory[:, 2]) <= 1.0
         assert np.ptp(g1.trajectory[:, 2]) >= 300.0
+
+
+class TestRecipes:
+    """The recipe table at the paper's vocabulary of 94 signs; nothing is rendered."""
+    S = np.linspace(0.0, 1.0, 41)
+
+    @staticmethod
+    def recipes(**fields):
+        spec = SynthSpec(num_classes=94, **fields)
+        recipes = sign_recipes(spec, Scene(spec.width, spec.height))
+        assert len(recipes) == 94
+        return recipes
+
+    def test_one_handed_classes(self):
+        # every third class rests its left hand; the crossing (1) and face (2)
+        # classes use both
+        one_handed = [c for c, (_, left) in enumerate(self.recipes()) if left is None]
+        assert one_handed == list(range(0, 94, 3))
+
+    def test_depth_pairs_share_xy_and_the_even_class_is_flat(self):
+        recipes = self.recipes(depth_pairs=True)
+        for k in range(47):
+            flat, swinging = recipes[2 * k], recipes[2 * k + 1]
+            for a, b in zip(flat, swinging):
+                assert a is not None and b is not None
+                assert all(a(s)[:2] == b(s)[:2] for s in self.S)
+                assert len({a(s)[2] for s in self.S}) == 1
+                assert np.ptp([b(s)[2] for s in self.S]) > 400.0
 
 
 class TestPixelList:
