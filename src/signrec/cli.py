@@ -61,7 +61,7 @@ def _cmd_synth(args):
 def _cmd_segment(args):
     cfg = _load_config(args)
     root, out = Path(args.data).parent, Path(args.out) / args.sample
-    SequenceSegmenter(general_skin_model(root, cfg), cfg).dump(
+    SequenceSegmenter(general_skin_model(root), cfg).dump(
         load_right_handed(root / args.sample), out)
     print(f"wrote frames.pgm, candidates.pgm and hands.pgm to {out}")
     return 0

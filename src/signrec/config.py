@@ -1,8 +1,12 @@
 """Pipeline configuration with flat key=value file support.
 
 `Config` holds the settings a caller varies, so that an experiment is fully
-described by (data, config, seed); constants that no caller changes, such as
-the Kalman tracker's noises and the blob ranker's scales, live with their code.
+described by (data, config, seed): parallelism, the EM cap and the HMM's
+length, the LDA ridge, idle-hand zeroing, the depth gates the ablations move
+and the sensor's focal length. Tuning values that no caller changes (skin and
+motion thresholds, histogram bins, blob area and ranking, tracker noises and
+coasting, EM tolerance, the variance floor and the LDA resample length) live
+as constants or kernel defaults beside the code that reads them.
 """
 
 from __future__ import annotations
@@ -20,13 +24,8 @@ from .dataio import read_text
 _PARSERS = {"int": int, "float": float}
 # the bounded keys: each value must pass the check; every float must be finite
 _RANGES = {
-    **dict.fromkeys(("hist_bins", "hmm_states", "hmm_max_iter", "lda_resample_third",
-                     "jobs"), (lambda v: v >= 1, "at least 1")),
-    **dict.fromkeys(("min_blob_area", "max_coast", "lda_shrinkage"),
-                    (lambda v: v >= 0, "at least 0")),
-    **dict.fromkeys(("skin_alpha", "face_update_rate"), (lambda v: 0 <= v <= 1, "in [0, 1]")),
-    "hmm_self_prob": (lambda v: 0 < v < 1, "in (0, 1)"),
-    "variance_floor": (lambda v: v > 0, "above 0"),
+    **dict.fromkeys(("hmm_states", "hmm_max_iter", "jobs"), (lambda v: v >= 1, "at least 1")),
+    "lda_shrinkage": (lambda v: v >= 0, "at least 0"),
 }
 
 
@@ -42,24 +41,10 @@ def _check(key, value, where=""):
 class ExtractConfig:
     """The settings feature extraction reads; their values key the feature cache."""
 
-    # --- skin model ---
-    hist_bins: int = 32              # bins per axis of the (r,g) histograms
-    skin_alpha: float = 0.2          # adaptive histogram update weight
-    skin_threshold: float = 1.0      # skin/nonskin likelihood-ratio threshold
-    motion_threshold: float = 12.0   # gray-level frame-difference threshold
+    # --- segmentation ---
     face_depth_threshold: float = 60.0   # mm a pixel must sit in front of the face model
-    face_update_rate: float = 0.3    # EMA rate for the face depth model
-    min_blob_area: int = 30          # components below this many pixels are dropped
     body_depth_front: float = 1200.0  # body region reaches this far in front of the torso (mm)
     body_depth_back: float = 300.0    # and this far behind it (mm)
-
-    # --- blob ranking ---
-    weight_depth: float = 1.0 / 3.0
-    weight_size: float = 1.0 / 3.0
-    weight_proximity: float = 1.0 / 3.0
-
-    # --- Kalman tracking ---
-    max_coast: int = 15              # frames without measurement before re-seeding
 
     # --- features ---
     focal_per_width: float = 525.0 / 640.0  # focal length as a fraction of image width
@@ -76,26 +61,23 @@ class Config(ExtractConfig):
     idle_speed_threshold: float = 0.02    # shoulder-widths per frame
 
     # --- signer-independent transform ---
-    lda_resample_third: int = 15     # frames kept from the middle third after alignment
     lda_shrinkage: float = 1e-3      # fraction of mean within-scatter diagonal added to it
 
     # --- HMM ---
     hmm_states: int = 7
-    hmm_self_prob: float = 0.6
-    hmm_tol: float = 1e-4
     hmm_max_iter: int = 40
-    variance_floor: float = 1e-4
 
     # --- execution ---
     jobs: int = 1
 
     @classmethod
     def load(cls, path):
-        """Read a key=value file; a line that does not parse or a value
-        `_check` rejects raises ValueError naming `path:line`, and bytes that
-        are not UTF-8 raise LoadError naming the file."""
+        """Read a key=value file; a line that does not parse, a value `_check`
+        rejects or a key set twice raises ValueError naming `path:line`, and
+        bytes that are not UTF-8 raise LoadError naming the file."""
         cfg = cls()
         types = {f.name: f.type for f in dataclasses.fields(cls)}
+        first = {}    # the line that set each key
         for lineno, raw in enumerate(read_text(path).splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -105,6 +87,9 @@ class Config(ExtractConfig):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in first:
+                raise ValueError(f"{path}:{lineno}: {key} was already set on line {first[key]}")
+            first[key] = lineno
             kind = types[key]
             try:
                 parsed = _PARSERS[kind](value)

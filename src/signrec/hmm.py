@@ -24,6 +24,8 @@ from .dataio import LoadError, load_record, save_record
 log = logging.getLogger(__name__)
 
 LOG_ZERO = -np.inf
+# the floor on every emission variance, at the flat start and after each M-step
+VAR_FLOOR = 1e-4
 
 
 @dataclass
@@ -53,7 +55,7 @@ _MEMBERS = {
 }
 
 
-def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=1e-4) -> HmmModel:
+def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=VAR_FLOOR) -> HmmModel:
     """Flat start: each sequence is cut into n_states equal segments and
     state k pools the k-th segments of all sequences. A sequence shorter
     than the chain raises ValueError; any other gives every segment a frame."""
@@ -241,7 +243,7 @@ def _reestimate(model: HmmModel, counts, var_floor):
                     stay=stay_num / row_sum, leave=leave_num / row_sum)
 
 
-def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=1e-4):
+def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=VAR_FLOOR):
     """Multi-sequence EM within the no-skip topology.
 
     All sequences share one padded E-step per iteration.  A stay or leave
@@ -343,14 +345,12 @@ def trainable(samples_by_class, n_states):
 
 
 def train_bank(samples_by_class, cfg) -> ClassifierBank:
-    """One model per class, in label order, shaped and fitted by the `hmm_*`
-    settings and `variance_floor` of `cfg`, from the `trainable` sequences
-    of each; the bank names no feature set."""
+    """One model per class, in label order, of `cfg.hmm_states` states and
+    fitted for at most `cfg.hmm_max_iter` EM iterations, from the `trainable`
+    sequences of each; the bank names no feature set."""
     models = []
     for label, samples in trainable(samples_by_class, cfg.hmm_states).items():
-        model = init_model(samples, label=label, n_states=cfg.hmm_states,
-                           self_prob=cfg.hmm_self_prob, var_floor=cfg.variance_floor)
-        model, _ = baum_welch(model, samples, max_iter=cfg.hmm_max_iter, tol=cfg.hmm_tol,
-                              var_floor=cfg.variance_floor)
+        model = init_model(samples, label=label, n_states=cfg.hmm_states)
+        model, _ = baum_welch(model, samples, max_iter=cfg.hmm_max_iter)
         models.append(model)
     return ClassifierBank(models)

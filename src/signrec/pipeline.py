@@ -26,11 +26,13 @@ from .config import Config, ExtractConfig
 from .dataio import (META_FILE, RECORDING_FILES, SKIN_FILES, DatasetManifest, LoadError,
                      load_sequence, mirror_sequence, parse_pixel_list, read_meta)
 from .features import FeatureSample, assemble, load_sample, save_sample
-from .segmentation import SequenceSegmenter, SkinHistogram
+from .segmentation import HIST_BINS, SequenceSegmenter, SkinHistogram
 
 log = logging.getLogger(__name__)
 
-# Part of every cache key: bump it when cached samples change meaning.
+# Part of every cache key: bump it when cached samples change meaning, as
+# when an extraction constant outside `ExtractConfig` (a threshold, bin count
+# or tracker default in `segmentation` or `tracking`) changes value.
 CACHE_FORMAT = 2
 
 # bytes read at a time when hashing a recording
@@ -52,18 +54,21 @@ def _read_skin_lists(root):
     return {name: (Path(root) / name).read_bytes() for name in SKIN_FILES}
 
 
-def _skin_model(root, skin_lists, cfg: Config) -> SkinHistogram:
+def _skin_model(root, skin_lists) -> SkinHistogram:
+    """The general skin model; a skin list with no rows raises LoadError."""
     pixels = []
     for name in SKIN_FILES:
         try:
             pixels.append(parse_pixel_list(skin_lists[name].decode()))
         except ValueError as exc:  # also a UnicodeDecodeError
             raise LoadError(f"{Path(root) / name}: {exc}") from None
-    return SkinHistogram.from_pixels(*pixels, bins=cfg.hist_bins)
+    if not len(pixels[0]):
+        raise LoadError(f"{Path(root) / SKIN_FILES[0]}: no skin pixels")
+    return SkinHistogram.from_pixels(*pixels, bins=HIST_BINS)
 
 
-def general_skin_model(corpus_dir, cfg: Config) -> SkinHistogram:
-    return _skin_model(corpus_dir, _read_skin_lists(corpus_dir), cfg)
+def general_skin_model(corpus_dir) -> SkinHistogram:
+    return _skin_model(corpus_dir, _read_skin_lists(corpus_dir))
 
 
 def load_right_handed(seq_dir):
@@ -149,7 +154,7 @@ def extract_corpus(manifest_path, cfg: Config, cache_dir, jobs=None):
 
     pending = [e for e in manifest.entries if e.path not in results]
     if pending:
-        general_model = _skin_model(root, skin_lists, cfg)
+        general_model = _skin_model(root, skin_lists)
         tasks = [(str(root / e.path), general_model, cfg) for e in pending]
         # each entry is cached as it arrives, so a failure keeps the ones before it
         for frames, entry in zip(map_ordered(_extract_one, tasks, jobs or cfg.jobs), pending):

@@ -23,6 +23,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import dataio, tracking
 
 
+# the tuning of segmentation, set at 160 x 120: bins per axis of the (r, g)
+# histograms, the skin/nonskin likelihood-ratio threshold, the adaptive skin
+# model's update weight, the gray-level change that counts as motion, the
+# face depth model's update rate, the fewest pixels a blob keeps, and the
+# frames a track coasts without a measurement before it is re-seeded
+HIST_BINS = 32
+SKIN_THRESHOLD = 1.0
+SKIN_ALPHA = 0.2
+MOTION_THRESHOLD = 12.0
+FACE_UPDATE_RATE = 0.3
+MIN_BLOB_AREA = 30
+MAX_COAST = 15
+
+
 # --- color ------------------------------------------------------------------
 
 def rg_normalize(rgb):
@@ -335,13 +349,15 @@ def clean_mask(cand, min_area):
 # --- hand assignment ----------------------------------------------------------
 
 # a hand whose best blob scores below this is missing; the depth and
-# proximity scores fall linearly to 0 over these mm and px (tuned at 160 x 120)
+# proximity scores fall linearly to 0 over these mm and px (tuned at 160 x 120),
+# and the depth, size and proximity scores weigh BLOB_WEIGHT each
 MIN_ASSIGN_SCORE = 0.4
 DEPTH_SCORE_SCALE = 1000.0
 PROXIMITY_SCALE = 80.0
+BLOB_WEIGHT = 1.0 / 3.0
 
 
-def _blob_score(blob: Blob, pred, blob_depth, cfg):
+def _blob_score(blob: Blob, pred, blob_depth):
     """Score of `blob` for the hand whose predicted `tracking.HandTrack` is
     `pred`."""
     if np.isnan(blob_depth) or np.isnan(pred.last_depth):
@@ -354,14 +370,10 @@ def _blob_score(blob: Blob, pred, blob_depth, cfg):
     size_score = min(blob.area, pred_area) / max(blob.area, pred_area)
     dist = float(np.hypot(blob.centroid[0] - px, blob.centroid[1] - py))
     prox_score = max(0.0, 1.0 - dist / PROXIMITY_SCALE)
-    return (
-        cfg.weight_depth * depth_score
-        + cfg.weight_size * size_score
-        + cfg.weight_proximity * prox_score
-    )
+    return BLOB_WEIGHT * depth_score + BLOB_WEIGHT * size_score + BLOB_WEIGHT * prox_score
 
 
-def rank_and_assign(blobs, pred_left, pred_right, depth_frame, cfg, allow_shared=False):
+def rank_and_assign(blobs, pred_left, pred_right, depth_frame, allow_shared=False):
     """Assign the best-scoring blob to each hand.
 
     `pred_left` and `pred_right` are the predicted `tracking.HandTrack`s.
@@ -375,7 +387,7 @@ def rank_and_assign(blobs, pred_left, pred_right, depth_frame, cfg, allow_shared
     scores = {}
     for hand, pred in (("right", pred_right), ("left", pred_left)):
         for i, blob in enumerate(blobs):
-            scores[(hand, i)] = _blob_score(blob, pred, depths[i], cfg)
+            scores[(hand, i)] = _blob_score(blob, pred, depths[i])
 
     assigned = {}
     taken = set()
@@ -433,7 +445,7 @@ class FaceDepthModel:
 
 
 def resolve_face_occlusion(depth_frame, face_model: FaceDepthModel, threshold,
-                           update_rate=0.3):
+                           update_rate=FACE_UPDATE_RATE):
     """Foreground (hand) pixels inside the face box, by depth difference.
 
     A pixel is foreground when the face model sits more than threshold mm
@@ -590,8 +602,7 @@ class SequenceSegmenter:
         """Fit the signer's skin model, the face depth model and both tracks
         to the first frame, and return its candidates: the pixels of the body
         that the general model calls skin."""
-        cfg = self.cfg
-        boot = self.general_model.lookup(frame_bins, cfg.skin_threshold) & body
+        boot = self.general_model.lookup(frame_bins, SKIN_THRESHOLD) & body
         if boot.any():
             self.signer_model = SkinHistogram.from_bins(
                 frame_bins[boot], frame_bins[body & ~boot], self.general_model.bins
@@ -620,9 +631,9 @@ class SequenceSegmenter:
         if booting:
             cand = self._boot(frame_bins, body, depth, pose)
         model = self.general_model if self.signer_model is None else self.signer_model
-        skin_now = model.lookup(frame_bins, cfg.skin_threshold)
+        skin_now = model.lookup(frame_bins, SKIN_THRESHOLD)
         if not booting:
-            cand = skin_now & body & motion_mask(gray, self.gray, cfg.motion_threshold)
+            cand = skin_now & body & motion_mask(gray, self.gray, MOTION_THRESHOLD)
 
         predicted = {h: tracking.predict(self.tracks[h]) for h in HANDS}
         windows = {h: tracking.search_window(predicted[h], shape) for h in HANDS}
@@ -632,14 +643,12 @@ class SequenceSegmenter:
         face_rect = (fx, fy, fx + fw, fy + fh)
         near_face = any(tracking.windows_intersect(windows[h], face_rect) for h in HANDS)
         if near_face:
-            fg = resolve_face_occlusion(
-                depth, self.face_model, cfg.face_depth_threshold, cfg.face_update_rate
-            )
+            fg = resolve_face_occlusion(depth, self.face_model, cfg.face_depth_threshold)
             cand = cand | (fg & skin_now)
         else:
-            self.face_model.update(depth, rate=cfg.face_update_rate)
+            self.face_model.update(depth, rate=FACE_UPDATE_RATE)
 
-        blobs = clean_mask(cand, min_area=cfg.min_blob_area)
+        blobs = clean_mask(cand, min_area=MIN_BLOB_AREA)
 
         overlap = tracking.detect_overlap(windows["left"], windows["right"], blobs)
         if overlap and all(self.templates[h] is not None for h in HANDS):
@@ -650,8 +659,7 @@ class SequenceSegmenter:
             }
         else:
             obs = dict(zip(HANDS, rank_and_assign(
-                blobs, predicted["left"], predicted["right"], depth, cfg,
-                allow_shared=overlap,
+                blobs, predicted["left"], predicted["right"], depth, allow_shared=overlap,
             )))
             for hand, o in obs.items():
                 if o is None:
@@ -673,7 +681,7 @@ class SequenceSegmenter:
                     track, o.centroid, (o.bbox[2], o.bbox[3]),
                     depth=o.depth if math.isfinite(o.depth) else None,
                 )
-            elif track.coast_count > cfg.max_coast:
+            elif track.coast_count > MAX_COAST:
                 track = self._seed(pose, hand, track.box)
             self.tracks[hand] = track
 
@@ -687,9 +695,7 @@ class SequenceSegmenter:
             if hands_mask.any():
                 nonskin = body & ~hands_mask & ~cand
                 self.signer_model = update_adaptive_model(
-                    self.signer_model, frame_bins[hands_mask], frame_bins[nonskin],
-                    cfg.skin_alpha
-                )
+                    self.signer_model, frame_bins[hands_mask], frame_bins[nonskin], SKIN_ALPHA)
 
         self.gray, self.candidates = gray, cand
         return FrameResult(obs["left"], obs["right"], self.tracks["left"],

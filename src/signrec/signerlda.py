@@ -17,6 +17,9 @@ import numpy as np
 
 from .dataio import LoadError, load_record, save_record
 
+# frames of the middle third each aligned sample keeps
+KEEP_FRAMES = 15
+
 
 def dtw_align(ref, query):
     """Classic DTW with steps {(1,0),(0,1),(1,1)} and pinned endpoints
@@ -241,12 +244,12 @@ def project(frames, transform: LdaTransform):
 
 
 def fit_transform(frames_by_class, posxy_by_class, out_dim, cfg) -> LdaTransform:
-    """Fit the transform from per-class lists of (frames, posxy) arrays, with
-    the `lda_*` settings of `cfg`; the transform records `lda_shrinkage` as
-    its shrinkage and names no feature set (the caller that saves it does)."""
-    keep = cfg.lda_resample_third
-    aligned = [align_and_resample(posxy_by_class[label], frames_by_class[label], keep)
+    """Fit the transform from per-class lists of (frames, posxy) arrays, each
+    sample aligned to KEEP_FRAMES frames, with `cfg.lda_shrinkage` as the
+    ridge; the transform records both and names no feature set (the caller
+    that saves it does)."""
+    aligned = [align_and_resample(posxy_by_class[label], frames_by_class[label], KEEP_FRAMES)
                for label in sorted(frames_by_class)]
     weights, eigenvalues = solve_transform(*accumulate_scatter(aligned), out_dim,
                                            cfg.lda_shrinkage)
-    return LdaTransform(weights, eigenvalues, keep, cfg.lda_shrinkage)
+    return LdaTransform(weights, eigenvalues, KEEP_FRAMES, cfg.lda_shrinkage)

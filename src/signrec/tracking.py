@@ -144,8 +144,8 @@ def point_inside(point, rect):
 def detect_overlap(window_left, window_right, blobs) -> bool:
     """Hands are treated as one object when their search windows intersect
     and exactly one candidate blob sits inside the union. The blobs come from
-    `segmentation.clean_mask`, so each already has at least `min_blob_area`
-    pixels."""
+    `segmentation.clean_mask`, so each already has at least
+    `segmentation.MIN_BLOB_AREA` pixels."""
     if not windows_intersect(window_left, window_right):
         return False
     count = 0

@@ -36,6 +36,12 @@ from signrec.features import (
 )
 from signrec import dataio, tracking
 from signrec.segmentation import (
+    FACE_UPDATE_RATE,
+    MAX_COAST,
+    MIN_BLOB_AREA,
+    MOTION_THRESHOLD,
+    SKIN_ALPHA,
+    SKIN_THRESHOLD,
     Blob,
     FaceDepthModel,
     FrameResult,
@@ -351,23 +357,23 @@ def reference_segment(general_model, cfg, seq):
         gray = to_gray(rgb)
         torso_z = pose.joints["torso"][2]
         body = body_region(depth, torso_z, cfg.body_depth_front, cfg.body_depth_back)
-        frame_bins = rg_bins(rgb, cfg.hist_bins)
+        frame_bins = rg_bins(rgb, general_model.bins)
         if t == 0:
-            boot = general_model.lookup(frame_bins, cfg.skin_threshold) & body
+            boot = general_model.lookup(frame_bins, SKIN_THRESHOLD) & body
             if boot.any():
                 signer_model = SkinHistogram.from_bins(
-                    frame_bins[boot], frame_bins[body & ~boot], cfg.hist_bins)
+                    frame_bins[boot], frame_bins[body & ~boot], general_model.bins)
             face_model = FaceDepthModel.from_frame(depth, _face_box(pose, span, shape))
             for hand in ("left", "right"):
                 jx, jy, jz = pose.joints[f"hand_{hand}"]
                 tracks[hand] = tracking.HandTrack.seed(
                     (jx, jy), box=(0.5 * span, 0.5 * span), depth=jz)
         model = signer_model if signer_model is not None else general_model
-        skin_now = model.lookup(frame_bins, cfg.skin_threshold)
+        skin_now = model.lookup(frame_bins, SKIN_THRESHOLD)
         if t == 0:
             cand = boot
         else:
-            cand = skin_now & body & motion_mask(gray, prev_gray, cfg.motion_threshold)
+            cand = skin_now & body & motion_mask(gray, prev_gray, MOTION_THRESHOLD)
 
         predicted = {h: tracking.predict(tracks[h]) for h in tracks}
         windows = {h: tracking.search_window(predicted[h], shape) for h in predicted}
@@ -378,12 +384,12 @@ def reference_segment(general_model, cfg, seq):
         near_face = [h for h in windows if tracking.windows_intersect(windows[h], face_rect)]
         if near_face:
             fg = resolve_face_occlusion(depth, face_model, cfg.face_depth_threshold,
-                                        cfg.face_update_rate)
+                                        FACE_UPDATE_RATE)
             cand = cand | (fg & skin_now)
         else:
-            face_model.update(depth, rate=cfg.face_update_rate)
+            face_model.update(depth, rate=FACE_UPDATE_RATE)
 
-        blobs = clean_mask(cand, min_area=cfg.min_blob_area)
+        blobs = clean_mask(cand, min_area=MIN_BLOB_AREA)
 
         overlap = tracking.detect_overlap(windows["left"], windows["right"], blobs)
         obs = {"left": None, "right": None}
@@ -396,7 +402,7 @@ def reference_segment(general_model, cfg, seq):
             obs["right"] = _placed_hand(templates["right"], rc, shape, depth)
         else:
             left_obs, right_obs = rank_and_assign(blobs, predicted["left"],
-                                                  predicted["right"], depth, cfg,
+                                                  predicted["right"], depth,
                                                   allow_shared=overlap)
             obs = {"left": left_obs, "right": right_obs}
             for hand in ("left", "right"):
@@ -418,7 +424,7 @@ def reference_segment(general_model, cfg, seq):
             if o is not None and all(map(math.isfinite, o.centroid)):
                 track = tracking.update(track, o.centroid, (o.bbox[2], o.bbox[3]),
                                         depth=o.depth if math.isfinite(o.depth) else None)
-            elif track.coast_count > cfg.max_coast:
+            elif track.coast_count > MAX_COAST:
                 jx, jy, jz = pose.joints[f"hand_{hand}"]
                 track = tracking.HandTrack.seed((jx, jy), box=tuple(track.box), depth=jz)
             tracks[hand] = track
@@ -433,7 +439,7 @@ def reference_segment(general_model, cfg, seq):
                 nonskin = body & ~hands_mask & ~cand
                 signer_model = update_adaptive_model(
                     signer_model, frame_bins[hands_mask], frame_bins[nonskin],
-                    cfg.skin_alpha)
+                    SKIN_ALPHA)
 
         frames.append(FrameResult(left=obs["left"], right=obs["right"],
                                   left_track=tracks["left"], right_track=tracks["right"]))

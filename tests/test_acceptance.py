@@ -202,7 +202,7 @@ class TestCriterion06Segmentation:
     def test_iou_and_occlusion_centroids(self, seg_corpus):
         root, manifest = seg_corpus
         cfg = Config()
-        model = general_skin_model(root, cfg)
+        model = general_skin_model(root)
         ious = []
         occl_errors = []
         for entry in manifest.entries:

@@ -13,6 +13,7 @@ from signrec.dataio import LoadError, save_record
 from signrec.evaluation import prepare_dataset
 from signrec.features import FeatureSetSpec
 from signrec.hmm import (
+    VAR_FLOOR,
     ClassifierBank,
     HmmModel,
     _bands,
@@ -381,7 +382,7 @@ class TestEmissions:
         worst = 0.0
         for label in sorted({p.label for p in prepared}):
             model = init_model([p.frames for p in prepared if p.label == label])
-            model.variances[:] = cfg.variance_floor
+            model.variances[:] = VAR_FLOOR
             precision = 1.0 / model.variances
             for x in frames:
                 got = _emission_logs(model, x, x * x)

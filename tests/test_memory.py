@@ -71,7 +71,7 @@ def test_render_holds_less_than_a_recording(corpus):
 def test_extraction_holds_less_than_a_recording(corpus):
     recordings, _ = corpus
     cfg = Config()
-    model = general_skin_model(recordings[0].parent, cfg)
+    model = general_skin_model(recordings[0].parent)
     seq = load_sequence(recordings[0])
     assert seq.handedness == "left"
     extract_sequence(recordings[0], model, cfg)

@@ -1,9 +1,10 @@
+import inspect
 import pathlib
 
 import numpy as np
 import pytest
 
-from signrec import cli, pipeline
+from signrec import cli, pipeline, segmentation, tracking
 from signrec.config import Config
 from signrec.dataio import SKIN_FILES, LoadError, load_record, save_record
 from signrec.features import save_sample
@@ -31,6 +32,41 @@ def same_features(a, b):
         and np.array_equal(sa.frames, sb.frames)
         for (ea, sa), (eb, sb) in zip(a, b)
     )
+
+
+def _default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def test_extraction_constants_pinned_with_cache_format():
+    """The feature cache is keyed by `ExtractConfig` and `CACHE_FORMAT`, not
+    by the tuning constants that segmentation and tracking read, so a cached
+    record is stale once one of them changes. The HMM and LDA constants are
+    not pinned here: no cached record holds their output."""
+    pinned = {  # name: (value, pinned value)
+        "segmentation.HIST_BINS": (segmentation.HIST_BINS, 32),
+        "segmentation.SKIN_THRESHOLD": (segmentation.SKIN_THRESHOLD, 1.0),
+        "segmentation.SKIN_ALPHA": (segmentation.SKIN_ALPHA, 0.2),
+        "segmentation.MOTION_THRESHOLD": (segmentation.MOTION_THRESHOLD, 12.0),
+        "segmentation.FACE_UPDATE_RATE": (segmentation.FACE_UPDATE_RATE, 0.3),
+        "segmentation.MIN_BLOB_AREA": (segmentation.MIN_BLOB_AREA, 30),
+        "segmentation.MAX_COAST": (segmentation.MAX_COAST, 15),
+        "segmentation.BLOB_WEIGHT": (segmentation.BLOB_WEIGHT, 1.0 / 3.0),
+        "segmentation.MIN_ASSIGN_SCORE": (segmentation.MIN_ASSIGN_SCORE, 0.4),
+        "segmentation.DEPTH_SCORE_SCALE": (segmentation.DEPTH_SCORE_SCALE, 1000.0),
+        "segmentation.PROXIMITY_SCALE": (segmentation.PROXIMITY_SCALE, 80.0),
+        "tracking.predict process_noise": (_default(tracking.predict, "process_noise"), 1e-2),
+        "tracking.update measurement_noise": (
+            _default(tracking.update, "measurement_noise"), 4.0),
+        "tracking.HandTrack.seed initial_cov": (
+            _default(tracking.HandTrack.seed, "initial_cov"), 1e3),
+        "tracking.search_window pad_frac": (_default(tracking.search_window, "pad_frac"), 0.25),
+        "tracking.search_window pad_min": (_default(tracking.search_window, "pad_min"), 10.0),
+    }
+    changed = {name: value for name, (value, pin) in pinned.items() if value != pin}
+    assert pipeline.CACHE_FORMAT == 2 and not changed, (
+        f"extraction constants changed value: {changed}; bump pipeline.CACHE_FORMAT, so "
+        f"that features cached with the old values miss, and pin both anew here")
 
 
 class TestExtraction:
@@ -78,11 +114,14 @@ class TestExtraction:
         assert sorted(reads) == sorted(SKIN_FILES) and parses == []
         assert same_features(cold, warm)
 
-    def test_cache_invalidated_by_config(self, tiny_corpus, tmp_path, extractions):
+    @pytest.mark.parametrize("setting", [
+        dict(face_depth_threshold=45.0), dict(body_depth_front=1000.0),
+        dict(body_depth_back=250.0), dict(focal_per_width=0.75)], ids=lambda d: next(iter(d)))
+    def test_cache_invalidated_by_config(self, tiny_corpus, tmp_path, extractions, setting):
         root, manifest = tiny_corpus
         cfg = Config()
         extract_corpus(root / "manifest.tsv", cfg, cache_dir=tmp_path / "c")
-        changed = Config(motion_threshold=9.0)
+        changed = Config(**setting)
         extractions.clear()
         cached = extract_corpus(root / "manifest.tsv", changed, cache_dir=tmp_path / "c")
         assert len(extractions) == len(manifest.entries)
@@ -90,7 +129,7 @@ class TestExtraction:
                                                      cache_dir=tmp_path / "fresh"))
         # a setting extraction does not read keeps every entry
         extractions.clear()
-        extract_corpus(root / "manifest.tsv", Config(motion_threshold=9.0, hmm_states=3),
+        extract_corpus(root / "manifest.tsv", Config(**setting, hmm_states=3),
                        cache_dir=tmp_path / "c")
         assert extractions == []
         # switching back hits: the records of both settings stay
@@ -112,18 +151,24 @@ class TestExtraction:
         assert len(extractions) == len(manifest.entries)
         assert same_features(cached, extract_corpus(path, cfg, cache_dir=tmp_path / "fresh"))
 
-    @pytest.mark.parametrize("bad", ["12.5 200 30\n", "1 2 3 4\n", b"\xff\xfe 1 2\n"])
-    def test_malformed_skin_list_names_its_file(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad", [
+        "12.5 200 30\n", "1 2 3 4\n", b"\xff\xfe 1 2\n",
+        pytest.param("", id="empty"), pytest.param(" \n\t\n", id="whitespace-only")])
+    def test_malformed_skin_list_names_its_file(self, tmp_path, extractions, bad):
+        """A bad row after the list's rows, or a list with no rows, fails
+        naming the file before any sequence is extracted."""
         spec = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=12,
                          width=96, height=72)
         generate_synthetic_corpus(spec, 8, tmp_path / "corpus")
         skin = tmp_path / "corpus" / "skin_pixels.txt"
-        skin.write_bytes(skin.read_bytes() + (bad if isinstance(bad, bytes) else bad.encode()))
+        rows = skin.read_bytes() if bad.strip() else b""
+        skin.write_bytes(rows + (bad if isinstance(bad, bytes) else bad.encode()))
         with pytest.raises(LoadError, match="skin_pixels.txt"):
             extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config(),
                            cache_dir=tmp_path / "fresh")
+        assert extractions == []
         with pytest.raises(LoadError, match="skin_pixels.txt"):
-            general_skin_model(tmp_path / "corpus", Config())
+            general_skin_model(tmp_path / "corpus")
 
     def test_interrupted_run_leaves_no_stale_entry(self, tiny_corpus, tmp_path, monkeypatch):
         # run A fills the cache; run B dies right after its first write
@@ -359,8 +404,8 @@ class TestPipelineProperties:
         man_2 = generate_synthetic_corpus(
             SynthSpec(width=320, height=240, **kwargs), 13, tmp_path / "two")
         cfg = Config()
-        m1 = general_skin_model(tmp_path / "one", cfg)
-        m2 = general_skin_model(tmp_path / "two", cfg)
+        m1 = general_skin_model(tmp_path / "one")
+        m2 = general_skin_model(tmp_path / "two")
         from signrec.features import HAND_DIM
 
         pos_cols = np.array([0, 1, 2, 3, 4, 5])
@@ -397,12 +442,12 @@ class TestPipelineProperties:
 
     def test_skin_mask_precision_recall(self, tiny_corpus):
         from signrec.dataio import load_sequence
-        from signrec.segmentation import body_region, rg_bins
+        from signrec.segmentation import SKIN_THRESHOLD, body_region, rg_bins
         from signrec.synth import Scene, SynthSpec, load_ground_truth, _ellipse_mask
 
         root, manifest = tiny_corpus
         cfg = Config()
-        model = general_skin_model(root, cfg)
+        model = general_skin_model(root)
         entry = manifest.entries[0]
         seq = load_sequence(root / entry.path)
         gt = load_ground_truth(root / entry.path)
@@ -416,7 +461,7 @@ class TestPipelineProperties:
         body = body_region(depth, seq.skeleton[0].joints["torso"][2],
                            cfg.body_depth_front, cfg.body_depth_back)
         predicted = model.lookup(rg_bins(seq.color_frames[0], model.bins),
-                                 cfg.skin_threshold) & body
+                                 SKIN_THRESHOLD) & body
         tp = (predicted & truth).sum()
         precision = tp / max(predicted.sum(), 1)
         recall = tp / max(truth.sum(), 1)
@@ -457,7 +502,7 @@ class TestPipelineProperties:
                          width=160, height=120)
         manifest = generate_synthetic_corpus(spec, 55, tmp_path)
         cfg = Config()
-        model = general_skin_model(tmp_path, cfg)
+        model = general_skin_model(tmp_path)
         face_entries = [e for e in manifest.entries if e.sign_label == "sign02"]
         assert face_entries
         for entry in face_entries:
@@ -488,8 +533,8 @@ class TestMirroredExtraction:
         man_r = generate_synthetic_corpus(spec_r, 77, tmp_path / "r")
         man_l = generate_synthetic_corpus(spec_l, 77, tmp_path / "l")
         cfg = Config()
-        model_r = general_skin_model(tmp_path / "r", cfg)
-        model_l = general_skin_model(tmp_path / "l", cfg)
+        model_r = general_skin_model(tmp_path / "r")
+        model_l = general_skin_model(tmp_path / "l")
         for er, el in zip(man_r.entries, man_l.entries):
             a = extract_sequence(tmp_path / "r" / er.path, model_r, cfg)
             b = extract_sequence(tmp_path / "l" / el.path, model_l, cfg)

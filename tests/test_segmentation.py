@@ -10,9 +10,12 @@ from scipy import ndimage
 
 from reference_kernels import reference_segment
 from signrec.config import Config
-from signrec.dataio import load_sequence, mirror_sequence, shoulder_distance
+from signrec.dataio import (SKIN_FILES, load_sequence, mirror_sequence, parse_pixel_list,
+                            shoulder_distance)
 from signrec.pipeline import general_skin_model
 from signrec.segmentation import (
+    BLOB_WEIGHT,
+    MAX_COAST,
     Blob,
     FaceDepthModel,
     SequenceSegmenter,
@@ -411,21 +414,18 @@ def flat_depth(value, shape=(60, 80)):
 
 
 class TestRankAndAssign:
-    def setup_method(self):
-        self.cfg = Config()
-
     def test_single_blob_goes_to_nearest_prediction(self):
         blob = square_blob(60, 30)
         pred_r = HandTrack.seed((60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
         pred_l = HandTrack.seed((15.0, 30.0), box=(12.0, 12.0), depth=1500.0)
-        left, right = rank_and_assign([blob], pred_l, pred_r, flat_depth(1500), self.cfg)
+        left, right = rank_and_assign([blob], pred_l, pred_r, flat_depth(1500))
         assert right is not None and left is None
 
     def test_two_identical_blobs_one_to_one(self):
         blobs = [square_blob(20, 30), square_blob(60, 30)]
         pred_l = HandTrack.seed((20.0, 30.0), box=(12.0, 12.0), depth=1500.0)
         pred_r = HandTrack.seed((60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
-        left, right = rank_and_assign(blobs, pred_l, pred_r, flat_depth(1500), self.cfg)
+        left, right = rank_and_assign(blobs, pred_l, pred_r, flat_depth(1500))
         assert left.centroid[0] == pytest.approx(19.5)
         assert right.centroid[0] == pytest.approx(59.5)
 
@@ -437,13 +437,13 @@ class TestRankAndAssign:
         near = square_blob(64, 34)
         pred_r = HandTrack.seed((60.0, 31.0), box=(12.0, 12.0), depth=1500.0)
         pred_l = HandTrack.seed((-50.0, -50.0), box=(12.0, 12.0), depth=1500.0)
-        left, right = rank_and_assign([far, near], pred_l, pred_r, depth, self.cfg)
+        left, right = rank_and_assign([far, near], pred_l, pred_r, depth)
         assert right.centroid == pytest.approx(near.centroid)
 
     def test_no_blob_above_score_marks_missing(self):
         blob = square_blob(70, 50)
         pred = HandTrack.seed((-200.0, -200.0), box=(12.0, 12.0), depth=1500.0)
-        left, right = rank_and_assign([blob], pred, pred, flat_depth(3000), self.cfg)
+        left, right = rank_and_assign([blob], pred, pred, flat_depth(3000))
         assert left is None and right is None
 
     def test_blob_over_zero_depth_scores_half_on_depth(self):
@@ -455,10 +455,13 @@ class TestRankAndAssign:
         pred = HandTrack.seed((60.0, 30.0), box=(12.0, 12.0), depth=1500.0)
         blob_depth = blob.median_depth(depth)
         assert np.isnan(blob_depth)
-        only_depth = Config(weight_depth=1.0, weight_size=0.0, weight_proximity=0.0)
-        assert _blob_score(blob, pred, blob_depth, only_depth) == 0.5
-        assert _blob_score(blob, pred, 1500.0, only_depth) == 1.0
-        left, right = rank_and_assign([blob], pred, pred, depth, self.cfg)
+        # only the depth score differs between the three: 1 at the predicted
+        # depth, 0 at DEPTH_SCORE_SCALE from it, and half of 1 with no depth
+        agree, unknown, apart = (_blob_score(blob, pred, d)
+                                 for d in (1500.0, blob_depth, 2500.0))
+        assert agree - unknown == pytest.approx(0.5 * BLOB_WEIGHT)
+        assert unknown - apart == pytest.approx(0.5 * BLOB_WEIGHT)
+        left, right = rank_and_assign([blob], pred, pred, depth)
         assert left is None and np.isnan(right.depth)
 
     def test_permutation_invariant(self):
@@ -467,9 +470,9 @@ class TestRankAndAssign:
         pred_l = HandTrack.seed((22.0, 21.0), box=(12.0, 12.0), depth=1500.0)
         pred_r = HandTrack.seed((48.0, 21.0), box=(10.0, 10.0), depth=1500.0)
         depth = flat_depth(1500)
-        reference = rank_and_assign(blobs, pred_l, pred_r, depth, self.cfg)
+        reference = rank_and_assign(blobs, pred_l, pred_r, depth)
         for perm in itertools.permutations(blobs):
-            left, right = rank_and_assign(list(perm), pred_l, pred_r, depth, self.cfg)
+            left, right = rank_and_assign(list(perm), pred_l, pred_r, depth)
             assert left.centroid == reference[0].centroid
             assert right.centroid == reference[1].centroid
 
@@ -478,17 +481,16 @@ class TestRankAndAssign:
         pred_l = HandTrack.seed((38.0, 30.0), box=(16.0, 16.0), depth=1500.0)
         pred_r = HandTrack.seed((42.0, 30.0), box=(16.0, 16.0), depth=1500.0)
         depth = flat_depth(1500)
-        left, right = rank_and_assign([blob], pred_l, pred_r, depth, self.cfg)
+        left, right = rank_and_assign([blob], pred_l, pred_r, depth)
         assert (left is None) != (right is None)
-        left, right = rank_and_assign([blob], pred_l, pred_r, depth, self.cfg,
-                                      allow_shared=True)
+        left, right = rank_and_assign([blob], pred_l, pred_r, depth, allow_shared=True)
         assert left is not None and right is not None
 
     def test_shared_blob_gives_each_hand_its_own_record(self):
         blob = square_blob(40, 30, side=16)
         pred_l = HandTrack.seed((38.0, 30.0), box=(16.0, 16.0), depth=1500.0)
         pred_r = HandTrack.seed((42.0, 30.0), box=(16.0, 16.0), depth=1500.0)
-        left, right = rank_and_assign([blob], pred_l, pred_r, flat_depth(1500), self.cfg,
+        left, right = rank_and_assign([blob], pred_l, pred_r, flat_depth(1500),
                                       allow_shared=True)
         assert left is not right
         assert np.array_equal(left.mask, right.mask)
@@ -646,7 +648,7 @@ def occlusion_corpus(occlusion_root):
     cfg = Config()
     seqs = [load_sequence(root / e.path) for e in manifest.entries]
     seqs = [mirror_sequence(s) if s.handedness == "left" else s for s in seqs]
-    return general_skin_model(root, cfg), cfg, seqs
+    return general_skin_model(root), cfg, seqs
 
 
 def step_loop(segmenter, seq):
@@ -674,23 +676,24 @@ class TestSequenceSegmenter:
         assert kinds == {"none", "hand_over_hand", "hand_over_face"}
 
     def test_bins_come_from_the_skin_model(self, occlusion_root, occlusion_corpus):
-        """The segmenter bins chromaticity as its skin model does; the
-        config's hist_bins only builds the general model."""
-        _, cfg, seqs = occlusion_corpus
-        coarse = Config(hist_bins=16)
-        model = general_skin_model(occlusion_root[0], coarse)
-        assert cfg.hist_bins != model.bins
+        """The segmenter bins chromaticity as its skin model does, here a
+        16-bin model of the corpus's skin lists in place of the 32-bin one."""
+        general, cfg, seqs = occlusion_corpus
+        skin, nonskin = (parse_pixel_list((occlusion_root[0] / name).read_text())
+                         for name in SKIN_FILES)
+        model = SkinHistogram.from_pixels(skin, nonskin, bins=16)
+        assert general.bins == 32
         frames = SequenceSegmenter(model, cfg).run(seqs[0]).frames
-        assert_same_frames(frames, reference_segment(model, coarse, seqs[0])[0])
+        assert_same_frames(frames, reference_segment(model, cfg, seqs[0])[0])
 
     def test_track_reseeded_after_max_coast(self, occlusion_corpus):
         """Blanking the right hand's depth hides it from the body region; once
-        it has coasted past max_coast frames its track restarts at the
+        it has coasted past MAX_COAST frames its track restarts at the
         skeleton's hand joint."""
         model, cfg, seqs = occlusion_corpus
         seq = seqs[0]
         depth = [d.copy() for d in seq.depth_frames]
-        for t in range(4, 4 + cfg.max_coast + 6):
+        for t in range(4, 4 + MAX_COAST + 6):
             x, y, _ = seq.skeleton[t].joints["hand_right"]
             depth[t][max(0, int(y) - 20) : int(y) + 20, max(0, int(x) - 20) : int(x) + 20] = 0
         seq = dataclasses.replace(seq, depth_frames=depth)
@@ -699,7 +702,7 @@ class TestSequenceSegmenter:
                     if f.right is None and f.right_track.coast_count == 0]
         assert reseeded
         t = reseeded[0]
-        assert frames[t - 1].right_track.coast_count == cfg.max_coast
+        assert frames[t - 1].right_track.coast_count == MAX_COAST
         assert np.array_equal(frames[t].right_track.position,
                               seq.skeleton[t].joints["hand_right"][:2])
         assert_same_frames(frames, reference_segment(model, cfg, seq)[0])

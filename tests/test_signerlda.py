@@ -500,6 +500,6 @@ class TestTransformIO:
             frames = [rng.normal(size=(20 + 2 * k, 6)) + c for k in range(4)]
             by_class[f"c{c}"] = frames
             posxy[f"c{c}"] = [f[:, :4] for f in frames]
-        transform = fit_transform(by_class, posxy, 3, Config(lda_resample_third=5))
+        transform = fit_transform(by_class, posxy, 3, Config())
         assert transform.weights.shape == (6, 3)
-        assert transform.keep_frames == 5
+        assert transform.keep_frames == 15
