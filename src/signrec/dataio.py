@@ -8,15 +8,17 @@ One directory per recorded sample, with one stream file per image channel:
                     millimeters, 0 = no reading, one after another
     skeleton.txt    one line per frame: for each joint "name x y z confidence";
                     the confidence must be numeric but is not read; every
-                    frame has the REQUIRED_JOINTS
+                    frame has the REQUIRED_JOINTS, each joint once, and the
+                    shoulders of the first frames are apart (`shoulder_distance`)
     meta.txt        key=value lines: signer, label, handedness, fps
 
 These four are the `RECORDING_FILES`; other files beside them, such as a
 synthetic recording's ground truth (see `synth`), are not read. In a stream,
 image t starts where image t-1 ends, and each image is byte for byte what a
 one-image PNM file would hold (netpbm allows a sequence of images in one
-file). Every image of a stream has image 0's size, and the two streams hold
-one image per frame. skeleton.txt, meta.txt and the manifest are UTF-8 text.
+file). Every image of a stream has image 0's size, at least 1 x 1, and the
+two streams hold one image per frame. skeleton.txt, meta.txt and the
+manifest are UTF-8 text.
 
 `load_sequence` opens each stream once and walks its headers, checking
 each header and raster length and noting where each raster starts, and
@@ -297,8 +299,8 @@ def _check_raster(fh, where, magic, maxval, stored, channels):
     if got_magic != magic or got_maxval != maxval:
         raise LoadError(f"{where}: expected binary {magic} with maxval {maxval}, "
                         f"got {got_magic}/{got_maxval}")
-    if width < 0 or height < 0:
-        raise LoadError(f"{where}: negative image size {width}x{height}")
+    if width < 1 or height < 1:
+        raise LoadError(f"{where}: image size {width}x{height}, expected at least 1x1")
     expect = width * height * channels * stored.itemsize
     have = os.fstat(fh.fileno()).st_size - fh.tell()
     if have < expect:
@@ -432,6 +434,8 @@ def _parse_skeleton(text, path):
             if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise LoadError(f"{path}:{lineno}: joint {fields[k]!r} has a non-finite "
                                 f"coordinate")
+            if fields[k] in joints:
+                raise LoadError(f"{path}:{lineno}: joint {fields[k]!r} is given twice")
             joints[fields[k]] = (x, y, z)
         for name in REQUIRED_JOINTS:
             if name not in joints:
@@ -507,7 +511,12 @@ def load_sequence(path) -> FrameSequence:
     handedness = read_meta(root)[2]
     if len(skeleton) != len(color):
         raise LoadError(f"{skel_path}: {len(skeleton)} poses for {len(color)} frames")
-    return FrameSequence(color, depth, skeleton, handedness)
+    seq = FrameSequence(color, depth, skeleton, handedness)
+    try:
+        shoulder_distance(seq)
+    except ValueError as exc:
+        raise LoadError(f"{skel_path}: {exc}") from None
+    return seq
 
 
 # --- geometric operations -------------------------------------------------

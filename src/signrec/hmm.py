@@ -55,7 +55,7 @@ _MEMBERS = {
 }
 
 
-def init_model(samples, label="", n_states=7, self_prob=0.6, var_floor=VAR_FLOOR) -> HmmModel:
+def init_model(samples, n_states, label="", self_prob=0.6, var_floor=VAR_FLOOR) -> HmmModel:
     """Flat start: each sequence is cut into n_states equal segments and
     state k pools the k-th segments of all sequences. A sequence shorter
     than the chain raises ValueError; any other gives every segment a frame."""
@@ -243,7 +243,7 @@ def _reestimate(model: HmmModel, counts, var_floor):
                     stay=stay_num / row_sum, leave=leave_num / row_sum)
 
 
-def baum_welch(model: HmmModel, samples, max_iter=40, tol=1e-4, var_floor=VAR_FLOOR):
+def baum_welch(model: HmmModel, samples, max_iter, tol=1e-4, var_floor=VAR_FLOOR):
     """Multi-sequence EM within the no-skip topology.
 
     All sequences share one padded E-step per iteration.  A stay or leave

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import logging
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -43,6 +42,8 @@ def map_ordered(worker, tasks, jobs):
     """Run tasks, possibly in parallel, yielding results in task order as
     each becomes available."""
     if jobs > 1 and len(tasks) > 1:
+        # imported here: a serial run need not pay its resident memory
+        import multiprocessing
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
             yield from pool.imap(worker, tasks)
     else:

@@ -444,22 +444,16 @@ class FaceDepthModel:
         self.valid |= fresh
 
 
-def resolve_face_occlusion(depth_frame, face_model: FaceDepthModel, threshold,
-                           update_rate=FACE_UPDATE_RATE):
-    """Foreground (hand) pixels inside the face box, by depth difference.
-
-    A pixel is foreground when the face model sits more than threshold mm
-    behind the current reading. The model is then updated everywhere except
-    at the returned foreground pixels, so the hand never bleeds into it.
+def resolve_face_occlusion(depth_frame, face_model: FaceDepthModel, threshold):
+    """Foreground (hand) pixels of the face box, shaped like it: those with
+    a reading where the face model sits more than threshold mm behind it.
+    The model is not changed; its update excludes these pixels, so the hand
+    never bleeds into it.
     """
     x, y, w, h = face_model.bbox
     patch = np.asarray(depth_frame, dtype=np.float64)[y : y + h, x : x + w]
     usable = (patch > 0) & face_model.valid
-    fg = usable & (face_model.depth - patch > threshold)
-    face_model.update(depth_frame, exclude=fg, rate=update_rate)
-    out = np.zeros(np.asarray(depth_frame).shape, dtype=bool)
-    out[y : y + h, x : x + w] = fg
-    return out
+    return usable & (face_model.depth - patch > threshold)
 
 
 def match_template(joint_mask, template):
@@ -638,15 +632,16 @@ class SequenceSegmenter:
         predicted = {h: tracking.predict(self.tracks[h]) for h in HANDS}
         windows = {h: tracking.search_window(predicted[h], shape) for h in HANDS}
 
-        # hand-over-face: depth against the face model recovers hand pixels
+        # hand-over-face: depth against the face model recovers hand pixels,
+        # and the model then learns the rest of its box, once a frame
         fx, fy, fw, fh = self.face_model.bbox
         face_rect = (fx, fy, fx + fw, fy + fh)
         near_face = any(tracking.windows_intersect(windows[h], face_rect) for h in HANDS)
+        fg = None
         if near_face:
             fg = resolve_face_occlusion(depth, self.face_model, cfg.face_depth_threshold)
-            cand = cand | (fg & skin_now)
-        else:
-            self.face_model.update(depth, rate=FACE_UPDATE_RATE)
+            cand[fy : fy + fh, fx : fx + fw] |= fg & skin_now[fy : fy + fh, fx : fx + fw]
+        self.face_model.update(depth, FACE_UPDATE_RATE, exclude=fg)
 
         blobs = clean_mask(cand, min_area=MIN_BLOB_AREA)
 
@@ -677,10 +672,8 @@ class SequenceSegmenter:
             track = predicted[hand]
             o = obs[hand]
             if o is not None and all(map(math.isfinite, o.centroid)):
-                track = tracking.update(
-                    track, o.centroid, (o.bbox[2], o.bbox[3]),
-                    depth=o.depth if math.isfinite(o.depth) else None,
-                )
+                track = tracking.update(track, o.centroid, (o.bbox[2], o.bbox[3]),
+                                        depth=o.depth)
             elif track.coast_count > MAX_COAST:
                 track = self._seed(pose, hand, track.box)
             self.tracks[hand] = track

@@ -191,7 +191,7 @@ class LdaTransform:
                    meta["feature_spec"])
 
 
-def solve_transform(between, within, out_dim, shrinkage=1e-3):
+def solve_transform(between, within, out_dim, shrinkage):
     """Top generalized eigenvectors of (between, within + ridge); returns
     (weights, eigenvalues).
 

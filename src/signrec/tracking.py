@@ -7,6 +7,7 @@ box size (w, h, vw, vh). One time step equals one frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,20 +98,17 @@ def predict(track: HandTrack, process_noise=1e-2) -> HandTrack:
     return HandTrack(mx, mP, bx, bP, track.coast_count + 1, track.last_depth)
 
 
-def update(track: HandTrack, centroid, box, measurement_noise=4.0, depth=None) -> HandTrack:
-    """Fold a measurement into a predicted track.
-
-    Raises ValueError on non-finite measurements; the caller should keep
-    coasting in that case.
+def update(track: HandTrack, centroid, box, measurement_noise=4.0, depth=math.nan) -> HandTrack:
+    """Fold a measurement into a predicted track. The centroid and box must
+    be finite; a non-finite `depth` is no reading, and the track keeps its
+    last depth.
     """
     centroid = np.asarray(centroid, dtype=float)
     box = np.asarray(box, dtype=float)
-    if not (np.isfinite(centroid).all() and np.isfinite(box).all()):
-        raise ValueError("non-finite measurement")
     mx, mP = _kf_update(track.motion_state, track.motion_cov, centroid, measurement_noise)
     bx, bP = _kf_update(track.box_state, track.box_cov, box, measurement_noise)
     bx[:2] = np.maximum(bx[:2], 1.0)
-    new_depth = track.last_depth if depth is None else float(depth)
+    new_depth = float(depth) if math.isfinite(depth) else track.last_depth
     return HandTrack(mx, mP, bx, bP, 0, new_depth)
 
 

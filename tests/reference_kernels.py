@@ -383,11 +383,14 @@ def reference_segment(general_model, cfg, seq):
                      face_model.bbox[1] + face_model.bbox[3])
         near_face = [h for h in windows if tracking.windows_intersect(windows[h], face_rect)]
         if near_face:
-            fg = resolve_face_occlusion(depth, face_model, cfg.face_depth_threshold,
-                                        FACE_UPDATE_RATE)
+            x, y, w, h = face_model.bbox
+            box_fg = resolve_face_occlusion(depth, face_model, cfg.face_depth_threshold)
+            face_model.update(depth, FACE_UPDATE_RATE, exclude=box_fg)
+            fg = np.zeros(shape, dtype=bool)
+            fg[y : y + h, x : x + w] = box_fg
             cand = cand | (fg & skin_now)
         else:
-            face_model.update(depth, rate=FACE_UPDATE_RATE)
+            face_model.update(depth, FACE_UPDATE_RATE)
 
         blobs = clean_mask(cand, min_area=MIN_BLOB_AREA)
 

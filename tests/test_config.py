@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 
 import pytest
 
+from signrec import hmm, segmentation, signerlda
 from signrec.config import _PARSERS, Config
 from signrec.dataio import LoadError
 
@@ -85,6 +87,19 @@ class TestConfig:
             "face_depth_threshold", "body_depth_front", "body_depth_back", "focal_per_width",
             "idle_path_threshold", "idle_speed_threshold", "lda_shrinkage", "hmm_states",
             "hmm_max_iter", "jobs"]
+
+    def test_kernels_do_not_restate_the_settings(self):
+        """`Config` alone defines the chain length, the EM cap and the LDA
+        ridge: the kernels that take them have no default. The face model's
+        update rate is `segmentation.FACE_UPDATE_RATE`, no parameter."""
+        def default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        assert default(hmm.init_model, "n_states") is inspect.Parameter.empty
+        assert default(hmm.baum_welch, "max_iter") is inspect.Parameter.empty
+        assert default(signerlda.solve_transform, "shrinkage") is inspect.Parameter.empty
+        assert "update_rate" not in inspect.signature(
+            segmentation.resolve_face_occlusion).parameters
 
     def test_line_without_equals_named(self, tmp_path):
         (tmp_path / "c.txt").write_text("hmm_states=7\n# a comment\nhmm_states 7\n")

@@ -151,6 +151,17 @@ class TestRoundTrip:
         with pytest.raises(LoadError, match=message):
             load_sequence(tmp_path / "s")
 
+    @pytest.mark.parametrize("size", ["0 48", "64 0"])
+    def test_empty_images_named(self, tmp_path, size):
+        """Streams of empty images, whose headers and raster lengths agree."""
+        make_sequence(path=tmp_path / "s")
+        for name, header in (("color.ppm", b"P6\n%s\n255\n"), ("depth.pgm", b"P5\n%s\n65535\n")):
+            (tmp_path / "s" / name).write_bytes(3 * (header % size.encode()))
+        width, height = size.split()
+        with pytest.raises(LoadError, match=rf"color.ppm: image 0: image size {width}x{height}, "
+                                            rf"expected at least 1x1"):
+            load_sequence(tmp_path / "s")
+
     def test_missing_stream_named(self, tmp_path):
         make_sequence(path=tmp_path / "s")
         (tmp_path / "s" / "color.ppm").unlink()
@@ -210,6 +221,15 @@ class TestRoundTrip:
         lines[1] = " ".join(fields[:at] + fields[at + 5 :])
         skeleton.write_text("\n".join(lines) + "\n")
         with pytest.raises(LoadError, match=r"s/skeleton.txt:2: frame 1 has no joint 'hand_left'"):
+            load_sequence(tmp_path / "s")
+
+    def test_repeated_joint_named(self, tmp_path):
+        make_sequence(path=tmp_path / "s")
+        skeleton = tmp_path / "s" / "skeleton.txt"
+        lines = skeleton.read_text().splitlines()
+        lines[0] += " neck 1.0 2.0 3.0 1.0"
+        skeleton.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError, match=r"s/skeleton.txt:1: joint 'neck' is given twice"):
             load_sequence(tmp_path / "s")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])

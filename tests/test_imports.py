@@ -1,9 +1,11 @@
-"""The package runs without scipy.
+"""The package runs without scipy, and a serial run without multiprocessing.
 
 scipy is an oracle of the tests only: loading `scipy.linalg` would add about
-27 MB of resident memory and 0.1 s of start-up to a process. A fresh
-interpreter runs extraction, the signer-dependent protocol and the
-signer-independent protocol with LDA, then lists the scipy modules it holds.
+27 MB of resident memory and 0.1 s of start-up to a process. Only a parallel
+map loads `multiprocessing`. A fresh interpreter runs extraction, the
+signer-dependent protocol and the signer-independent protocol with LDA at
+one job, then lists the scipy modules it holds and says whether it holds
+`multiprocessing`.
 """
 
 import json
@@ -41,9 +43,10 @@ run_sd_loocv(prepared, cfg)
 run_si_loso(prepared, cfg, lda_dims=2)
 with np.load(sys.argv[2]) as scatter:
     between, within = scatter["between"], scatter["within"]
-weights, _ = solve_transform(between, within, 3)
+weights, _ = solve_transform(between, within, 3, 1e-3)
 print(json.dumps({"scipy": sorted(name for name in sys.modules
                                   if name.split(".")[0] == "scipy"),
+                  "multiprocessing": "multiprocessing" in sys.modules,
                   "weights": weights.tobytes().hex()}))
 """
 
@@ -65,5 +68,6 @@ def test_no_protocol_loads_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300, check=True, env=env)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["scipy"] == []
-    weights, _ = solve_transform(between, within, 3)
+    assert not result["multiprocessing"]
+    weights, _ = solve_transform(between, within, 3, 1e-3)
     assert result["weights"] == weights.tobytes().hex()

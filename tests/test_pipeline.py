@@ -344,6 +344,21 @@ class TestExtraction:
         key = pipeline._sequence_key(tmp_path / "corpus" / paths[0], digest)
         assert [p.name for p in (tmp_path / "c").iterdir()] == [f"{key}.npz"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_coincident_shoulders_name_the_skeleton(self, tmp_path, jobs):
+        spec = SynthSpec(num_classes=2, num_signers=1, samples=1, frames=12,
+                         width=64, height=48)
+        manifest = generate_synthetic_corpus(spec, 9, tmp_path / "corpus")
+        skeleton = tmp_path / "corpus" / manifest.entries[1].path / "skeleton.txt"
+        lines = [line.split() for line in skeleton.read_text().splitlines()]
+        for fields in lines[:5]:
+            left, right = fields.index("shoulder_left"), fields.index("shoulder_right")
+            fields[right + 1 : right + 4] = fields[left + 1 : left + 4]
+        skeleton.write_text("\n".join(map(" ".join, lines)) + "\n")
+        with pytest.raises(LoadError, match=rf"{skeleton}: shoulder joints are coincident"):
+            extract_corpus(tmp_path / "corpus" / "manifest.tsv", Config(),
+                           cache_dir=tmp_path / "c", jobs=jobs)
+
     def test_entries_that_differ_only_in_separators_keep_their_records(self, tmp_path,
                                                                         extractions):
         spec = SynthSpec(num_classes=3, num_signers=1, samples=1, frames=12,

@@ -10,11 +10,12 @@ from scipy import ndimage
 
 from reference_kernels import reference_segment
 from signrec.config import Config
-from signrec.dataio import (SKIN_FILES, load_sequence, mirror_sequence, parse_pixel_list,
-                            shoulder_distance)
+from signrec.dataio import (SKIN_FILES, SkeletonPose, load_sequence, mirror_sequence,
+                            parse_pixel_list, shoulder_distance)
 from signrec.pipeline import general_skin_model
 from signrec.segmentation import (
     BLOB_WEIGHT,
+    FACE_UPDATE_RATE,
     MAX_COAST,
     Blob,
     FaceDepthModel,
@@ -507,16 +508,18 @@ class TestFaceOcclusion:
         frame = depth.copy()
         frame[12:20, 12:20] = 1850.0   # hand plane 150 mm in front
         fg = resolve_face_occlusion(frame, model, threshold=60.0)
-        expected = np.zeros((40, 40), dtype=bool)
-        expected[12:20, 12:20] = True
+        expected = np.zeros((16, 16), dtype=bool)
+        expected[2:10, 2:10] = True
         assert np.array_equal(fg, expected)
+        assert np.array_equal(model.depth, depth[10:26, 10:26])   # only classified
 
     def test_no_hand_empty_and_model_drifts(self):
         depth = flat_depth(2000, (40, 40))
         model = FaceDepthModel.from_frame(depth, (10, 10, 16, 16))
         drifted = flat_depth(1990, (40, 40))
-        fg = resolve_face_occlusion(drifted, model, threshold=60.0, update_rate=0.5)
+        fg = resolve_face_occlusion(drifted, model, threshold=60.0)
         assert not fg.any()
+        model.update(drifted, 0.5, exclude=fg)
         assert model.depth == pytest.approx(np.full((16, 16), 1995.0))
 
     def test_hand_pixels_never_written_to_model(self):
@@ -525,9 +528,11 @@ class TestFaceOcclusion:
         frame = depth.copy()
         frame[12:20, 12:20] = 1800.0
         before = model.depth.copy()
-        fg = resolve_face_occlusion(frame, model, threshold=60.0, update_rate=0.5)
+        fg = resolve_face_occlusion(frame, model, threshold=60.0)
+        assert fg.any()
+        model.update(frame, 0.5, exclude=fg)
         changed = model.depth != before
-        assert not changed[fg[10:26, 10:26]].any()
+        assert not changed[fg].any()
 
     def test_invalid_depth_excluded(self):
         depth = flat_depth(2000, (40, 40))
@@ -537,7 +542,33 @@ class TestFaceOcclusion:
         before = model.depth.copy()
         fg = resolve_face_occlusion(frame, model, threshold=60.0)
         assert not fg.any()
+        model.update(frame, 0.5, exclude=fg)
         assert np.array_equal(model.depth, before)
+
+    def test_step_keeps_a_hand_before_the_face_out_of_the_model(self):
+        """The right hand's joint sits on the head, so its search window
+        meets the face box. In the second frame a hand plane 300 mm in front
+        of the face covers part of the box: the model keeps its depth there
+        and learns the rest of the box at FACE_UPDATE_RATE."""
+        joints = {"neck": (40.0, 20.0, 2000.0), "head": (40.0, 12.0, 2000.0),
+                  "torso": (40.0, 40.0, 2000.0), "shoulder_left": (30.0, 22.0, 2000.0),
+                  "shoulder_right": (50.0, 22.0, 2000.0), "hand_left": (20.0, 50.0, 2000.0),
+                  "hand_right": (40.0, 12.0, 1700.0)}
+        pose = SkeletonPose(joints)
+        rgb = np.zeros((60, 80, 3), dtype=np.uint8)
+        segmenter = SequenceSegmenter(model_from_color([200, 120, 90]), Config())
+        segmenter.reset(20.0)
+        segmenter.step(rgb, flat_depth(2000), pose)
+        x, y, w, h = segmenter.face_model.bbox
+        frame = flat_depth(1990)
+        frame[8:16, 36:44] = 1700.0
+        hand = frame[y : y + h, x : x + w] == 1700.0
+        segmenter.step(rgb, frame, pose)
+        assert hand.any() and not hand.all()
+        learned = segmenter.face_model.depth
+        assert (learned[hand] == 2000.0).all()
+        rest = (1 - FACE_UPDATE_RATE) * 2000.0 + FACE_UPDATE_RATE * 1990.0
+        assert (learned[~hand] == rest).all()
 
 
 def blob_from_mask(mask, x0=0, y0=0):

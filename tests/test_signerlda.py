@@ -330,7 +330,7 @@ class TestSolve:
     def test_zero_between_all_zero_eigenvalues(self):
         rng = np.random.default_rng(14)
         scatter = accumulate_scatter([rng.normal(size=(6, 2, 4))])
-        _, eigenvalues = solve_transform(*scatter, out_dim=4)
+        _, eigenvalues = solve_transform(*scatter, out_dim=4, shrinkage=1e-3)
         assert np.max(np.abs(eigenvalues)) <= 1e-10
 
     def test_residual_of_generalized_problem(self):
@@ -348,14 +348,14 @@ class TestSolve:
     def test_eigenvalues_descending_nonnegative(self):
         rng = np.random.default_rng(16)
         sets = [rng.normal(size=(5, 2, 6)) + 2 * c for c in range(4)]
-        _, values = solve_transform(*accumulate_scatter(sets), out_dim=6)
+        _, values = solve_transform(*accumulate_scatter(sets), out_dim=6, shrinkage=1e-3)
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] >= -1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(17)
         sets = [rng.normal(size=(5, 2, 6)) + c for c in range(3)]
-        weights, _ = solve_transform(*accumulate_scatter(sets), out_dim=3)
+        weights, _ = solve_transform(*accumulate_scatter(sets), out_dim=3, shrinkage=1e-3)
         for k in range(3):
             w = weights[:, k]
             assert w[np.argmax(np.abs(w))] > 0
@@ -364,7 +364,7 @@ class TestSolve:
         rng = np.random.default_rng(18)
         scatter = accumulate_scatter([rng.normal(size=(3, 2, 4))])
         with pytest.raises(ValueError):
-            solve_transform(*scatter, out_dim=5)
+            solve_transform(*scatter, out_dim=5, shrinkage=1e-3)
 
     def test_singular_scatter_without_ridge_fails_at_once(self):
         within = np.diag([2.0, 1.0, 0.0])   # an all-zero (idle-hand) column
@@ -395,7 +395,7 @@ class TestSolve:
 
         monkeypatch.setattr(np.linalg, "cholesky", no_factorization)
         with pytest.raises(ValueError, match=f"^{name}-sign scatter is not finite"):
-            solve_transform(scatter["between"], scatter["within"], 2)
+            solve_transform(scatter["between"], scatter["within"], 2, 1e-3)
 
 
 class TestSolveAgainstScipy:

@@ -76,9 +76,12 @@ class TestUpdate:
             updated = update(track, (z, 0.0), (40, 40), measurement_noise=r)
             assert updated.motion_state[0] == pytest.approx(expected, rel=1e-9)
 
-    def test_non_finite_measurement_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            update(fresh_track(), (np.nan, 1.0), (40.0, 40.0))
+    @pytest.mark.parametrize("reading", [np.nan, np.inf])
+    def test_non_finite_depth_is_no_reading(self, reading):
+        track = update(fresh_track(), (1.0, 1.0), (40, 40), depth=1500.0)
+        assert track.last_depth == 1500.0
+        assert update(track, (1.0, 1.0), (40, 40), depth=reading).last_depth == 1500.0
+        assert update(track, (1.0, 1.0), (40, 40)).last_depth == 1500.0
 
     def test_repeated_measurement_innovation_shrinks(self):
         track = fresh_track(position=(0.0, 0.0))
